@@ -6,7 +6,7 @@ regions and zero-density estimates for the Riemann zeta function, and
 verifies every small-range claim exactly against a sieve.
 """
 
-from .extnum import ExtReal, cmp
+from .extnum import ExtReal
 from .primes import PrimeTable, build_sieve, integral_I1, li, verify_pointwise
 from .regimes import Bracket, bracket_nu2, bracket_nu3, verify_unimodal, vk_decay_arg
 from .zdensity import DensityTable, load_table, recip_sum_bounds
@@ -41,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExtReal",
-    "cmp",
     "PrimeTable",
     "build_sieve",
     "integral_I1",

@@ -89,16 +89,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
         if args.optimize:
             rows = [engine.optimize(args.log_x0, regime, table, label=f"{args.log_x0:g}")]
         else:
-            if regime == "medium":
-                sigma = args.sigma if args.sigma is not None else 0.99
-                k = args.K if args.K is not None else 4
-                rows = [engine.medium_bound(args.log_x0, sigma, k, table, label=f"{args.log_x0:g}")]
-            elif regime == "large":
-                sigma = args.sigma if args.sigma is not None else 0.999
-                rows = [engine.large_bound(args.log_x0, sigma, table, label=f"{args.log_x0:g}")]
-            else:
-                sigma = args.sigma if args.sigma is not None else 0.9999932
-                rows = [engine.vk_bound(args.log_x0, sigma, table)]
+            sigma, k = {"medium": (0.99, 4), "large": (0.999, 1), "vk": (0.9999932, 1)}[regime]
+            p = engine.RowParams("vk" if regime == "vk" else f"{args.log_x0:g}",
+                                 args.log_x0, args.log_x0, regime,
+                                 sigma if args.sigma is None else args.sigma,
+                                 k if args.K is None else args.K)
+            rows = [engine.compute_row(p, table)]
         _emit_rows(rows, args.format)
         return 0
     if args.rows:

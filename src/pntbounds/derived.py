@@ -14,9 +14,9 @@ from typing import Literal
 
 import numpy as np
 
-from .engine import BoundConstants, CertificationError
+from .engine import BoundConstants, CertificationError, _round_up
 from .extnum import ExtReal
-from .regimes import vk_decay_arg
+from .regimes import vk_decay_arg, vk_decay_arg_prime
 
 __all__ = [
     "GAP_A1",
@@ -49,8 +49,7 @@ def _t_u_prime(kind: str, log_t: float) -> float:
     """t u'(t) as a function of log t (equals du/d log t)."""
     if kind == "sqrt_log":
         return 1.0 / (2.0 * math.sqrt(log_t))
-    ll = math.log(log_t)
-    return (3.0 * ll - 1.0) / (5.0 * log_t**0.4 * ll**1.2)
+    return vk_decay_arg_prime(log_t)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def pi_constants_classical() -> PiConstants:
     third = _CONST_PIECES * x0_log ** (1.0 - b) * math.exp(c * math.sqrt(x0_log) - x0_log) / a1
     a2 = a1 * (1.0 + x0_log ** (1.0 - b - alpha) + third)
     return PiConstants(
-        A2_unrounded=a2, A2=math.ceil(a2 * 100.0 - 1e-9) / 100.0,
+        A2_unrounded=a2, A2=_round_up(a2, 2),
         A1=a1, B=b, C=c, alpha=alpha, u_kind="sqrt_log",
         i2_used=I2_CEIL, i2_recomputed=_recompute_i2(),
     )
@@ -164,7 +163,7 @@ def pi_constants_vk() -> PiConstants:
         raise CertificationError("third-term readings disagree at the printed precision")
     a2 = max(a2_pow, a2_exp)
     return PiConstants(
-        A2_unrounded=a2, A2=math.ceil(a2 * 1000.0 - 1e-9) / 1000.0,
+        A2_unrounded=a2, A2=_round_up(a2, 3),
         A1=a1, B=b, C=c, alpha=alpha, u_kind="vk_r",
         i2_used=I2_CEIL, i2_recomputed=_recompute_i2(),
     )

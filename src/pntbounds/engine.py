@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
 from .extnum import ExtReal
-from .regimes import Bracket, bracket_nu2, bracket_nu3, vk_decay_arg
+from .regimes import Bracket, bracket_nu2, bracket_nu3, vk_decay_arg, vk_decay_arg_prime
 from .zfr import R0
 from .zdensity import DensityTable, LOG_RIEMANN_HEIGHT, recip_sum_bounds
 
@@ -110,13 +110,6 @@ class EnvelopeTerm:
 def _log_sum(terms: Sequence[EnvelopeTerm], u) -> float:
     vals = [t.log_eval(u) for t in terms]
     return float(np.logaddexp.reduce(vals, axis=0)) if np.ndim(u) == 0 else np.logaddexp.reduce(vals, axis=0)
-
-
-def _ext_sum(terms: Sequence[EnvelopeTerm], u: float) -> ExtReal:
-    out = ExtReal.zero()
-    for t in terms:
-        out = out + ExtReal.exp_of(float(t.log_eval(u)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +215,6 @@ class BoundConstants:
             la, b, c = self.log_A_unrounded, self.B_unrounded, self.C_unrounded
         return la + b * math.log(log_x) - c * self.decay_arg(log_x)
 
-    def rel_envelope(self, log_x: float, rounded: bool = True) -> ExtReal:
-        return ExtReal.exp_of(self.log_rel_envelope(log_x, rounded))
-
     def as_dict(self) -> dict:
         m, e = self.eps0.log10_parts()
         return {
@@ -293,8 +283,7 @@ def epsilon0_at(log_A: float, B: float, C: float, X: float,
         return ExtReal.exp_of(log_A + B * math.log(at) - C * math.sqrt(at)), at
 
     def deriv(l: float) -> float:
-        w_prime = (3.0 * math.log(l) - 1.0) / (5.0 * l**0.4 * math.log(l) ** 1.2)
-        return B / l - C * w_prime
+        return B / l - C * vk_decay_arg_prime(l)
 
     lo, hi = 3.1, X
     if deriv(hi) >= 0.0:
@@ -312,6 +301,46 @@ def epsilon0_at(log_A: float, B: float, C: float, X: float,
                 break
         at = max(X, 0.5 * (lo + hi))
     return ExtReal.exp_of(log_A + B * math.log(at) - C * vk_decay_arg(at)), at
+
+
+class _Fit(NamedTuple):
+    """A pipeline's unrounded envelope at its anchor, not yet certified."""
+
+    log_a: float
+    B: float
+    C: float
+    certify: Callable[[], bool]
+    extras: dict                # regime-specific BoundConstants fields
+
+
+def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
+          fit: Callable[[], _Fit], claim_X: float | None = None, label: str | None = None,
+          a_decimals: int = 2) -> BoundConstants:
+    """The one emission path of the three pipelines.
+
+    Validates sigma, builds the regime's envelope with ``fit``, refuses it
+    unless its certificate holds, takes eps0 over log x >= the claimed
+    threshold, and rounds toward validity (A and B up, C down).
+    """
+    if not (0.98 <= sigma < 1.0):
+        raise ValueError(f"sigma={sigma} outside [0.98, 1)")
+    f = fit()
+    if not f.certify():
+        k_note = f", K={K}" if regime == "medium" else ""
+        raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
+    x_claim = log_x0 if claim_X is None else claim_X
+    eps0, max_at = epsilon0_at(f.log_a, f.B, f.C, max(x_claim, math.log(2.0)),
+                               decay="vk_r" if regime == "vk" else "sqrt_log")
+    a_unrounded = math.exp(f.log_a)
+    return BoundConstants(
+        label=label or f"{log_x0:g}", regime=regime, X=x_claim, anchor=log_x0,
+        sigma=sigma, K=K,
+        A_unrounded=a_unrounded, A=_round_up(a_unrounded, a_decimals),
+        B_unrounded=f.B, B=_round_up(f.B, 3),
+        C_unrounded=f.C, C=_round_down(f.C, 4),
+        eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
+        log_A_unrounded=f.log_a, **f.extras,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +380,7 @@ def medium_terms(log_x: float, sigma: float, K: int, table: DensityTable) -> dic
         raise ValueError(f"zero-sum formula precondition fails at log x = {log_x:g}")
     u = math.sqrt(log_x / R0)
     groups = _medium_raw_terms(sigma, K, table)
-    return {name: _ext_sum(terms, u) for name, terms in groups.items()}
+    return {name: ExtReal.exp_of(_log_sum(terms, u)) for name, terms in groups.items()}
 
 
 def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
@@ -364,40 +393,24 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
     """
     if log_x0 < MIN_MEDIUM_LOG_X:
         raise ValueError(f"medium pipeline requires log x0 >= {MIN_MEDIUM_LOG_X:g}")
-    if not (0.98 <= sigma < 1.0):
-        raise ValueError(f"sigma={sigma} outside [0.98, 1)")
-    if not check_rvm_precondition(log_x0, 2.0 * math.sqrt(log_x0 / R0)):
-        raise ValueError("zero-sum formula precondition fails at the anchor")
-    if K < 1:
-        raise ValueError("K >= 1 required")
 
-    p = 5.0 - 2.0 * sigma
-    cp = cprime(sigma, K)
-    raw = [t for group in _medium_raw_terms(sigma, K, table).values() for t in group]
-    norm = [t.shifted(-p, -cp) for t in raw]
-    u0 = math.sqrt(log_x0 / R0)
+    def fit() -> _Fit:
+        if not check_rvm_precondition(log_x0, 2.0 * math.sqrt(log_x0 / R0)):
+            raise ValueError("zero-sum formula precondition fails at the anchor")
+        if K < 1:
+            raise ValueError("K >= 1 required")
+        p = 5.0 - 2.0 * sigma
+        cp = cprime(sigma, K)
+        raw = [t for group in _medium_raw_terms(sigma, K, table).values() for t in group]
+        norm = [t.shifted(-p, -cp) for t in raw]
+        u0 = math.sqrt(log_x0 / R0)
+        aprime_log = _log_sum(norm, u0)
+        b_exact = p / 2.0
+        return _Fit(aprime_log - b_exact * math.log(R0), b_exact, cp / math.sqrt(R0),
+                    lambda: certify_monotone(norm, u0),
+                    dict(aprime=math.exp(aprime_log), norm_terms=tuple(norm), raw_terms=tuple(raw)))
 
-    if not certify_monotone(norm, u0):
-        raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}, K={K}")
-
-    aprime_log = _log_sum(norm, u0)
-    b_exact = p / 2.0
-    c_exact = cp / math.sqrt(R0)
-    log_a = aprime_log - b_exact * math.log(R0)
-    a_unrounded = math.exp(log_a)
-    x_claim = log_x0 if claim_X is None else claim_X
-    eps0, max_at = epsilon0_at(log_a, b_exact, c_exact, max(x_claim, math.log(2.0)))
-
-    return BoundConstants(
-        label=label or f"{log_x0:g}", regime="medium", X=x_claim, anchor=log_x0,
-        sigma=sigma, K=K,
-        A_unrounded=a_unrounded, A=_round_up(a_unrounded, 2),
-        B_unrounded=b_exact, B=_round_up(b_exact, 3),
-        C_unrounded=c_exact, C=_round_down(c_exact, 4),
-        eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
-        log_A_unrounded=log_a, aprime=math.exp(aprime_log),
-        norm_terms=tuple(norm), raw_terms=tuple(raw),
-    )
+    return _emit("medium", log_x0, sigma, K, fit, claim_X=claim_X, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -428,30 +441,18 @@ def large_bound(log_x0: float, sigma: float, table: DensityTable,
     Here C = B2 (8 sigma - 5)/3 with B2 the lower bracket of the zero-sum
     minimum, and A is the normalized sum at the anchor.
     """
-    if not (0.98 <= sigma < 1.0):
-        raise ValueError(f"sigma={sigma} outside [0.98, 1)")
-    br = bracket_nu2(log_x0)
-    p = 5.0 - 2.0 * sigma
-    c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
-    norm = _large_norm_terms(sigma, br, table)
-    v0 = math.sqrt(log_x0)
-    if not certify_monotone(norm, v0):
-        raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}")
-    log_a = _log_sum(norm, v0)
-    a_unrounded = math.exp(log_a)
-    b_exact = p / 2.0
-    eps0, max_at = epsilon0_at(log_a, b_exact, c_exact, log_x0)
-    raw = [t.shifted(p, c_exact) for t in norm]
-    return BoundConstants(
-        label=label or f"{log_x0:g}", regime="large", X=log_x0, anchor=log_x0,
-        sigma=sigma, K=1,
-        A_unrounded=a_unrounded, A=_round_up(a_unrounded, 2),
-        B_unrounded=b_exact, B=_round_up(b_exact, 3),
-        C_unrounded=c_exact, C=_round_down(c_exact, 4),
-        eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
-        log_A_unrounded=log_a, bracket=br,
-        norm_terms=tuple(norm), raw_terms=tuple(raw),
-    )
+
+    def fit() -> _Fit:
+        br = bracket_nu2(log_x0)
+        p = 5.0 - 2.0 * sigma
+        c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
+        norm = _large_norm_terms(sigma, br, table)
+        v0 = math.sqrt(log_x0)
+        return _Fit(_log_sum(norm, v0), p / 2.0, c_exact, lambda: certify_monotone(norm, v0),
+                    dict(bracket=br, norm_terms=tuple(norm),
+                         raw_terms=tuple(t.shifted(p, c_exact) for t in norm)))
+
+    return _emit("large", log_x0, sigma, 1, fit, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +478,6 @@ def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> di
     }
 
 
-def _vk_w_prime(log_x: float) -> float:
-    """d r / d log x = (3 loglog x - 1) / (5 log^(2/5) x (loglog x)^(6/5))."""
-    ll = math.log(log_x)
-    return (3.0 * ll - 1.0) / (5.0 * log_x**0.4 * ll**1.2)
-
-
 def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
     """Closed-form decrease checks for the VK normalized sum.
 
@@ -492,7 +487,7 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
     """
     c = br.B2 * (8.0 * sigma - 5.0) / 3.0
     w0 = vk_decay_arg(log_x0)
-    wp0 = _vk_w_prime(log_x0)
+    wp0 = vk_decay_arg_prime(log_x0)
     ll0 = math.log(log_x0)
     if math.log(ll0) <= 0.92:
         return False
@@ -520,32 +515,21 @@ def vk_bound(log_x0: float, sigma: float, table: DensityTable,
     the (loglog x)^-(5-2 sigma)/5 factor of r^(5-2 sigma) is frozen at its
     value at the anchor and folded into A, as is B2^(5-2 sigma).
     """
-    if not (0.98 <= sigma < 1.0):
-        raise ValueError(f"sigma={sigma} outside [0.98, 1)")
-    br = bracket_nu3(log_x0)
-    if not _certify_vk_monotone(log_x0, sigma, br):
-        raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}")
 
-    p = 5.0 - 2.0 * sigma
-    c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
-    w0 = vk_decay_arg(log_x0)
-    groups = vk_terms(log_x0, sigma, br, table)
-    total = groups["s1"] + groups["s2"] + groups["s3"]
-    # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
-    log_a_anchor = total.log_value - p * math.log(br.B2 * w0) + c_exact * w0
-    log_a = log_a_anchor + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0))
-    a_unrounded = math.exp(log_a)
-    b_exact = 3.0 * p / 5.0
-    eps0, max_at = epsilon0_at(log_a, b_exact, c_exact, log_x0, decay="vk_r")
-    return BoundConstants(
-        label=label, regime="vk", X=log_x0, anchor=log_x0,
-        sigma=sigma, K=1,
-        A_unrounded=a_unrounded, A=_round_up(a_unrounded, 3),
-        B_unrounded=b_exact, B=_round_up(b_exact, 3),
-        C_unrounded=c_exact, C=_round_down(c_exact, 4),
-        eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
-        log_A_unrounded=log_a, bracket=br,
-    )
+    def fit() -> _Fit:
+        br = bracket_nu3(log_x0)
+        p = 5.0 - 2.0 * sigma
+        c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
+        w0 = vk_decay_arg(log_x0)
+        groups = vk_terms(log_x0, sigma, br, table)
+        total = groups["s1"] + groups["s2"] + groups["s3"]
+        # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
+        log_a_anchor = total.log_value - p * math.log(br.B2 * w0) + c_exact * w0
+        log_a = log_a_anchor + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0))
+        return _Fit(log_a, 3.0 * p / 5.0, c_exact,
+                    lambda: _certify_vk_monotone(log_x0, sigma, br), dict(bracket=br))
+
+    return _emit("vk", log_x0, sigma, 1, fit, label=label, a_decimals=3)
 
 
 # ---------------------------------------------------------------------------

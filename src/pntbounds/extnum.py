@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ExtReal", "EXT_ZERO", "EXT_ONE", "cmp"]
+__all__ = ["ExtReal", "EXT_ZERO", "EXT_ONE"]
 
 _LN10 = math.log(10.0)
 
@@ -29,10 +29,6 @@ class ExtReal:
     is_zero: bool = False
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "ExtReal":
-        return EXT_ZERO
 
     @staticmethod
     def from_real(v: float) -> "ExtReal":
@@ -139,8 +135,3 @@ class ExtReal:
 EXT_ZERO = ExtReal(0.0, is_zero=True)
 EXT_ONE = ExtReal(0.0)
 
-
-def cmp(a: ExtReal, b: ExtReal) -> int:
-    """Three-way comparison: -1, 0 or +1."""
-    ka, kb = a._key(), b._key()
-    return (ka > kb) - (ka < kb)

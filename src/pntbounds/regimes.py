@@ -24,6 +24,7 @@ __all__ = [
     "verify_unimodal",
     "UnimodalReport",
     "vk_decay_arg",
+    "vk_decay_arg_prime",
     "ConvergenceError",
 ]
 
@@ -50,6 +51,12 @@ class Bracket:
 def vk_decay_arg(log_x: float) -> float:
     """r(x) = log^(3/5) x * (loglog x)^(-1/5), the VK decay argument."""
     return log_x ** 0.6 / math.log(log_x) ** 0.2
+
+
+def vk_decay_arg_prime(log_x: float) -> float:
+    """r'(log x) = (3 loglog x - 1) / (5 log^(2/5) x (loglog x)^(6/5))."""
+    ll = math.log(log_x)
+    return (3.0 * ll - 1.0) / (5.0 * log_x**0.4 * ll**1.2)
 
 
 def bracket_nu2(log_x0: float) -> Bracket:

@@ -50,19 +50,14 @@ class DensityRow:
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Validated (sigma, C1, C2) table plus the Riemann height H.
+    """Validated (sigma, C1, C2) table.
 
-    N(sigma, t) = 0 for t <= H; enforcing that is the caller's job
-    (the bounding engines integrate upward from H), N0 below is the
-    pure formula.
+    N(sigma, t) = 0 for t <= RIEMANN_HEIGHT; enforcing that is the
+    caller's job (the bounding engines integrate upward from the height),
+    N0 below is the pure formula.
     """
 
     rows: tuple[DensityRow, ...]
-    H: float = float(RIEMANN_HEIGHT)
-
-    @property
-    def log_H(self) -> float:
-        return LOG_RIEMANN_HEIGHT
 
     @property
     def sigma_grid(self) -> list[float]:
@@ -85,10 +80,10 @@ class DensityTable:
         Valid as a zero count only for T > H; below that the true count
         is zero and the formula value is flagged, not suppressed.
         """
-        if log_T < self.log_H:
+        if log_T < LOG_RIEMANN_HEIGHT:
             warnings.warn(
                 f"N0 queried below the verified height (log T = {log_T:.4f} < "
-                f"{self.log_H:.4f}); the zero count there is 0",
+                f"{LOG_RIEMANN_HEIGHT:.4f}); the zero count there is 0",
                 RuntimeWarning,
                 stacklevel=2,
             )

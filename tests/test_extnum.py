@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pntbounds.extnum import EXT_ONE, EXT_ZERO, ExtReal, cmp
+from pntbounds.extnum import EXT_ONE, EXT_ZERO, ExtReal
 
 
 def test_add_zero_identity():
@@ -31,15 +31,10 @@ def test_pow_scales_log_exactly():
     assert ExtReal.exp_of(-7.5) ** 4.0 == ExtReal.exp_of(-30.0)
 
 
-def test_cmp_with_tiny_magnitudes():
-    tiny = ExtReal.exp_of(-47335.0 * math.log(10.0))
-    assert cmp(tiny, EXT_ONE) == -1
-    assert cmp(EXT_ONE, tiny) == 1
-    assert cmp(tiny, tiny) == 0
-
-
 def test_zero_is_minimum_and_ordering_total():
-    vals = [EXT_ZERO, ExtReal.exp_of(-1e6), EXT_ONE, ExtReal.exp_of(500.0)]
+    vals = [EXT_ZERO, ExtReal.exp_of(-1e6), ExtReal.exp_of(-47335.0 * math.log(10.0)),
+            EXT_ONE, ExtReal.exp_of(500.0)]
+    assert sorted(vals[::-1]) == vals
     assert sorted(vals, reverse=True)[-1] == EXT_ZERO
     for a in vals:
         for b in vals:

@@ -94,10 +94,17 @@ def test_range_errors(sieve_small):
 
 def test_li_against_exponential_integral():
     # independent oracle: li(x) = Ei(log x)
-    for x in (2.0, 10.0, 2657.0, 1e6):
+    for x in (2.0, 10.0, 2657.0, 1e6, 2e8):
         assert li(x) == pytest.approx(float(special.expi(math.log(x))), rel=1e-11)
     assert li(2.0) == pytest.approx(1.04516378, abs=1e-7)
     assert li(1e6) == pytest.approx(78627.549159, abs=1e-5)
+
+
+def test_li_against_mpmath_on_log_grid():
+    mpmath = pytest.importorskip("mpmath")
+    for x in np.geomspace(2.0, 2e9, 401):
+        ref = mpmath.li(float(x))
+        assert abs(li(float(x)) - ref) <= 1e-12 * abs(ref)
 
 
 def test_li_additivity():
