@@ -24,9 +24,11 @@ from .zdensity import DensityTable, load_table
 
 ENV_TABLE = "PNT_DENSITY_TABLE"
 
-# analytic evaluation is gated above the ranges that are sieve-verified
-# per quantity; below them `verify-small` is the tool that checks claims
-EVAL_MIN_LOG_X = {"psi": math.log(59.0), "theta": math.log(599.0), "pi": math.log(2657.0)}
+# `verify-small` sieve-checks each quantity on [2, hi] and sieves no further;
+# `eval` is gated above these ranges, where the analytic bounds take over
+SIEVE_CHECKED_HI = {"psi": 59.0, "theta": 599.0, "pi": 2657.0}
+VERIFY_SMALL_LIMIT = int(max(SIEVE_CHECKED_HI.values()))
+EVAL_MIN_LOG_X = {q: math.log(hi) for q, hi in SIEVE_CHECKED_HI.items()}
 
 CSV_HEADER = "X,sigma,K,A,B,C,eps0_mantissa,eps0_exp10"
 
@@ -178,11 +180,9 @@ def cmd_verify_small(args: argparse.Namespace) -> int:
         lx = math.log(x)
         return pi_c.A2 * x * lx ** (pi_c.B - 1.0) * math.exp(-pi_c.C * math.sqrt(lx))
 
-    checks = [
-        primes.verify_pointwise(pt, psi_bound, "psi", 2.0, 59.0),
-        primes.verify_pointwise(pt, theta_bound, "theta", 2.0, 599.0),
-        primes.verify_pointwise(pt, pi_bound, "pi", 2.0, 2657.0),
-    ]
+    bounds = {"psi": psi_bound, "theta": theta_bound, "pi": pi_bound}
+    checks = [primes.verify_pointwise(pt, bounds[q], q, 2.0, hi)
+              for q, hi in SIEVE_CHECKED_HI.items()]
     coverage = engine.piecewise_coverage(first, pt)
     failed = False
     for rep in checks:
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crossovers)
 
     p = sub.add_parser("verify-small", help="sieve-check the small-range claims")
-    p.add_argument("--limit", type=int, default=primes.DEFAULT_SIEVE_LIMIT)
+    p.add_argument("--limit", type=int, default=VERIFY_SMALL_LIMIT)
     p.set_defaults(func=cmd_verify_small)
 
     p = sub.add_parser("eval", help="best certified envelope at a given log x")

@@ -2,17 +2,18 @@
 sieve-based verification of envelope claims on small ranges.
 
 Everything here is finite and exact (up to double rounding in sums of
-logs): psi, theta and pi are evaluated as step functions from a sieve,
-and envelope claims on [lo, hi] are certified by checking every jump
-point together with its left-sided limit, which suffices because the
-distance to the main term is piecewise monotone between jumps.
+logs): psi, theta and pi are step functions read from a sieve and a
+short table of the prime powers p^m (m >= 2), by binary search.  Envelope
+claims on [lo, hi] are certified by checking every jump point together
+with its left-sided limit, which suffices because the distance to the
+main term is piecewise monotone between jumps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -33,57 +34,63 @@ _EULER_GAMMA = 0.5772156649015329
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Ascending primes up to ``limit`` plus cumulative log-sums."""
+    """Primes and the prime powers p^m (m >= 2) up to ``limit``, each with log-sums."""
 
     limit: int
     primes: np.ndarray          # int64, ascending
     _cum_log: np.ndarray        # _cum_log[k] = sum of log p over first k primes
+    _powers: np.ndarray         # float64 (exact), ascending p^m <= limit with m >= 2
+    _power_log: np.ndarray      # log p for each entry of _powers
+    _power_cum: np.ndarray      # _power_cum[k] = sum of the first k _power_log
 
     def _check_range(self, x: float) -> None:
         if not (2.0 <= x <= self.limit):
             raise ValueError(f"x={x} outside sieve range [2, {self.limit}]")
 
+    def _values(self, quantity: str, x):
+        """pi, theta or psi at x, a number or an array already in range."""
+        n = np.floor(x).astype(np.int64)  # a float key would cast the whole prime array
+        k = np.searchsorted(self.primes, n, side="right")
+        if quantity == "pi":
+            return k.astype(np.float64)
+        theta = self._cum_log[k]
+        if quantity == "theta":
+            return theta
+        return theta + self._power_cum[np.searchsorted(self._powers, n, side="right")]
+
     def pi_count(self, x: float) -> int:
         """Number of primes <= x."""
         self._check_range(x)
-        return int(np.searchsorted(self.primes, math.floor(x), side="right"))
+        return int(self._values("pi", x))
 
     def theta(self, x: float) -> float:
         """Sum of log p over primes p <= x."""
         self._check_range(x)
-        return float(self._cum_log[self.pi_count(x)])
+        return float(self._values("theta", x))
 
     def psi(self, x: float) -> float:
-        """Sum of log p over prime powers p^m <= x (direct enumeration)."""
+        """Sum of log p over prime powers p^m <= x."""
         self._check_range(x)
-        total = self.theta(x)
-        root = math.isqrt(math.floor(x))
-        for p in self.primes[self.primes <= root]:
-            p = int(p)
-            pk = p * p
-            while pk <= x:
-                total += math.log(p)
-                pk *= p
-        return total
+        return float(self._values("psi", x))
 
-    def iter_jumps(self, quantity: str, lo: float, hi: float) -> Iterator[tuple[float, float]]:
-        """Yield (x, jump size) for each jump of the quantity in [lo, hi]."""
-        if quantity in ("theta", "pi"):
-            sel = self.primes[(self.primes >= lo) & (self.primes <= hi)]
-            for p in sel:
-                yield float(p), (math.log(p) if quantity == "theta" else 1.0)
-        elif quantity == "psi":
-            jumps: list[tuple[float, float]] = []
-            for p in self.primes[self.primes <= hi]:
-                p = int(p)
-                pk = p
-                while pk <= hi:
-                    if pk >= lo:
-                        jumps.append((float(pk), math.log(p)))
-                    pk *= p
-            yield from sorted(jumps)
-        else:
+    def jumps(self, quantity: str, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """(x, jump size) arrays, ascending in x, for the jumps in [lo, hi]."""
+        if quantity not in ("psi", "theta", "pi"):
             raise ValueError(f"unknown quantity {quantity!r}")
+        if not (2.0 <= lo < hi <= self.limit):  # NaN fails too
+            raise ValueError(f"bad range [{lo}, {hi}] for a sieve up to {self.limit}")
+        first, last = math.ceil(lo), math.floor(hi)
+        xs = self.primes[np.searchsorted(self.primes, first):
+                         np.searchsorted(self.primes, last, side="right")].astype(np.float64)
+        if quantity == "pi":
+            return xs, np.ones(xs.size)
+        if quantity == "theta":
+            return xs, np.log(xs)
+        sl = slice(np.searchsorted(self._powers, first),
+                   np.searchsorted(self._powers, last, side="right"))
+        at = np.searchsorted(xs, self._powers[sl])  # merge: no power is a prime
+        return (np.insert(xs, at, self._powers[sl]),
+                np.insert(np.log(xs), at, self._power_log[sl]))
 
 
 def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeTable:
@@ -99,7 +106,15 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeTable:
             mask[p * p :: p] = False
     primes = np.nonzero(mask)[0].astype(np.int64)
     cum = np.concatenate([[0.0], np.cumsum(np.log(primes.astype(np.float64)))])
-    return PrimeTable(limit=int(limit), primes=primes, _cum_log=cum)
+    powers = []
+    for p in primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist():
+        pk = p * p
+        while pk <= limit:
+            powers.append((pk, math.log(p)))
+            pk *= p
+    pw, pw_log = np.array(sorted(powers), dtype=np.float64).reshape(-1, 2).T.copy()
+    return PrimeTable(limit=int(limit), primes=primes, _cum_log=cum, _powers=pw,
+                      _power_log=pw_log, _power_cum=np.concatenate([[0.0], np.cumsum(pw_log)]))
 
 
 def li(x: float) -> float:
@@ -140,8 +155,7 @@ def integral_I1(table: PrimeTable, intervals_per_segment: int | None = None) -> 
         raise ValueError("Simpson's rule needs an even number of intervals")
 
     def run(nseg: int) -> float:
-        ps = [int(p) for p in table.primes[table.primes <= 599]]
-        pts = [2.0] + [float(p) for p in ps if p > 2] + [599.0]
+        pts = [2.0, *table.jumps("theta", 3.0, 599.0)[0].tolist(), 599.0]
         total = 0.0
         for a, b in zip(pts[:-1], pts[1:]):
             c = table.theta(a)  # theta is c on [a, b)
@@ -187,35 +201,23 @@ def verify_pointwise(
     theta, li(x) for pi.  Each jump is tested at the jump point and at
     its left-sided limit; the interval endpoints are tested as well.
     Between jumps f is constant and the main term monotone, so these
-    finitely many points carry the extrema.
+    finitely many points carry the extrema.  ``bound`` (and li) is called
+    once per jump and endpoint, the rest is one numpy pass over the
+    points.  A NaN margin fails the check and counts as the worst.
     """
-    if hi > table.limit:
-        raise ValueError(f"hi={hi} beyond sieve limit {table.limit}")
-    if lo < 2.0 or lo >= hi:
-        raise ValueError(f"bad range [{lo}, {hi}]")
+    xs, sizes = table.jumps(quantity, lo, hi)
+    at = np.concatenate([xs, [lo, hi]])  # every distinct x: the jumps, then lo and hi
+    main = at if quantity != "pi" else np.array([li(x) for x in at.tolist()])
+    env = np.array([bound(x) for x in at.tolist()], dtype=np.float64)
 
-    main = (lambda x: x) if quantity in ("psi", "theta") else li
-    step = {"psi": table.psi, "theta": table.theta, "pi": lambda x: float(table.pi_count(x))}[quantity]
+    def per_point(v: np.ndarray) -> np.ndarray:
+        # per jump: the value at it, then the left-sided limit; then lo and hi
+        return np.concatenate([np.repeat(v[:-2], 2), v[-2:]])
 
-    worst = math.inf
-    worst_x = lo
-    n = 0
-    passed = True
-
-    def check(x: float, fval: float) -> None:
-        nonlocal worst, worst_x, n, passed
-        m = bound(x) - abs(fval - main(x))
-        n += 1
-        if m < worst:
-            worst, worst_x = m, x
-        if m < 0.0:
-            passed = False
-
-    for x, jump in table.iter_jumps(quantity, lo, hi):
-        after = step(x)
-        check(x, after)           # value at the jump
-        check(x, after - jump)    # left-sided limit
-    for e in (lo, hi):
-        check(e, step(e))
-    return VerifyReport(quantity=quantity, lo=lo, hi=hi, passed=passed,
-                        worst_margin=worst, worst_x=worst_x, n_points=n)
+    vals = per_point(table._values(quantity, at))
+    vals[1:-2:2] -= sizes
+    margins = per_point(env) - np.abs(vals - per_point(main))
+    i = int(np.argmin(margins))  # the first minimum, or the first NaN
+    return VerifyReport(quantity=quantity, lo=lo, hi=hi, passed=bool(np.all(margins >= 0.0)),
+                        worst_margin=float(margins[i]), worst_x=float(per_point(at)[i]),
+                        n_points=int(margins.size))

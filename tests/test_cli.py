@@ -171,3 +171,13 @@ def test_eps0_sci_format():
 
     assert cli.eps0_sci(ExtReal.exp_of(math.log(3.45) - 47335 * math.log(10.0))) == "3.45e-47335"
     assert cli.eps0_sci(ExtReal.from_real(23.1447)) == "2.32e+01"
+
+
+def test_verify_small_sieves_only_its_ranges(capsys):
+    assert cli.build_parser().parse_args(["verify-small"]).limit == 2657
+    rc, default_out, _ = run(capsys, "verify-small")
+    rc_wide, wide_out, _ = run(capsys, "verify-small", "--limit", "100000")
+    assert rc == rc_wide == 0
+    assert default_out == wide_out
+    rc, _, err = run(capsys, "verify-small", "--limit", "2000")
+    assert rc == 1 and "sieve up to 2000" in err

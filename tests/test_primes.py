@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -171,3 +172,129 @@ def test_verify_pointwise_checks_left_limits(sieve_small):
 def test_verify_pointwise_range_guard(sieve_small):
     with pytest.raises(ValueError):
         verify_pointwise(sieve_small, lambda x: 1.0, "psi", 2.0, 1e9)
+
+
+# -- the prime-power table, checked against brute force ------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_steps(limit: int):
+    """(n, pi, theta, psi, log p if n = p^m else 0, n is prime) for n in [2, limit]."""
+    rows, pi_n, theta_n, psi_n = [], 0, 0.0, 0.0
+    for n in range(2, limit + 1):
+        base = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)  # least prime factor
+        m = n
+        while m % base == 0:
+            m //= base
+        jump = math.log(base) if m == 1 else 0.0
+        if base == n:
+            pi_n += 1
+            theta_n += jump
+        psi_n += jump
+        rows.append((n, pi_n, theta_n, psi_n, jump, base == n))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def sieve5000():
+    return build_sieve(5000)
+
+
+def test_psi_theta_pi_match_brute_force_everywhere(sieve5000):
+    for n, pi_n, theta_n, psi_n, _, _ in _brute_steps(5000):
+        for x in (float(n), n + 0.5):
+            if x > 5000:
+                continue
+            assert sieve5000.pi_count(x) == pi_n
+            assert sieve5000.theta(x) == pytest.approx(theta_n, rel=1e-13, abs=1e-13)
+            assert sieve5000.psi(x) == pytest.approx(psi_n, rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("lo, hi", [(8, 32), (9, 9.5), (7.5, 50.3), (2, 5000), (4096, 4096.5)])
+def test_jumps_match_brute_force(sieve5000, lo, hi):
+    steps = [s for s in _brute_steps(5000) if lo <= s[0] <= hi]
+    want = {
+        "psi": [(n, j) for n, _, _, _, j, _ in steps if j],
+        "theta": [(n, j) for n, _, _, _, j, prime in steps if prime],
+        "pi": [(n, 1.0) for n, _, _, _, _, prime in steps if prime],
+    }
+    for quantity, pairs in want.items():
+        xs, sizes = sieve5000.jumps(quantity, lo, hi)
+        assert xs.tolist() == [float(n) for n, _ in pairs]
+        assert sizes == pytest.approx([j for _, j in pairs], rel=1e-15)
+    assert sieve5000.jumps("psi", 8, 32)[0].tolist() == [8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                                                         29, 31, 32]
+    assert sieve5000.jumps("psi", 9, 9.5)[0].tolist() == [9.0]
+
+
+def test_psi_independent_of_sieve_size(sieve_small, sieve10m):
+    xs, _ = sieve_small.jumps("psi", 2.0, 100_000.0)
+    for x in np.concatenate([xs, xs - 0.5, [100_000.0]]).tolist():
+        if x >= 2.0:
+            assert sieve10m.psi(x) == sieve_small.psi(x)
+
+
+def _reference_report(quantity, bound, hi):
+    """verify_pointwise by one Python pass over brute-force steps, in its order."""
+    pts = []
+    for n, _, theta_n, psi_n, jump, prime in _brute_steps(int(hi)):
+        after = psi_n if quantity == "psi" else theta_n
+        if jump and (prime or quantity == "psi"):
+            pts += [(float(n), after), (float(n), after - jump)]
+    last = _brute_steps(int(hi))[-1]
+    value = last[3] if quantity == "psi" else last[2]
+    pts += [(2.0, math.log(2.0)), (hi, value)]
+    worst, worst_x, passed = math.inf, None, True
+    for x, f in pts:
+        m = bound(x) - abs(f - x)
+        if not m >= 0.0:
+            passed = False
+        if m < worst or (math.isnan(m) and not math.isnan(worst)):
+            worst, worst_x = m, x
+    return len(pts), passed, worst_x, worst
+
+
+@pytest.mark.parametrize("quantity, hi", [("psi", 2900.0), ("theta", 45_000.0)])
+@pytest.mark.parametrize("scale, shift", [(0.3, 0.0), (0.4, 3.0), (0.25, 5.0)])
+def test_verify_pointwise_matches_pointwise_reference(sieve10m, quantity, hi, scale, shift):
+    # bounds that fail, pass, and pass psi but fail theta at x = 1423
+    def bound(x):
+        return scale * math.sqrt(x) * math.log(x) + shift
+
+    n, passed, worst_x, worst = _reference_report(quantity, bound, hi)
+    rep = verify_pointwise(sieve10m, bound, quantity, 2.0, hi)
+    assert (rep.n_points, rep.passed, rep.worst_x) == (n, passed, worst_x)
+    assert rep.worst_margin == pytest.approx(worst, rel=1e-9)
+
+
+# -- fail closed ---------------------------------------------------------------
+
+
+def test_verify_pointwise_nan_bound_fails(sieve_small):
+    rep = verify_pointwise(sieve_small, lambda x: float("nan"), "psi", 2.0, 59.0)
+    assert not rep.passed
+    assert math.isnan(rep.worst_margin) and rep.worst_x == 2.0
+
+    def nan_at_16(x):
+        return float("nan") if x == 16.0 else 1e6
+
+    rep = verify_pointwise(sieve_small, nan_at_16, "psi", 2.0, 59.0)
+    assert not rep.passed
+    assert math.isnan(rep.worst_margin) and rep.worst_x == 16.0
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 59.0), (2.0, math.nan), (math.inf, 59.0),
+                                    (2.0, math.inf), (-math.inf, 59.0), (59.0, 59.0),
+                                    (1.5, 59.0)])
+def test_verify_pointwise_rejects_bad_ranges_before_work(sieve_small, lo, hi):
+    calls = []
+    with pytest.raises(ValueError, match="bad range"):
+        verify_pointwise(sieve_small, calls.append, "psi", lo, hi)
+    assert calls == []
+
+
+def test_verify_pointwise_rejects_unknown_quantity(sieve_small):
+    calls = []
+    with pytest.raises(ValueError, match="unknown quantity 'foo'"):
+        verify_pointwise(sieve_small, calls.append, "foo", 2.0, 59.0)
+    assert calls == []
