@@ -14,12 +14,14 @@ import math
 from pntbounds import (
     build_sieve,
     compute_default_rows,
+    derived,
     integral_I1,
     li,
     load_table,
     piecewise_coverage,
     verify_pointwise,
 )
+from pntbounds.cli import VERIFY_SMALL_LIMIT
 
 
 def main() -> None:
@@ -28,8 +30,8 @@ def main() -> None:
     first = rows[0]
 
     print("== sieve ==")
-    pt = build_sieve(10_000_000)
-    print(f"  primes up to 1e7: {len(pt.primes)}")
+    pt = build_sieve(VERIFY_SMALL_LIMIT)
+    print(f"  primes up to {VERIFY_SMALL_LIMIT}: {len(pt.primes)}")
     print(f"  theta(10) = {pt.theta(10):.6f}   psi(100) = {pt.psi(100):.6f}")
     print(f"  li(2) = {li(2.0):.8f}   li(10^6) = {li(1e6):.4f}")
 
@@ -42,17 +44,21 @@ def main() -> None:
     print(f"  psi on [2, 59]:    {'pass' if rep.passed else 'FAIL'} "
           f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
 
+    theta_a1 = derived.theta_constants(first).A1
+
     def theta_bound(x: float) -> float:
         lx = math.log(x)
-        return 9.40 * x * lx**1.515 * math.exp(-0.8274 * math.sqrt(lx))
+        return theta_a1 * x * lx**first.B * math.exp(-first.C * math.sqrt(lx))
 
     rep = verify_pointwise(pt, theta_bound, "theta", 2.0, 599.0)
     print(f"  theta on [2, 599]: {'pass' if rep.passed else 'FAIL'} "
           f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
 
+    pi_c = derived.pi_constants_classical()
+
     def pi_bound(x: float) -> float:
         lx = math.log(x)
-        return 9.59 * x * lx**0.515 * math.exp(-0.8274 * math.sqrt(lx))
+        return pi_c.A2 * x * lx ** (pi_c.B - 1.0) * math.exp(-pi_c.C * math.sqrt(lx))
 
     rep = verify_pointwise(pt, pi_bound, "pi", 2.0, 2657.0)
     print(f"  pi on [2, 2657]:   {'pass' if rep.passed else 'FAIL'} "
@@ -60,7 +66,7 @@ def main() -> None:
 
     print("\n== the tail integral over [2, 599] ==")
     i1 = integral_I1(pt)
-    print(f"  integral of |theta(t) - t| / (t log^2 t) = {i1:.6f}  (ceiling used: 5.43)")
+    print(f"  integral of |theta(t) - t| / (t log^2 t) = {i1:.6f}  (ceiling used: {derived.I1_CEIL})")
 
     print("\n== stitching the all-x claim down from the first anchor ==")
     for seg in piecewise_coverage(first, pt).segments:

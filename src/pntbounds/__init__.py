@@ -33,7 +33,6 @@ from .engine import (
 from .derived import (
     pi_constants_classical,
     pi_constants_vk,
-    pi_tail_integral,
     theta_constants,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "vk_bound",
     "pi_constants_classical",
     "pi_constants_vk",
-    "pi_tail_integral",
     "theta_constants",
     "__version__",
 ]

@@ -43,6 +43,14 @@ def eps0_sci(e: ExtReal) -> str:
     return f"{m:.2f}e{exp10:+03d}"
 
 
+def finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor +-inf."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return v
+
+
 def _resolve_table(args: argparse.Namespace) -> DensityTable:
     path = args.density_table or os.environ.get(ENV_TABLE) or None
     return load_table(path)
@@ -209,23 +217,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     vk = engine.compute_row(engine.VK_DEFAULT_PARAMS, table)
 
     candidates: list[tuple[float, str]] = []
+    applicable = [r for r in (*rows, vk) if r.X <= args.log_x]
     if q == "psi":
-        for r in rows:
-            if r.X <= args.log_x:
-                candidates.append((r.log_rel_envelope(args.log_x), r.label))
-        if vk.X <= args.log_x:
-            candidates.append((vk.log_rel_envelope(args.log_x), "vk"))
+        candidates = [(r.log_rel_envelope(args.log_x), r.label) for r in applicable]
     elif q == "theta":
-        for r in rows:
-            if r.X <= args.log_x:
-                a1 = derived.theta_constants(r).A1
-                val = math.log(a1) + r.B * math.log(args.log_x) - r.C * math.sqrt(args.log_x)
-                candidates.append((val, r.label))
-        if vk.X <= args.log_x:
-            a1 = derived.theta_constants(vk, extra=0.001).A1
-            val = (math.log(a1) + vk.B * math.log(args.log_x)
-                   - vk.C * regimes.vk_decay_arg(args.log_x))
-            candidates.append((val, "vk"))
+        for r in applicable:
+            a1 = derived.theta_constants(r, extra=0.001 if r.regime == "vk" else 0.01).A1
+            val = math.log(a1) + r.B * math.log(args.log_x) - r.C * r.decay_arg(args.log_x)
+            candidates.append((val, r.label))
     else:
         for name, pic in (("classical", derived.pi_constants_classical()),
                           ("vk", derived.pi_constants_vk())):
@@ -264,16 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", default=None, help="comma-separated row labels, e.g. 6000,1e5")
     p.add_argument("--optimize", action="store_true", help="re-optimize sigma and K per row")
     p.add_argument("--regime", choices=["medium", "large", "vk", "auto"], default=None)
-    p.add_argument("--log-x0", dest="log_x0", type=float, default=None,
+    p.add_argument("--log-x0", dest="log_x0", type=finite_float, default=None,
                    help="compute a single custom row anchored here")
-    p.add_argument("--sigma", type=float, default=None)
+    p.add_argument("--sigma", type=finite_float, default=None)
     p.add_argument("--K", type=int, default=None)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("brackets", help="turning-point/minimum bracket constants")
     p.add_argument("--regime", choices=["nu2", "nu3"], default="nu2")
-    p.add_argument("--log-x0", dest="log_x0", type=float, default=None)
+    p.add_argument("--log-x0", dest="log_x0", type=finite_float, default=None)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_brackets)
 
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_small)
 
     p = sub.add_parser("eval", help="best certified envelope at a given log x")
-    p.add_argument("--log-x", dest="log_x", type=float, required=True)
+    p.add_argument("--log-x", dest="log_x", type=finite_float, required=True)
     p.add_argument("--quantity", choices=["psi", "theta", "pi"], required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_eval)

@@ -15,7 +15,6 @@ from typing import Literal
 import numpy as np
 
 from .engine import BoundConstants, CertificationError, _round_up
-from .extnum import ExtReal
 from .regimes import vk_decay_arg, vk_decay_arg_prime
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "pi_constants_classical",
     "pi_constants_vk",
     "PiConstants",
-    "pi_tail_integral",
 ]
 
 GAP_A1 = 1.0 + 1.93378e-8    # psi - theta < GAP_A1 sqrt(x) + GAP_A2 x^(1/3)
@@ -39,10 +37,6 @@ GAP_MIN_LOG_X = 58.0         # gap bound valid for x > exp(58)
 I1_CEIL = 5.43               # integral of |theta - t|/(t log^2 t) over [2, 599]
 I2_CEIL = 7.87e12            # same over [599, exp(58)]; a loose but safe ceiling
 _CONST_PIECES = 2.0 / math.log(2.0) + I1_CEIL + I2_CEIL
-
-
-def _decay_arg(kind: str, log_x: float) -> float:
-    return math.sqrt(log_x) if kind == "sqrt_log" else vk_decay_arg(log_x)
 
 
 def _t_u_prime(kind: str, log_t: float) -> float:
@@ -56,7 +50,6 @@ def _t_u_prime(kind: str, log_t: float) -> float:
 class ThetaConstants:
     A1: float
     source_label: str
-    extra: float
 
 
 def theta_constants(psi: BoundConstants, extra: float = 0.01) -> ThetaConstants:
@@ -79,7 +72,7 @@ def theta_constants(psi: BoundConstants, extra: float = 0.01) -> ThetaConstants:
     kind = "vk_r" if psi.regime == "vk" else "sqrt_log"
     if psi.C * _t_u_prime(kind, log_x) >= 0.5:
         raise CertificationError("gap ratio not increasing")
-    return ThetaConstants(A1=psi.A + extra, source_label=psi.label, extra=extra)
+    return ThetaConstants(A1=psi.A + extra, source_label=psi.label)
 
 
 @dataclass(frozen=True)
@@ -95,21 +88,21 @@ class PiConstants:
     i2_recomputed: float
 
 
-def _check_h_condition(A1: float, B: float, C: float, alpha: float,
-                       u_kind: str, grid_hi: float = 1e6, n: int = 4000) -> None:
+def _check_h_condition(B: float, C: float, alpha: float, u_kind: str) -> None:
     """Certify log t - alpha - C t log t u'(t) >= log^(B+alpha-1) t, t >= exp(58).
 
-    Checked on a log grid up to exp(grid_hi); beyond that the left side
-    grows linearly in log t while the right is a strictly smaller power,
-    and the slope gap is already positive and widening at the grid end.
+    Checked on a 4000-point log grid up to log t = 1e6; beyond that the
+    left side grows linearly in log t while the right is a strictly
+    smaller power, and the slope gap is already positive and widening at
+    the grid end.
     """
     expo = B + alpha - 1.0
-    for log_t in np.geomspace(GAP_MIN_LOG_X, grid_hi, n):
+    big = 1e6
+    for log_t in np.geomspace(GAP_MIN_LOG_X, big, 4000):
         lhs = log_t - alpha - C * log_t * _t_u_prime(u_kind, float(log_t))
         if lhs < log_t**expo:
             raise CertificationError(f"h' condition fails at log t = {log_t:g}")
-    # tail: d/dL [L - alpha - C L u'(L) - L^expo] > 0 at L = grid_hi and beyond
-    big = grid_hi
+    # tail: d/dL [L - alpha - C L u'(L) - L^expo] > 0 at L = big and beyond
     slope = 1.0 - C * 1.5 * _t_u_prime(u_kind, big) - expo * big ** (expo - 1.0)
     if slope <= 0.0:
         raise CertificationError("h' tail dominance not established")
@@ -128,7 +121,7 @@ def pi_constants_classical() -> PiConstants:
     the recomputed integral is reported alongside it.
     """
     a1, b, c, alpha = 9.40, 1.515, 0.8274, 0.45
-    _check_h_condition(a1, b, c, alpha, "sqrt_log")
+    _check_h_condition(b, c, alpha, "sqrt_log")
     x0_log = GAP_MIN_LOG_X
     third = _CONST_PIECES * x0_log ** (1.0 - b) * math.exp(c * math.sqrt(x0_log) - x0_log) / a1
     a2 = a1 * (1.0 + x0_log ** (1.0 - b - alpha) + third)
@@ -150,7 +143,7 @@ def pi_constants_vk() -> PiConstants:
     insensitive to which one is used.)
     """
     a1, b, c, alpha = 0.027, 1.801, 0.1853, 0.19
-    _check_h_condition(a1, b, c, alpha, "vk_r")
+    _check_h_condition(b, c, alpha, "vk_r")
     x0_log = GAP_MIN_LOG_X
     u0 = vk_decay_arg(x0_log)
     x0 = math.exp(x0_log)
@@ -167,20 +160,3 @@ def pi_constants_vk() -> PiConstants:
         A1=a1, B=b, C=c, alpha=alpha, u_kind="vk_r",
         i2_used=I2_CEIL, i2_recomputed=_recompute_i2(),
     )
-
-
-def tu_prime_ceiling_printed(log_t: float) -> float:
-    """The 5/2-exponent variant of t u'(t) for the VK decay argument."""
-    ll = math.log(log_t)
-    return (3.0 * ll - 1.0) / (5.0 * log_t**2.5 * ll**1.2)
-
-
-def pi_tail_integral(A1: float, B: float, C: float, alpha: float,
-                     u_kind: Literal["sqrt_log", "vk_r"], log_x: float) -> ExtReal:
-    """Majorant of the tail integral of |theta - t|/(t log^2 t), relative to x.
-
-    Equals A1 log^(-alpha) x e^{-C u(x)}; valid once the h' condition for
-    (alpha, u_kind) is certified.
-    """
-    u = _decay_arg(u_kind, log_x)
-    return ExtReal.exp_of(math.log(A1) - alpha * math.log(log_x) - C * u)

@@ -79,9 +79,7 @@ class EnvelopeTerm:
     ``coeff_log`` is ln of a positive coefficient.  ``poly``, when set,
     is a signed quadratic (q2, q1, q0) that must stay positive on the
     domain of use.  ``decay`` may be negative only when quad > 0 (an
-    x-power term whose Gaussian factor dominates).  kind records the
-    argument variable: sqrt_log and vk_r terms are canonical u^a e^{-bu},
-    plain_power terms carry the quadratic decay of a power of x.
+    x-power term whose Gaussian factor dominates).
     """
 
     coeff_log: float
@@ -89,7 +87,6 @@ class EnvelopeTerm:
     decay: float
     quad: float = 0.0
     poly: tuple[float, float, float] | None = None
-    kind: Literal["sqrt_log", "vk_r", "plain_power"] = "sqrt_log"
 
     def log_eval(self, u):
         """ln g(u); u may be a scalar or ndarray."""
@@ -104,7 +101,7 @@ class EnvelopeTerm:
 
     def shifted(self, dpower: float, ddecay: float) -> "EnvelopeTerm":
         return EnvelopeTerm(self.coeff_log, self.power + dpower, self.decay + ddecay,
-                            self.quad, self.poly, self.kind)
+                            self.quad, self.poly)
 
 
 def _log_sum(terms: Sequence[EnvelopeTerm], u) -> float:
@@ -138,13 +135,13 @@ def _tail_phi_max(term: EnvelopeTerm, u1: float) -> float:
     return -2.0 * math.sqrt(-2.0 * a * g) - b + q_ratio
 
 
-def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float, n_scan: int = 4097) -> bool:
+def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float) -> bool:
     """True iff every term is nonincreasing on [u0, inf).
 
     Canonical u^a e^{-bu} terms use the closed-form peak test (peak at
     a/b must not exceed u0).  Anything else falls back to a sign-checked
-    finite-difference scan on [u0, 4 u0] plus a closed-form derivative
-    bound beyond 4 u0.
+    4097-point finite-difference scan on [u0, 4 u0] plus a closed-form
+    derivative bound beyond 4 u0.
     """
     for t in terms:
         if t.quad == 0.0 and t.poly is None:
@@ -154,7 +151,7 @@ def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float, n_scan: int = 409
                 continue
         u1 = 4.0 * u0
         try:
-            vals = t.log_eval(np.linspace(u0, u1, n_scan))
+            vals = t.log_eval(np.linspace(u0, u1, 4097))
         except ValueError:
             return False
         tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
@@ -199,9 +196,7 @@ class BoundConstants:
     eps0_max_at: float          # log x of the envelope supremum
     monotone_certified: bool
     log_A_unrounded: float
-    aprime: float | None = None           # medium only: A' = A * R0^B
     bracket: Bracket | None = None        # large/vk only
-    norm_terms: tuple[EnvelopeTerm, ...] = field(default=(), repr=False, compare=False)
     raw_terms: tuple[EnvelopeTerm, ...] = field(default=(), repr=False, compare=False)
 
     def decay_arg(self, log_x: float) -> float:
@@ -359,11 +354,10 @@ def _medium_raw_terms(sigma: float, K: int, table: DensityTable) -> dict[str, li
         s2.append(EnvelopeTerm(math.log(2.0 * c1) + p * math.log(ratio), p, ck(sigma, K, k)))
         s2.append(EnvelopeTerm(math.log(2.0 * c2) + 2.0 * math.log(ratio), 2.0, dk))
     s1 = [
-        EnvelopeTerm(math.log(_CH), 0.0, 0.0, quad=R0 / 2.0, kind="plain_power"),
+        EnvelopeTerm(math.log(_CH), 0.0, 0.0, quad=R0 / 2.0),
         EnvelopeTerm(0.0, 0.0, 0.0, quad=(1.0 - sigma) * R0,
                      poly=(4.0 / (2.0 * math.pi), -4.0 * _LOG_2PI / (2.0 * math.pi),
-                           _LOG_2PI**2 / (2.0 * math.pi) - _CH + _RECIP2),
-                     kind="plain_power"),
+                           _LOG_2PI**2 / (2.0 * math.pi) - _CH + _RECIP2)),
     ]
     s3 = [EnvelopeTerm(math.log(RVM_COEF) + RVM_LOG_POW * math.log(R0), 1.2, 2.0)]
     return {"s1": s1, "s2": s2, "s3": s3}
@@ -408,7 +402,7 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
         b_exact = p / 2.0
         return _Fit(aprime_log - b_exact * math.log(R0), b_exact, cp / math.sqrt(R0),
                     lambda: certify_monotone(norm, u0),
-                    dict(aprime=math.exp(aprime_log), norm_terms=tuple(norm), raw_terms=tuple(raw)))
+                    dict(raw_terms=tuple(raw)))
 
     return _emit("medium", log_x0, sigma, K, fit, claim_X=claim_X, label=label)
 
@@ -427,10 +421,9 @@ def _large_norm_terms(sigma: float, br: Bracket, table: DensityTable) -> list[En
         EnvelopeTerm(math.log(2.0 * c1) + p * math.log(br.B2), 0.0, 0.0),
         EnvelopeTerm(math.log(2.0 * c2) + 2.0 * math.log(br.B2), 2.0 - p, br.B2 - c),
         EnvelopeTerm(math.log(RVM_COEF), 1.2 - p, br.B2 - c),
-        EnvelopeTerm(math.log(_CH), -p, -c, quad=0.5, kind="plain_power"),
+        EnvelopeTerm(math.log(_CH), -p, -c, quad=0.5),
         EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma,
-                     poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2),
-                     kind="plain_power"),
+                     poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2)),
     ]
 
 
@@ -449,8 +442,7 @@ def large_bound(log_x0: float, sigma: float, table: DensityTable,
         norm = _large_norm_terms(sigma, br, table)
         v0 = math.sqrt(log_x0)
         return _Fit(_log_sum(norm, v0), p / 2.0, c_exact, lambda: certify_monotone(norm, v0),
-                    dict(bracket=br, norm_terms=tuple(norm),
-                         raw_terms=tuple(t.shifted(p, c_exact) for t in norm)))
+                    dict(bracket=br, raw_terms=tuple(t.shifted(p, c_exact) for t in norm)))
 
     return _emit("large", log_x0, sigma, 1, fit, label=label)
 
@@ -654,18 +646,15 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
 class RegimeCrossings:
     lower_log_x: float
     upper_log_x: float
-    lower_bracket: tuple[float, float]
-    upper_bracket: tuple[float, float]
 
 
-def regime_compare(rows: Sequence[BoundConstants], vk_row: BoundConstants,
-                   lower_bracket: tuple[float, float] = (40.0, 80.0),
-                   upper_bracket: tuple[float, float] = (2e10, 3.4e10)) -> RegimeCrossings:
+def regime_compare(rows: Sequence[BoundConstants], vk_row: BoundConstants) -> RegimeCrossings:
     """Crossing points of the best sqrt-decay envelope against the VK one.
 
     At each log x the sqrt side uses the best applicable row (largest
     threshold not exceeding log x).  Both crossings are bisected inside
-    fixed brackets; a missing sign change raises.
+    the fixed brackets [40, 80] and [2e10, 3.4e10]; a missing sign change
+    raises.
     """
 
     def best_sqrt(log_x: float) -> float:
@@ -694,12 +683,7 @@ def regime_compare(rows: Sequence[BoundConstants], vk_row: BoundConstants,
                 break
         return 0.5 * (a + b)
 
-    return RegimeCrossings(
-        lower_log_x=bisect(*lower_bracket),
-        upper_log_x=bisect(*upper_bracket),
-        lower_bracket=lower_bracket,
-        upper_bracket=upper_bracket,
-    )
+    return RegimeCrossings(lower_log_x=bisect(40.0, 80.0), upper_log_x=bisect(2e10, 3.4e10))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["ExtReal", "EXT_ZERO", "EXT_ONE"]
+__all__ = ["ExtReal", "EXT_ZERO"]
 
 _LN10 = math.log(10.0)
 
@@ -44,10 +44,6 @@ class ExtReal:
         return ExtReal(float(log_v))
 
     # -- queries -------------------------------------------------------
-
-    @property
-    def is_infinite(self) -> bool:
-        return not self.is_zero and math.isinf(self.log_value) and self.log_value > 0
 
     def to_real(self) -> float:
         """Convert back to a double; overflows to float inf, underflows to 0."""
@@ -84,22 +80,6 @@ class ExtReal:
             return EXT_ZERO
         return ExtReal(self.log_value + other.log_value)
 
-    def __truediv__(self, other: "ExtReal") -> "ExtReal":
-        if other.is_zero:
-            raise ZeroDivisionError("ExtReal division by zero")
-        if self.is_zero:
-            return EXT_ZERO
-        return ExtReal(self.log_value - other.log_value)
-
-    def pow(self, p: float) -> "ExtReal":
-        if self.is_zero:
-            if p < 0.0:
-                raise ValueError("0 ** negative is undefined")
-            return EXT_ONE if p == 0.0 else EXT_ZERO
-        return ExtReal(self.log_value * p)
-
-    __pow__ = pow
-
     # -- ordering (zero compares as the minimum) ------------------------
 
     def _key(self) -> float:
@@ -133,5 +113,4 @@ class ExtReal:
 
 
 EXT_ZERO = ExtReal(0.0, is_zero=True)
-EXT_ONE = ExtReal(0.0)
 

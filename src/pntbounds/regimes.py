@@ -126,11 +126,11 @@ class UnimodalReport:
     bracket_hi: float
 
 
-def verify_unimodal(bracket: Bracket, log_x: float, n_grid: int = 1000) -> UnimodalReport:
+def verify_unimodal(bracket: Bracket, log_x: float) -> UnimodalReport:
     """Numerically confirm the single-interior-peak shape of x^(-nu(t))/t.
 
     Samples g(log t) = -nu(t) log x - log t (the log of the integrand) on
-    a grid from log H to twice the upper turning-point bracket.  For the
+    a 1000-point grid from log H to twice the upper turning-point bracket.  For the
     smoothed Ford region the width nu2 is still widening just above the
     verified height, so the integrand dips there before rising; no zero
     mass lives below the rise, and the load-bearing property is a slope
@@ -151,7 +151,7 @@ def verify_unimodal(bracket: Bracket, log_x: float, n_grid: int = 1000) -> Unimo
         raise ValueError(f"unknown region {bracket.region_kind!r}")
 
     lo, hi = LOG_RIEMANN_HEIGHT, 2.0 * bracket.B1 * scale
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, 1000)
     g = np.array([-nu(y) * log_x - y for y in grid])
     signs = np.sign(np.diff(g))
     nz = signs[signs != 0]

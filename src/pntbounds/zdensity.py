@@ -1,11 +1,12 @@
-"""Zero-density estimate N0(sigma, T) and the reciprocal zero-sum bound.
+"""Zero-density coefficients and the reciprocal zero-sum bound.
 
-The coefficient table (C1, C2 against sigma on a 0.001 grid over
-[0.98, 1]) ships as a CSV data file and is validated on load, so updated
-zero-density constants can be swapped in without touching code.  C1 is
-nondecreasing and C2 nonincreasing in sigma; off-grid queries rely on
-exactly that monotonicity: take C1 from the grid point above and C2 from
-the grid point below.
+The density estimate N(sigma, T) <= C1 T^(8(1-sigma)/3) log^(5-2 sigma) T
++ C2 log^2 T is read through its coefficient table (C1, C2 against sigma
+on a 0.001 grid over [0.98, 1]).  The table ships as a CSV data file and
+is validated on load, so updated zero-density constants can be swapped
+in without touching code.  C1 is nondecreasing and C2 nonincreasing in
+sigma; off-grid queries rely on exactly that monotonicity: take C1 from
+the grid point above and C2 from the grid point below.
 """
 
 from __future__ import annotations
@@ -13,12 +14,9 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-from .extnum import ExtReal
 
 __all__ = [
     "RIEMANN_HEIGHT",
@@ -53,8 +51,7 @@ class DensityTable:
     """Validated (sigma, C1, C2) table.
 
     N(sigma, t) = 0 for t <= RIEMANN_HEIGHT; enforcing that is the
-    caller's job (the bounding engines integrate upward from the height),
-    N0 below is the pure formula.
+    caller's job (the bounding engines integrate upward from the height).
     """
 
     rows: tuple[DensityRow, ...]
@@ -73,25 +70,6 @@ class DensityTable:
             return self.rows[i].C1, self.rows[i].C2
         hi = bisect.bisect_left(grid, sigma)
         return self.rows[hi].C1, self.rows[hi - 1].C2
-
-    def N0(self, sigma: float, log_T: float) -> ExtReal:
-        """C1(sigma) T^(8(1-sigma)/3) log^(5-2 sigma) T + C2(sigma) log^2 T.
-
-        Valid as a zero count only for T > H; below that the true count
-        is zero and the formula value is flagged, not suppressed.
-        """
-        if log_T < LOG_RIEMANN_HEIGHT:
-            warnings.warn(
-                f"N0 queried below the verified height (log T = {log_T:.4f} < "
-                f"{LOG_RIEMANN_HEIGHT:.4f}); the zero count there is 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        c1, c2 = self.coeffs(sigma)
-        lt = math.log(log_T)
-        term1 = ExtReal.exp_of(math.log(c1) + (8.0 * (1.0 - sigma) / 3.0) * log_T + (5.0 - 2.0 * sigma) * lt)
-        term2 = ExtReal.exp_of(math.log(c2) + 2.0 * lt)
-        return term1 + term2
 
 
 def load_table(path: str | Path | None = None) -> DensityTable:

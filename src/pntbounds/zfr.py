@@ -25,9 +25,6 @@ __all__ = [
     "nu1",
     "nu2",
     "nu3",
-    "ford_J",
-    "ford_R",
-    "nu_max",
     "envelope_crossovers",
     "limiting_constants",
     "Crossover",
@@ -41,7 +38,6 @@ C_VK = 57.54            # Vinogradov-Korobov constant
 
 _LOG2 = math.log(2.0)
 _LOG3 = math.log(3.0)
-_FORD_R_MIN_LOG_T = math.log(5.45e8)
 
 
 class ConsistencyError(RuntimeError):
@@ -67,29 +63,6 @@ def nu3(log_t: float) -> float:
     if log_t < _LOG3:
         raise ValueError(f"nu3 requires t >= 3, got log t = {log_t}")
     return 1.0 / (C_VK * log_t ** (2.0 / 3.0) * math.log(log_t) ** (1.0 / 3.0))
-
-
-def ford_J(log_t: float) -> float:
-    """J(t) = (1/6) log t + loglog t + log 0.77."""
-    return log_t / 6.0 + math.log(log_t) + math.log(0.77)
-
-
-def ford_R(log_t: float) -> float:
-    """The unsimplified Ford denominator R(t); valid for t >= 5.45e8."""
-    if log_t < _FORD_R_MIN_LOG_T:
-        raise ValueError(f"ford_R requires t >= 5.45e8, got log t = {log_t}")
-    j = ford_J(log_t)
-    return (j + 0.685 + 0.155 * math.log(log_t)) / (log_t * (0.04962 - 0.0196 / (j + 1.15)))
-
-
-def nu_max(log_t: float) -> float:
-    """max(nu1, nu2, nu3) over the regions valid at this height."""
-    vals = [nu1(log_t)] if log_t >= _LOG2 else []
-    if log_t >= _LOG3:
-        vals += [nu2(log_t), nu3(log_t)]
-    if not vals:
-        raise ValueError(f"no region valid at log t = {log_t}")
-    return max(vals)
 
 
 @dataclass(frozen=True)

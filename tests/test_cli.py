@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,26 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["table1", "--format", "yaml"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("table1 --log-x0 nan", "--log-x0"),
+    ("table1 --log-x0 inf --regime large", "--log-x0"),
+    ("table1 --log-x0 nan --regime vk", "--log-x0"),
+    ("brackets --log-x0 nan", "--log-x0"),
+    ("eval --log-x nan --quantity psi", "--log-x"),
+    ("eval --log-x inf --quantity theta", "--log-x"),
+    ("table1 --log-x0 6000 --sigma nan", "--sigma"),
+])
+def test_non_finite_numbers_are_usage_errors(argv, flag):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "pntbounds.cli", *argv.split()],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 2
+    assert f"argument {flag}:" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
 
 
 def test_verify_small_passes(capsys):

@@ -10,9 +10,7 @@ from pntbounds.derived import (
     GAP_A2,
     pi_constants_classical,
     pi_constants_vk,
-    pi_tail_integral,
     theta_constants,
-    tu_prime_ceiling_printed,
     _t_u_prime,
 )
 from pntbounds.primes import verify_pointwise
@@ -92,14 +90,6 @@ def test_vk_decay_derivative_value():
     assert got == pytest.approx(fd, rel=1e-6)
 
 
-def test_vk_decay_derivative_printed_variant_ceiling():
-    # the 5/2-exponent variant stays below the quoted 1.63e-5 ceiling
-    grid = np.geomspace(58.0, 1e6, 2000)
-    vals = [tu_prime_ceiling_printed(float(l)) for l in grid]
-    assert max(vals) <= 1.63e-5
-    assert vals[0] == pytest.approx(1.6243e-5, rel=1e-4)
-
-
 def test_vk_h_condition_chain_at_left_end():
     # log t - alpha - C t log t u'(t) >= log^(B+alpha-1) t with the true derivative
     c = 0.1853
@@ -117,21 +107,6 @@ def test_pi_vk_third_term_readings_agree():
     assert exp_reading == pytest.approx(3.6e-12, rel=0.1)
     assert round(0.027 * (1 + 58.0**-0.991 + pow_reading), 3) == round(
         0.027 * (1 + 58.0**-0.991 + exp_reading), 3)
-
-
-def test_pi_tail_integral_values():
-    got = pi_tail_integral(9.40, 1.515, 0.8274, 0.45, "sqrt_log", 58.0)
-    want = math.log(9.40) - 0.45 * math.log(58.0) - 0.8274 * math.sqrt(58.0)
-    assert got.log_value == pytest.approx(want, abs=1e-12)
-    got_vk = pi_tail_integral(0.027, 1.801, 0.1853, 0.19, "vk_r", 58.0)
-    want_vk = math.log(0.027) - 0.19 * math.log(58.0) - 0.1853 * vk_decay_arg(58.0)
-    assert got_vk.log_value == pytest.approx(want_vk, abs=1e-12)
-
-
-def test_pi_tail_integral_decreasing_beyond_peak():
-    vals = [pi_tail_integral(9.40, 1.515, 0.8274, 0.45, "sqrt_log", l).log_value
-            for l in (58.0, 100.0, 1000.0, 1e5)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_pi_envelope_dominates_assembled_pieces():

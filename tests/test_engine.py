@@ -231,10 +231,10 @@ def test_certifier_rejects_peak_above_anchor():
 
 def test_certifier_handles_gaussian_terms():
     # u^-3 e^(2u - u^2/2) decreases once u >= 2 + solves; at u0 = 25 it must pass
-    term = EnvelopeTerm(0.0, -3.0, -2.0, quad=0.5, kind="plain_power")
+    term = EnvelopeTerm(0.0, -3.0, -2.0, quad=0.5)
     assert certify_monotone([term], 25.0)
     # and a genuinely increasing gaussian-coefficient term must fail
-    bad = EnvelopeTerm(0.0, 0.0, -2.0, quad=0.001, kind="plain_power")
+    bad = EnvelopeTerm(0.0, 0.0, -2.0, quad=0.001)
     assert not certify_monotone([bad], 25.0)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pntbounds.extnum import EXT_ONE, EXT_ZERO, ExtReal
+from pntbounds.extnum import EXT_ZERO, ExtReal
 
 
 def test_add_zero_identity():
@@ -26,14 +26,9 @@ def test_mul_adds_log_values_exactly():
     assert (ExtReal.exp_of(-20000.0) * ExtReal.exp_of(-30000.0)).log_value == -50000.0
 
 
-def test_pow_scales_log_exactly():
-    assert ExtReal.from_real(math.e).pow(2488.0).log_value == pytest.approx(2488.0, rel=1e-15)
-    assert ExtReal.exp_of(-7.5) ** 4.0 == ExtReal.exp_of(-30.0)
-
-
 def test_zero_is_minimum_and_ordering_total():
     vals = [EXT_ZERO, ExtReal.exp_of(-1e6), ExtReal.exp_of(-47335.0 * math.log(10.0)),
-            EXT_ONE, ExtReal.exp_of(500.0)]
+            ExtReal.exp_of(0.0), ExtReal.exp_of(500.0)]
     assert sorted(vals[::-1]) == vals
     assert sorted(vals, reverse=True)[-1] == EXT_ZERO
     for a in vals:
@@ -73,25 +68,10 @@ def test_from_real_rejects_negative():
         ExtReal.from_real(-1.0)
 
 
-def test_pow_of_zero():
-    assert EXT_ZERO.pow(3.0) == EXT_ZERO
-    assert EXT_ZERO.pow(0.0) == EXT_ONE
-    with pytest.raises(ValueError):
-        EXT_ZERO.pow(-1.0)
-
-
 def test_overflow_saturates_to_sentinel():
     inf = ExtReal.exp_of(math.inf)
-    assert inf.is_infinite
-    assert (inf * ExtReal.from_real(2.0)).is_infinite
-    assert not EXT_ONE.is_infinite and not EXT_ZERO.is_infinite
-
-
-def test_division():
-    q = ExtReal.exp_of(-100.0) / ExtReal.exp_of(-300.0)
-    assert q.log_value == 200.0
-    with pytest.raises(ZeroDivisionError):
-        EXT_ONE / EXT_ZERO
+    assert math.isinf(inf.log_value) and inf.log_value > 0
+    assert math.isinf((inf * ExtReal.from_real(2.0)).log_value)
 
 
 def test_log10_parts():

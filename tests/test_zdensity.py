@@ -72,37 +72,6 @@ def test_coeffs_domain(density_table):
         density_table.coeffs(1.0001)
 
 
-def test_n0_against_plain_float_oracle(density_table):
-    log_h = LOG_RIEMANN_HEIGHT
-    # both terms evaluated directly in doubles (they are moderate here)
-    t1 = 16.848 * math.exp(log_h * 8.0 * 0.01 / 3.0) * log_h ** (5 - 2 * 0.99)
-    t2 = 2.150 * log_h**2
-    got = density_table.N0(0.99, log_h)
-    assert got.to_real() == pytest.approx(t1 + t2, rel=1e-12)
-
-
-def test_n0_limit_exponent_vanishes_near_sigma_one(density_table):
-    # at sigma -> 1 the T power goes to zero: doubling T only moves the logs
-    lo = density_table.N0(1.0 - 1e-12, 40.0)
-    hi = density_table.N0(1.0 - 1e-12, 80.0)
-    want = math.log(17.418 * 80.0**3 + 2.069 * 80.0**2) - math.log(17.418 * 40.0**3 + 2.069 * 40.0**2)
-    assert hi.log_value - lo.log_value == pytest.approx(want, rel=1e-6)
-
-
-def test_n0_monotone_in_log_t(density_table):
-    prev = None
-    for log_t in (29.0, 50.0, 500.0, 5e4):
-        cur = density_table.N0(0.985, log_t)
-        if prev is not None:
-            assert cur > prev
-        prev = cur
-
-
-def test_n0_flags_sub_height_usage(density_table):
-    with pytest.warns(RuntimeWarning, match="below the verified height"):
-        density_table.N0(0.99, 20.0)
-
-
 def test_recip_sum_at_validity_edge():
     lo, up = recip_sum_bounds(math.log(4.0 * math.pi * math.e))
     want = (1.0 + math.log(2.0)) ** 2 / (4.0 * math.pi)

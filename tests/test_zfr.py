@@ -10,15 +10,18 @@ from pntbounds.zfr import (
     R0,
     R1_FORD,
     envelope_crossovers,
-    ford_J,
-    ford_R,
     limiting_constants,
     nu1,
     nu2,
     nu3,
-    nu_max,
     _bisect,
 )
+
+
+def ford_R(log_t):
+    """Ford's unsimplified denominator R(t), valid for t >= 5.45e8."""
+    j = log_t / 6.0 + math.log(log_t) + math.log(0.77)
+    return (j + 0.685 + 0.155 * math.log(log_t)) / (log_t * (0.04962 - 0.0196 / (j + 1.15)))
 
 
 def test_nu1_at_log_t_one():
@@ -43,20 +46,13 @@ def test_nu2_direct_eval():
     assert got == pytest.approx(1.87754e-3, rel=1e-5)
 
 
-def test_ford_j_plugin():
-    assert ford_J(6.0) == pytest.approx(1.0 + math.log(6.0) + math.log(0.77), rel=1e-14)
-
-
 def test_nu2_below_unsimplified_region():
-    # the simplified width never exceeds the unsimplified one where both hold
+    # input check on R1 = 3.359: the simplified width never exceeds the
+    # unsimplified Ford one where both hold (R(t) needs t >= 5.45e8)
+    assert 91.2853 > math.log(5.45e8)
     for y in np.geomspace(91.2853, 1e5, 1000):
         y = float(y)
         assert nu2(y) <= 1.0 / (ford_R(y) * y) * (1 + 1e-12)
-
-
-def test_ford_r_domain():
-    with pytest.raises(ValueError):
-        ford_R(15.0)
 
 
 def test_nu3_at_log_log_one():
@@ -97,7 +93,7 @@ def test_dominance_ordering_on_log_grid():
     c12, c23 = envelope_crossovers(tol=1e-6)
     for y in np.geomspace(math.log(3.0) + 0.1, 1e5, 1000):
         y = float(y)
-        m = nu_max(y)
+        m = max(nu1(y), nu2(y), nu3(y))
         if y < c12.root_log_t - 1e-3:
             assert m == nu1(y)
         elif c12.root_log_t + 1e-3 < y < c23.root_log_t - 1e-3:
@@ -107,7 +103,7 @@ def test_dominance_ordering_on_log_grid():
 
 
 def test_max_at_log_t_fifty_is_classical():
-    assert nu_max(50.0) == nu1(50.0)
+    assert max(nu1(50.0), nu2(50.0), nu3(50.0)) == nu1(50.0)
 
 
 def test_positive_above_riemann_height():
