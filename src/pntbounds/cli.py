@@ -51,6 +51,18 @@ def finite_float(text: str) -> float:
     return v
 
 
+def _sieve_limit(text: str) -> int:
+    """argparse type of ``--limit``: an integer in [2, the sieve's memory budget]."""
+    try:
+        v = int(text)
+    except ValueError:
+        v = None
+    if v is None or not 2 <= v <= primes._MAX_SIEVE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in [2, {primes._MAX_SIEVE_LIMIT}], got {text!r}")
+    return v
+
+
 def _resolve_table(args: argparse.Namespace) -> DensityTable:
     path = args.density_table or os.environ.get(ENV_TABLE) or None
     return load_table(path)
@@ -281,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crossovers)
 
     p = sub.add_parser("verify-small", help="sieve-check the small-range claims")
-    p.add_argument("--limit", type=int, default=VERIFY_SMALL_LIMIT)
+    p.add_argument("--limit", type=_sieve_limit, default=VERIFY_SMALL_LIMIT)
     p.set_defaults(func=cmd_verify_small)
 
     p = sub.add_parser("eval", help="best certified envelope at a given log x")

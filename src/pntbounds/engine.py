@@ -72,8 +72,7 @@ class CertificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvelopeTerm:
+class EnvelopeTerm(NamedTuple):
     """One summand g(u) = coeff * u^power * exp(-decay*u - quad*u^2) * q(u).
 
     ``coeff_log`` is ln of a positive coefficient.  ``poly``, when set,
@@ -100,8 +99,7 @@ class EnvelopeTerm:
         return val
 
     def shifted(self, dpower: float, ddecay: float) -> "EnvelopeTerm":
-        return EnvelopeTerm(self.coeff_log, self.power + dpower, self.decay + ddecay,
-                            self.quad, self.poly)
+        return EnvelopeTerm(self.coeff_log, self.power + dpower, self.decay + ddecay, self.quad, self.poly)
 
 
 def _log_sum(terms: Sequence[EnvelopeTerm], u) -> float:
@@ -298,8 +296,8 @@ def epsilon0_at(log_A: float, B: float, C: float, X: float,
     return ExtReal.exp_of(log_A + B * math.log(at) - C * vk_decay_arg(at)), at
 
 
-class _Fit(NamedTuple):
-    """A pipeline's unrounded envelope at its anchor, not yet certified."""
+class _Envelope(NamedTuple):
+    """A pipeline's unrounded envelope A (log x)^B e^{-C u(x)}, not yet certified."""
 
     log_a: float
     B: float
@@ -308,18 +306,22 @@ class _Fit(NamedTuple):
     extras: dict                # regime-specific BoundConstants fields
 
 
+# A regime's fit at (log x0, sigma, K): ln of its unrounded envelope at the anchor,
+# the value ``optimize`` ranks by, and a builder of the envelope, called only to emit.
+_Fit = tuple[float, Callable[[], _Envelope]]
+
+
 def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
-          fit: Callable[[], _Fit], claim_X: float | None = None, label: str | None = None,
-          a_decimals: int = 2) -> BoundConstants:
+          table: DensityTable, claim_X: float | None = None, label: str | None = None) -> BoundConstants:
     """The one emission path of the three pipelines.
 
-    Validates sigma, builds the regime's envelope with ``fit``, refuses it
+    Validates sigma, builds the regime's envelope from its fit, refuses it
     unless its certificate holds, takes eps0 over log x >= the claimed
     threshold, and rounds toward validity (A and B up, C down).
     """
     if not (0.98 <= sigma < 1.0):
         raise ValueError(f"sigma={sigma} outside [0.98, 1)")
-    f = fit()
+    f = _FITS[regime](log_x0, sigma, K, table)[1]()
     if not f.certify():
         k_note = f", K={K}" if regime == "medium" else ""
         raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
@@ -330,7 +332,7 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
     return BoundConstants(
         label=label or f"{log_x0:g}", regime=regime, X=x_claim, anchor=log_x0,
         sigma=sigma, K=K,
-        A_unrounded=a_unrounded, A=_round_up(a_unrounded, a_decimals),
+        A_unrounded=a_unrounded, A=_round_up(a_unrounded, 3 if regime == "vk" else 2),
         B_unrounded=f.B, B=_round_up(f.B, 3),
         C_unrounded=f.C, C=_round_down(f.C, 4),
         eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
@@ -377,6 +379,26 @@ def medium_terms(log_x: float, sigma: float, K: int, table: DensityTable) -> dic
     return {name: ExtReal.exp_of(_log_sum(terms, u)) for name, terms in groups.items()}
 
 
+def _medium_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
+    """Ranks by the raw sum at u0 = sqrt(log x0 / R0), which is the envelope
+    there; the sum normalized by u^p e^{-C' u} is built only at emission."""
+    if not check_rvm_precondition(log_x0, 2.0 * math.sqrt(log_x0 / R0)):
+        raise ValueError("zero-sum formula precondition fails at the anchor")
+    if K < 1:
+        raise ValueError("K >= 1 required")
+    raw = [t for group in _medium_raw_terms(sigma, K, table).values() for t in group]
+    u0 = math.sqrt(log_x0 / R0)
+
+    def envelope() -> _Envelope:
+        p = 5.0 - 2.0 * sigma
+        cp = cprime(sigma, K)
+        norm = [t.shifted(-p, -cp) for t in raw]
+        return _Envelope(_log_sum(norm, u0) - p / 2.0 * math.log(R0), p / 2.0, cp / math.sqrt(R0),
+                         lambda: certify_monotone(norm, u0), dict(raw_terms=tuple(raw)))
+
+    return _log_sum(raw, u0), envelope
+
+
 def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
                  claim_X: float | None = None, label: str | None = None) -> BoundConstants:
     """Constants for the classical-region pipeline, anchored at exp(log_x0).
@@ -387,24 +409,7 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
     """
     if log_x0 < MIN_MEDIUM_LOG_X:
         raise ValueError(f"medium pipeline requires log x0 >= {MIN_MEDIUM_LOG_X:g}")
-
-    def fit() -> _Fit:
-        if not check_rvm_precondition(log_x0, 2.0 * math.sqrt(log_x0 / R0)):
-            raise ValueError("zero-sum formula precondition fails at the anchor")
-        if K < 1:
-            raise ValueError("K >= 1 required")
-        p = 5.0 - 2.0 * sigma
-        cp = cprime(sigma, K)
-        raw = [t for group in _medium_raw_terms(sigma, K, table).values() for t in group]
-        norm = [t.shifted(-p, -cp) for t in raw]
-        u0 = math.sqrt(log_x0 / R0)
-        aprime_log = _log_sum(norm, u0)
-        b_exact = p / 2.0
-        return _Fit(aprime_log - b_exact * math.log(R0), b_exact, cp / math.sqrt(R0),
-                    lambda: certify_monotone(norm, u0),
-                    dict(raw_terms=tuple(raw)))
-
-    return _emit("medium", log_x0, sigma, K, fit, claim_X=claim_X, label=label)
+    return _emit("medium", log_x0, sigma, K, table, claim_X, label)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +417,13 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
 # ---------------------------------------------------------------------------
 
 
-def _large_norm_terms(sigma: float, br: Bracket, table: DensityTable) -> list[EnvelopeTerm]:
-    """Normalized summands in v = sqrt(log x), divided by v^p e^{-C v}."""
+def _large_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
+    """A is the normalized sum at v0 = sqrt(log x0); times v0^p e^{-C v0} it is the envelope."""
+    br = bracket_nu2(log_x0)
     c1, c2 = table.coeffs(sigma)
     p = 5.0 - 2.0 * sigma
     c = br.B2 * (8.0 * sigma - 5.0) / 3.0
-    return [
+    norm = [  # the summands in v = sqrt(log x), divided by v^p e^{-C v}
         EnvelopeTerm(math.log(2.0 * c1) + p * math.log(br.B2), 0.0, 0.0),
         EnvelopeTerm(math.log(2.0 * c2) + 2.0 * math.log(br.B2), 2.0 - p, br.B2 - c),
         EnvelopeTerm(math.log(RVM_COEF), 1.2 - p, br.B2 - c),
@@ -425,6 +431,14 @@ def _large_norm_terms(sigma: float, br: Bracket, table: DensityTable) -> list[En
         EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma,
                      poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2)),
     ]
+    v0 = math.sqrt(log_x0)
+    log_a = _log_sum(norm, v0)
+
+    def envelope() -> _Envelope:
+        return _Envelope(log_a, p / 2.0, c, lambda: certify_monotone(norm, v0),
+                         dict(bracket=br, raw_terms=tuple(t.shifted(p, c) for t in norm)))
+
+    return log_a + p * math.log(v0) - c * v0, envelope
 
 
 def large_bound(log_x0: float, sigma: float, table: DensityTable,
@@ -434,17 +448,7 @@ def large_bound(log_x0: float, sigma: float, table: DensityTable,
     Here C = B2 (8 sigma - 5)/3 with B2 the lower bracket of the zero-sum
     minimum, and A is the normalized sum at the anchor.
     """
-
-    def fit() -> _Fit:
-        br = bracket_nu2(log_x0)
-        p = 5.0 - 2.0 * sigma
-        c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
-        norm = _large_norm_terms(sigma, br, table)
-        v0 = math.sqrt(log_x0)
-        return _Fit(_log_sum(norm, v0), p / 2.0, c_exact, lambda: certify_monotone(norm, v0),
-                    dict(bracket=br, raw_terms=tuple(t.shifted(p, c_exact) for t in norm)))
-
-    return _emit("large", log_x0, sigma, 1, fit, label=label)
+    return _emit("large", log_x0, sigma, 1, table, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +503,25 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
     return True
 
 
+def _vk_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
+    """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in."""
+    br = bracket_nu3(log_x0)
+    groups = vk_terms(log_x0, sigma, br, table)
+    log_total = (groups["s1"] + groups["s2"] + groups["s3"]).log_value
+
+    def envelope() -> _Envelope:
+        p = 5.0 - 2.0 * sigma
+        c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
+        w0 = vk_decay_arg(log_x0)
+        # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
+        log_a = (log_total - p * math.log(br.B2 * w0) + c_exact * w0
+                 + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
+        return _Envelope(log_a, 3.0 * p / 5.0, c_exact,
+                         lambda: _certify_vk_monotone(log_x0, sigma, br), dict(bracket=br))
+
+    return log_total, envelope
+
+
 def vk_bound(log_x0: float, sigma: float, table: DensityTable,
              label: str = "vk") -> BoundConstants:
     """Constants from the Vinogradov-Korobov region, anchored at exp(log_x0).
@@ -507,21 +530,7 @@ def vk_bound(log_x0: float, sigma: float, table: DensityTable,
     the (loglog x)^-(5-2 sigma)/5 factor of r^(5-2 sigma) is frozen at its
     value at the anchor and folded into A, as is B2^(5-2 sigma).
     """
-
-    def fit() -> _Fit:
-        br = bracket_nu3(log_x0)
-        p = 5.0 - 2.0 * sigma
-        c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
-        w0 = vk_decay_arg(log_x0)
-        groups = vk_terms(log_x0, sigma, br, table)
-        total = groups["s1"] + groups["s2"] + groups["s3"]
-        # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
-        log_a_anchor = total.log_value - p * math.log(br.B2 * w0) + c_exact * w0
-        log_a = log_a_anchor + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0))
-        return _Fit(log_a, 3.0 * p / 5.0, c_exact,
-                    lambda: _certify_vk_monotone(log_x0, sigma, br), dict(bracket=br))
-
-    return _emit("vk", log_x0, sigma, 1, fit, label=label, a_decimals=3)
+    return _emit("vk", log_x0, sigma, 1, table, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +569,21 @@ DEFAULT_ROW_PARAMS: tuple[RowParams, ...] = (
 VK_DEFAULT_PARAMS = RowParams("vk", 2.8e10, 2.8e10, "vk", 0.9999932, 1)
 
 
+_FITS = {"medium": _medium_fit, "large": _large_fit, "vk": _vk_fit}
+
+
+def _bound(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
+           table: DensityTable, claim_X: float | None, label: str | None) -> BoundConstants:
+    """The regime dispatch, by the public entries' names (perfbench's tracer rebinds them)."""
+    if regime == "medium":
+        return medium_bound(log_x0, sigma, K, table, claim_X=claim_X, label=label)
+    if regime == "large":
+        return large_bound(log_x0, sigma, table, label=label)
+    return vk_bound(log_x0, sigma, table, label=label or "vk")
+
+
 def compute_row(params: RowParams, table: DensityTable) -> BoundConstants:
-    if params.regime == "medium":
-        return medium_bound(params.anchor, params.sigma, params.K, table,
-                            claim_X=params.X, label=params.label)
-    if params.regime == "large":
-        return large_bound(params.anchor, params.sigma, table, label=params.label)
-    return vk_bound(params.anchor, params.sigma, table, label=params.label)
+    return _bound(params.regime, params.anchor, params.sigma, params.K, table, params.X, params.label)
 
 
 def compute_default_rows(table: DensityTable) -> list[BoundConstants]:
@@ -583,55 +600,37 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
              label: str | None = None) -> BoundConstants:
     """Search sigma (and K for the medium regime) minimizing the bound at x0.
 
-    The objective is the envelope value at the anchor.  sigma runs over
-    the density grid, refined by ternary search inside the best cells
-    (the off-grid interpolation rule applies there); K runs over 1..10.
-    Ties break deterministically toward smaller sigma, then smaller K.
-    Only parameter sets whose monotonicity certifies are emitted.
+    Candidates rank by the unrounded envelope at the anchor, the value
+    ``log_rel_envelope(anchor, rounded=False)`` reports, as summed by the
+    regime's fit that also emits the row.  sigma runs over the density
+    grid, refined by ternary search inside the best cells (the off-grid
+    interpolation rule applies there); K runs over 1..10.  Ties break
+    deterministically toward smaller sigma, then smaller K.  Only
+    parameter sets whose monotonicity certifies are emitted.
     """
-
-    def objective(sigma: float, K: int) -> float:
-        if regime == "medium":
-            u0 = math.sqrt(log_x0 / R0)
-            raw = [t for g in _medium_raw_terms(sigma, K, table).values() for t in g]
-            return _log_sum(raw, u0)
-        if regime == "large":
-            br = bracket_nu2(log_x0)
-            p = 5.0 - 2.0 * sigma
-            c = br.B2 * (8.0 * sigma - 5.0) / 3.0
-            norm = _large_norm_terms(sigma, br, table)
-            v0 = math.sqrt(log_x0)
-            return _log_sum(norm, v0) + p * math.log(v0) - c * v0
-        br = bracket_nu3(log_x0)
-        g = vk_terms(log_x0, sigma, br, table)
-        return (g["s1"] + g["s2"] + g["s3"]).log_value
-
+    fit = _FITS[regime]
     grid = [s for s in table.sigma_grid if s < 1.0]
     k_range = range(1, 11) if regime == "medium" else [1]
     candidates: list[tuple[float, float, int]] = []
     for K in k_range:
         for s in grid:
-            candidates.append((objective(s, K), s, K))
+            candidates.append((fit(log_x0, s, K, table)[0], s, K))
         for lo, hi in zip(table.sigma_grid[:-1], table.sigma_grid[1:]):
             a, b = lo + 1e-9, min(hi - 1e-9, 1.0 - 1e-9)
             while b - a > 1e-6:
                 m1 = a + (b - a) / 3.0
                 m2 = b - (b - a) / 3.0
-                if objective(m1, K) <= objective(m2, K):
+                if fit(log_x0, m1, K, table)[0] <= fit(log_x0, m2, K, table)[0]:
                     b = m2
                 else:
                     a = m1
             s = 0.5 * (a + b)
-            candidates.append((objective(s, K), s, K))
+            candidates.append((fit(log_x0, s, K, table)[0], s, K))
 
-    candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-    for _obj, s, K in candidates:
+    candidates.sort()
+    for _value, s, K in candidates:
         try:
-            if regime == "medium":
-                return medium_bound(log_x0, s, K, table, claim_X=claim_X, label=label)
-            if regime == "large":
-                return large_bound(log_x0, s, table, label=label)
-            return vk_bound(log_x0, s, table, label=label or "vk")
+            return _bound(regime, log_x0, s, K, table, claim_X, label)
         except CertificationError:
             continue
     raise CertificationError(f"no certifiable parameter set at log x0 = {log_x0:g}")

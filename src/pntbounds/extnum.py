@@ -14,6 +14,7 @@ from dataclasses import dataclass
 __all__ = ["ExtReal", "EXT_ZERO"]
 
 _LN10 = math.log(10.0)
+_MANTISSA_DIGITS = 3  # significant digits a printed mantissa must carry
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,18 @@ class ExtReal:
         return math.exp(self.log_value)
 
     def log10_parts(self) -> tuple[float, int]:
-        """Return (mantissa, exponent10) with mantissa in [1, 10)."""
+        """Return (mantissa, exponent10) with mantissa in [1, 10).
+
+        Neighbouring doubles of log_value lie math.ulp(log_value) apart, so
+        the magnitude is pinned only to that relative step.  A mantissa of
+        3 significant digits needs a step of at most 10^-3; past that it
+        means nothing, and ValueError is raised instead.
+        """
         if self.is_zero:
             return 0.0, 0
+        if not math.ulp(self.log_value) <= 10.0 ** -_MANTISSA_DIGITS:
+            raise ValueError(f"e^({self.log_value:.6g}) is too extreme to print: its mantissa "
+                             f"would carry fewer than {_MANTISSA_DIGITS} significant digits")
         d = self.log_value / _LN10
         e = math.floor(d)
         m = 10.0 ** (d - e)
@@ -108,7 +118,10 @@ class ExtReal:
     def __repr__(self) -> str:
         if self.is_zero:
             return "ExtReal(0)"
-        m, e = self.log10_parts()
+        try:
+            m, e = self.log10_parts()
+        except ValueError:
+            return f"ExtReal(exp({self.log_value!r}))"
         return f"ExtReal({m:.6f}e{e:+d})"
 
 

@@ -69,6 +69,9 @@ def test_table1_vk_regime(capsys):
     row = json.loads(out)[0]
     assert row["regime"] == "vk"
     assert abs(row["C"] - 0.1852) < 1e-9
+    # the deepest value served in text still has a mantissa that means something
+    rc, out, _ = run(capsys, "table1", "--log-x0", "2.8e10", "--regime", "vk")
+    assert rc == 0 and out.split()[-1] == "7.02e-78980"
 
 
 def test_table1_override_out_of_hypothesis_fails(capsys):
@@ -171,6 +174,8 @@ def test_usage_error_exit_code():
     ("eval --log-x nan --quantity psi", "--log-x"),
     ("eval --log-x inf --quantity theta", "--log-x"),
     ("table1 --log-x0 6000 --sigma nan", "--sigma"),
+    ("verify-small --limit 3000000000", "--limit"),
+    ("verify-small --limit 1", "--limit"),
 ])
 def test_non_finite_numbers_are_usage_errors(argv, flag):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -181,6 +186,17 @@ def test_non_finite_numbers_are_usage_errors(argv, flag):
     assert res.returncode == 2
     assert f"argument {flag}:" in res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("table1", "--log-x0", "1e300"),
+    ("eval", "--log-x", "1e308", "--quantity", "pi"),
+])
+def test_meaningless_mantissas_fail_closed(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "significant digits" in err
 
 
 def test_verify_small_passes(capsys):

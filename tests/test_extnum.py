@@ -81,3 +81,15 @@ def test_log10_parts():
     m, e = ExtReal.exp_of(-47335.0 * math.log(10.0) + math.log(3.45)).log10_parts()
     assert e == -47335
     assert m == pytest.approx(3.45, rel=1e-9)
+
+
+def test_log10_parts_refuses_a_mantissa_that_means_nothing():
+    # past |log_value| = 2^43 neighbouring doubles lie 2^-9 > 10^-3 apart
+    edge = 2.0**43
+    for ok in (-math.nextafter(edge, 0.0), math.nextafter(edge, 0.0), -181860.0):
+        ExtReal.exp_of(ok).log10_parts()
+    for bad in (-edge, edge, -1e300, math.inf, math.nan):
+        v = ExtReal.exp_of(bad)
+        with pytest.raises(ValueError, match="significant digits"):
+            v.log10_parts()
+        assert repr(v) == f"ExtReal(exp({bad!r}))"

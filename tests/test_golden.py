@@ -52,6 +52,9 @@ CASES = {
                            "--format", "json"], 0),
     "table1_vk_json": (["table1", "--log-x0", "2.8e10", "--regime", "vk", "--format", "json"], 0),
     "table1_optimize": (["table1", "--optimize"], 0),
+    **{f"table1_optimize_{regime}_json": (["table1", "--log-x0", x, "--regime", regime,
+                                           "--optimize", "--format", "json"], 0)
+       for regime, x in (("medium", "6000"), ("large", "1e6"), ("vk", "3e10"))},
     "error_unknown_row": (["table1", "--rows", "nope"], 2),
     "error_sigma_out_of_range": (["table1", "--log-x0", "6000", "--sigma", "0.5"], 1),
     "error_eval_below_range": (["eval", "--log-x", "3", "--quantity", "pi"], 2),
