@@ -102,9 +102,11 @@ class EnvelopeTerm(NamedTuple):
         return EnvelopeTerm(self.coeff_log, self.power + dpower, self.decay + ddecay, self.quad, self.poly)
 
 
-def _log_sum(terms: Sequence[EnvelopeTerm], u) -> float:
-    vals = [t.log_eval(u) for t in terms]
-    return float(np.logaddexp.reduce(vals, axis=0)) if np.ndim(u) == 0 else np.logaddexp.reduce(vals, axis=0)
+def _log_sum(terms: Sequence[EnvelopeTerm], u):
+    """ln of the terms' sum at u, reduced term by term in order; lane by lane
+    when u or a term field is an ndarray, else a float."""
+    total = np.logaddexp.reduce(np.broadcast_arrays(*(t.log_eval(u) for t in terms)), axis=0)
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +310,19 @@ class _Envelope(NamedTuple):
 
 # A regime's fit at (log x0, sigma, K): ln of its unrounded envelope at the anchor,
 # the value ``optimize`` ranks by, and a builder of the envelope, called only to emit.
+# An ndarray sigma gives the value lane by lane, each lane equal to the float
+# sigma's bit for bit; only a float sigma's envelope is built.
 _Fit = tuple[float, Callable[[], _Envelope]]
+
+
+def _log_2c(sigma, table: DensityTable):
+    """(ln 2 C1, ln 2 C2) at sigma, lane by lane for an ndarray, each by ``math.log``
+    (numpy's log differs from it in the last ulp on some inputs)."""
+    c1, c2 = table.coeffs(sigma)
+    if np.ndim(sigma):
+        return (np.array([math.log(2.0 * c) for c in c1.tolist()]),
+                np.array([math.log(2.0 * c) for c in c2.tolist()]))
+    return math.log(2.0 * c1), math.log(2.0 * c2)
 
 
 def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
@@ -347,14 +361,14 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
 
 def _medium_raw_terms(sigma: float, K: int, table: DensityTable) -> dict[str, list[EnvelopeTerm]]:
     """Raw s1/s2/s3 summands as functions of u = sqrt(log x / R0)."""
-    c1, c2 = table.coeffs(sigma)
+    log_2c1, log_2c2 = _log_2c(sigma, table)
     p = 5.0 - 2.0 * sigma
     s2: list[EnvelopeTerm] = []
     for k in range(K):
         ratio = 1.0 + (k + 1) / K
         dk = (K + k) / K + K / (K + k)
-        s2.append(EnvelopeTerm(math.log(2.0 * c1) + p * math.log(ratio), p, ck(sigma, K, k)))
-        s2.append(EnvelopeTerm(math.log(2.0 * c2) + 2.0 * math.log(ratio), 2.0, dk))
+        s2.append(EnvelopeTerm(log_2c1 + p * math.log(ratio), p, ck(sigma, K, k)))
+        s2.append(EnvelopeTerm(log_2c2 + 2.0 * math.log(ratio), 2.0, dk))
     s1 = [
         EnvelopeTerm(math.log(_CH), 0.0, 0.0, quad=R0 / 2.0),
         EnvelopeTerm(0.0, 0.0, 0.0, quad=(1.0 - sigma) * R0,
@@ -399,6 +413,11 @@ def _medium_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fi
     return _log_sum(raw, u0), envelope
 
 
+def _check_medium_anchor(log_x0: float) -> None:
+    if log_x0 < MIN_MEDIUM_LOG_X:
+        raise ValueError(f"medium pipeline requires log x0 >= {MIN_MEDIUM_LOG_X:g}")
+
+
 def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
                  claim_X: float | None = None, label: str | None = None) -> BoundConstants:
     """Constants for the classical-region pipeline, anchored at exp(log_x0).
@@ -407,8 +426,7 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
     C = C'/sqrt(R0) and A = A'(x0)/R0^B, emitted only if the normalized
     sum certifies as nonincreasing.
     """
-    if log_x0 < MIN_MEDIUM_LOG_X:
-        raise ValueError(f"medium pipeline requires log x0 >= {MIN_MEDIUM_LOG_X:g}")
+    _check_medium_anchor(log_x0)
     return _emit("medium", log_x0, sigma, K, table, claim_X, label)
 
 
@@ -420,12 +438,12 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
 def _large_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
     """A is the normalized sum at v0 = sqrt(log x0); times v0^p e^{-C v0} it is the envelope."""
     br = bracket_nu2(log_x0)
-    c1, c2 = table.coeffs(sigma)
+    log_2c1, log_2c2 = _log_2c(sigma, table)
     p = 5.0 - 2.0 * sigma
     c = br.B2 * (8.0 * sigma - 5.0) / 3.0
     norm = [  # the summands in v = sqrt(log x), divided by v^p e^{-C v}
-        EnvelopeTerm(math.log(2.0 * c1) + p * math.log(br.B2), 0.0, 0.0),
-        EnvelopeTerm(math.log(2.0 * c2) + 2.0 * math.log(br.B2), 2.0 - p, br.B2 - c),
+        EnvelopeTerm(log_2c1 + p * math.log(br.B2), 0.0, 0.0),
+        EnvelopeTerm(log_2c2 + 2.0 * math.log(br.B2), 2.0 - p, br.B2 - c),
         EnvelopeTerm(math.log(RVM_COEF), 1.2 - p, br.B2 - c),
         EnvelopeTerm(math.log(_CH), -p, -c, quad=0.5),
         EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma,
@@ -456,22 +474,29 @@ def large_bound(log_x0: float, sigma: float, table: DensityTable,
 # ---------------------------------------------------------------------------
 
 
-def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> dict[str, ExtReal]:
-    """The three error groups with the VK decay argument w = r(x)."""
-    c1, c2 = table.coeffs(sigma)
+def _vk_logs(log_x: float, sigma, br: Bracket, table: DensityTable) -> tuple:
+    """ln of the five summands (two in s1, two in s2, s3) with the VK decay
+    argument w = r(x); lane by lane for an ndarray sigma."""
+    log_2c1, log_2c2 = _log_2c(sigma, table)
     w = vk_decay_arg(log_x)
     p = 5.0 - 2.0 * sigma
-    s2a = math.log(2.0 * c1) + (br.B2 * (5.0 - 8.0 * sigma) / 3.0) * w + p * math.log(br.B2 * w)
-    s2b = math.log(2.0 * c2) - br.B2 * w + 2.0 * math.log(br.B2 * w)
+    s2a = log_2c1 + (br.B2 * (5.0 - 8.0 * sigma) / 3.0) * w + p * math.log(br.B2 * w)
+    s2b = log_2c2 - br.B2 * w + 2.0 * math.log(br.B2 * w)
     s3 = math.log(RVM_COEF) + RVM_LOG_POW * math.log(log_x) - br.B2 * w
     s1a = math.log(_CH) - log_x / 2.0
     q = br.B3**2 * w * w / (2.0 * math.pi) - _CH + _RECIP2
     s1b = math.log(q) - (1.0 - sigma) * log_x
-    return {
-        "s1": ExtReal.exp_of(s1a) + ExtReal.exp_of(s1b),
-        "s2": ExtReal.exp_of(s2a) + ExtReal.exp_of(s2b),
-        "s3": ExtReal.exp_of(s3),
-    }
+    return s1a, s1b, s2a, s2b, s3
+
+
+def _vk_groups(logs: Sequence[float]) -> dict[str, ExtReal]:
+    s1a, s1b, s2a, s2b, s3 = (ExtReal.exp_of(v) for v in logs)
+    return {"s1": s1a + s1b, "s2": s2a + s2b, "s3": s3}
+
+
+def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> dict[str, ExtReal]:
+    """The three error groups with the VK decay argument w = r(x)."""
+    return _vk_groups(_vk_logs(log_x, sigma, br, table))
 
 
 def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
@@ -506,8 +531,10 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
 def _vk_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
     """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in."""
     br = bracket_nu3(log_x0)
-    groups = vk_terms(log_x0, sigma, br, table)
-    log_total = (groups["s1"] + groups["s2"] + groups["s3"]).log_value
+    # ExtReal sums one lane at a time
+    lanes = zip(*(v.ravel().tolist() for v in np.broadcast_arrays(*_vk_logs(log_x0, sigma, br, table))))
+    totals = [(g["s1"] + g["s2"] + g["s3"]).log_value for g in map(_vk_groups, lanes)]
+    log_total = np.array(totals) if np.ndim(sigma) else totals[0]
 
     def envelope() -> _Envelope:
         p = 5.0 - 2.0 * sigma
@@ -602,30 +629,35 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
 
     Candidates rank by the unrounded envelope at the anchor, the value
     ``log_rel_envelope(anchor, rounded=False)`` reports, as summed by the
-    regime's fit that also emits the row.  sigma runs over the density
-    grid, refined by ternary search inside the best cells (the off-grid
-    interpolation rule applies there); K runs over 1..10.  Ties break
+    regime's fit that also emits the row.  For each K in 1..10 (medium;
+    K = 1 otherwise) the candidates are the density grid's sigmas below 1
+    and, in each grid cell, the end of a ternary search (the off-grid
+    interpolation rule applies there).  The cells' searches run in
+    lockstep: one fit call takes the grid, each step one call the two
+    probes of every cell still wider than 1e-6, and a last call the
+    midpoints.  A fit's lanes equal its float calls bit for bit, so the
+    picks are those of searching each cell on its own.  Ties break
     deterministically toward smaller sigma, then smaller K.  Only
     parameter sets whose monotonicity certifies are emitted.
     """
+    if regime == "medium":
+        _check_medium_anchor(log_x0)
     fit = _FITS[regime]
-    grid = [s for s in table.sigma_grid if s < 1.0]
+    cells = np.array(table.sigma_grid)
+    grid = cells[cells < 1.0]
     k_range = range(1, 11) if regime == "medium" else [1]
     candidates: list[tuple[float, float, int]] = []
     for K in k_range:
-        for s in grid:
-            candidates.append((fit(log_x0, s, K, table)[0], s, K))
-        for lo, hi in zip(table.sigma_grid[:-1], table.sigma_grid[1:]):
-            a, b = lo + 1e-9, min(hi - 1e-9, 1.0 - 1e-9)
-            while b - a > 1e-6:
-                m1 = a + (b - a) / 3.0
-                m2 = b - (b - a) / 3.0
-                if fit(log_x0, m1, K, table)[0] <= fit(log_x0, m2, K, table)[0]:
-                    b = m2
-                else:
-                    a = m1
-            s = 0.5 * (a + b)
-            candidates.append((fit(log_x0, s, K, table)[0], s, K))
+        candidates.extend(zip(fit(log_x0, grid, K, table)[0].tolist(), grid.tolist(), [K] * len(grid)))
+        a, b = cells[:-1] + 1e-9, np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9)
+        while (live := np.flatnonzero(b - a > 1e-6)).size:
+            al, bl = a[live], b[live]
+            m1, m2 = al + (bl - al) / 3.0, bl - (bl - al) / 3.0
+            v = fit(log_x0, np.concatenate([m1, m2]), K, table)[0]
+            left = v[:live.size] <= v[live.size:]
+            a[live], b[live] = np.where(left, al, m1), np.where(left, m2, bl)
+        mid = 0.5 * (a + b)
+        candidates.extend(zip(fit(log_x0, mid, K, table)[0].tolist(), mid.tolist(), [K] * len(mid)))
 
     candidates.sort()
     for _value, s, K in candidates:

@@ -11,12 +11,13 @@ the grid point above and C2 from the grid point below.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "RIEMANN_HEIGHT",
@@ -60,16 +61,25 @@ class DensityTable:
     def sigma_grid(self) -> list[float]:
         return [r.sigma for r in self.rows]
 
-    def coeffs(self, sigma: float) -> tuple[float, float]:
-        """(C1, C2) at sigma; off-grid uses the conservative rule above."""
-        if sigma < _GRID_LO or sigma > _GRID_HI:
-            raise ValueError(f"sigma={sigma} outside table range [{_GRID_LO}, {_GRID_HI}]")
-        grid = self.sigma_grid
-        i = round((sigma - _GRID_LO) / _GRID_STEP)
-        if 0 <= i < len(grid) and abs(grid[i] - sigma) < 1e-12:
-            return self.rows[i].C1, self.rows[i].C2
-        hi = bisect.bisect_left(grid, sigma)
-        return self.rows[hi].C1, self.rows[hi - 1].C2
+    def coeffs(self, sigma):
+        """(C1, C2) at sigma, lane by lane for an ndarray sigma.
+
+        A sigma within 1e-12 of a grid point takes that row; any other
+        takes C1 from the row above and C2 from the row below, the
+        conservative rule above.
+        """
+        s = np.asarray(sigma, dtype=float)
+        outside = ~((s >= _GRID_LO) & (s <= _GRID_HI))
+        if outside.any():
+            bad = sigma if s.ndim == 0 else s[outside][0]
+            raise ValueError(f"sigma={bad} outside table range [{_GRID_LO}, {_GRID_HI}]")
+        grid = np.array(self.sigma_grid)
+        i = np.clip(np.rint((s - _GRID_LO) / _GRID_STEP).astype(int), 0, len(grid) - 1)
+        on_grid = np.abs(grid[i] - s) < 1e-12
+        hi = np.searchsorted(grid, s)
+        c1 = np.array([r.C1 for r in self.rows])[np.where(on_grid, i, hi)]
+        c2 = np.array([r.C2 for r in self.rows])[np.where(on_grid, i, hi - 1)]
+        return (c1, c2) if s.ndim else (float(c1), float(c2))
 
 
 def load_table(path: str | Path | None = None) -> DensityTable:

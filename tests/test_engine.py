@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from pntbounds.engine import (
 )
 from pntbounds.extnum import ExtReal
 from pntbounds.regimes import bracket_nu3
-from pntbounds.zdensity import LOG_RIEMANN_HEIGHT
+from pntbounds.zdensity import LOG_RIEMANN_HEIGHT, DensityTable
 from pntbounds.zfr import R0
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -310,6 +311,127 @@ def test_optimize_ranks_and_emits_with_the_pipeline_code(density_table, monkeypa
         assert value == pytest.approx(row.log_rel_envelope(log_x0, rounded=False), abs=1e-9)
     assert calls["compute_row"] == 0
     assert all(calls[f"{regime}_bound"] >= 1 for regime in ("medium", "large", "vk"))
+
+
+def _sigma_probes(table):
+    """Grid points, both cell edges, cell midpoints and the VK row's sigma."""
+    grid = table.sigma_grid
+    cells = list(zip(grid[:-1], grid[1:]))
+    return ([s for s in grid if s < 1.0] + [lo + 1e-9 for lo, _ in cells]
+            + [min(hi - 1e-9, 1.0 - 1e-9) for _, hi in cells]
+            + [0.5 * (lo + hi) for lo, hi in cells] + [0.9999932])
+
+
+@pytest.mark.parametrize("regime, log_x0, K", [
+    *[("medium", x, K) for x in (2488.0, 7000.0) for K in (1, 4, 10)],
+    ("large", 1e5, 1), ("large", 3e8, 1), ("vk", 2.8e10, 1), ("vk", 5e11, 1),
+])
+def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, K):
+    # optimize ranks whole ndarrays of sigmas at once; its picks equal a
+    # per-candidate search's only if every lane equals the float call exactly
+    sigmas = _sigma_probes(density_table)
+    fit = engine._FITS[regime]
+    lanes = fit(log_x0, np.array(sigmas), K, density_table)[0]
+    assert isinstance(lanes, np.ndarray) and lanes.shape == (len(sigmas),)
+    assert lanes.tolist() == [fit(log_x0, s, K, density_table)[0] for s in sigmas]
+
+
+def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
+    # numpy's array log differs from math.log in the last ulp on some inputs
+    # (8 of these 20 000 on a host where this was checked); a table built
+    # from such inputs shows a lane that took ln 2C from the wrong one
+    rng = np.random.default_rng(8)
+    c = rng.uniform(1.0, 30.0, 20_000)
+    differ = c[np.log(2.0 * c) != np.array([math.log(2.0 * v) for v in c])]
+    pick = np.sort(np.concatenate([differ, c])[:21]).tolist()
+    table = DensityTable(tuple(dataclasses.replace(r, C1=c1, C2=c2)
+                               for r, c1, c2 in zip(density_table.rows, pick, pick[::-1])))
+    sigmas = _sigma_probes(table)
+    c1_lanes, c2_lanes = engine._log_2c(np.array(sigmas), table)
+    assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table) for s in sigmas]
+    for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1), ("vk", 3e10, 1)):
+        fit = engine._FITS[regime]
+        lanes = fit(log_x0, np.array(sigmas), K, table)[0]
+        assert lanes.tolist() == [fit(log_x0, s, K, table)[0] for s in sigmas]
+
+
+def _per_candidate_optimize(log_x0, regime, table):
+    """The search one cell and one candidate at a time, with float fit calls."""
+    fit = engine._FITS[regime]
+    candidates = []
+    for K in range(1, 11) if regime == "medium" else [1]:
+        candidates += [(fit(log_x0, s, K, table)[0], s, K) for s in table.sigma_grid if s < 1.0]
+        for lo, hi in zip(table.sigma_grid[:-1], table.sigma_grid[1:]):
+            a, b = lo + 1e-9, min(hi - 1e-9, 1.0 - 1e-9)
+            while b - a > 1e-6:
+                m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
+                if fit(log_x0, m1, K, table)[0] <= fit(log_x0, m2, K, table)[0]:
+                    b = m2
+                else:
+                    a = m1
+            candidates.append((fit(log_x0, 0.5 * (a + b), K, table)[0], 0.5 * (a + b), K))
+    for _value, s, K in sorted(candidates):
+        try:
+            return engine._bound(regime, log_x0, s, K, table, None, None)
+        except CertificationError:
+            continue
+
+
+@pytest.mark.parametrize("quantum", [0.0, 0.5])
+@pytest.mark.parametrize("regime, log_x0", [("medium", 3456.7), ("large", 2.5e7), ("vk", 4e10)])
+def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeypatch, regime, log_x0,
+                                                          quantum):
+    if quantum:  # values floored to a coarse step tie often, so tie-breaking must agree too
+        for name, real in list(engine._FITS.items()):
+            def coarse(*args, _real=real):
+                value, envelope = _real(*args)
+                return np.floor(value / quantum) * quantum, envelope
+            monkeypatch.setitem(engine._FITS, name, coarse)
+    row = optimize(log_x0, regime, density_table)
+    ref = _per_candidate_optimize(log_x0, regime, density_table)
+    assert (row.sigma, row.K) == (ref.sigma, ref.K)
+    assert row.as_dict() == ref.as_dict()
+    assert row.log_A_unrounded == ref.log_A_unrounded and row.eps0 == ref.eps0
+
+
+def _count_calls(monkeypatch):
+    """Wrap the three fits and engine's bracket bindings with call counters."""
+    calls = {"fit": 0, "bracket": 0}
+    for regime, fn in list(engine._FITS.items()):
+        def fit(*args, _fn=fn):
+            calls["fit"] += 1
+            return _fn(*args)
+        monkeypatch.setitem(engine._FITS, regime, fit)
+    for name in ("bracket_nu2", "bracket_nu3"):
+        def bracket(*args, _fn=getattr(engine, name)):
+            calls["bracket"] += 1
+            return _fn(*args)
+        monkeypatch.setattr(engine, name, bracket)
+    return calls
+
+
+@pytest.mark.parametrize("regime, log_x0, max_fits", [
+    ("medium", 6000.0, 220), ("large", 1e6, 25), ("vk", 3e10, 25),
+])
+def test_optimize_work_count(density_table, monkeypatch, regime, log_x0, max_fits):
+    # a speed guard that holds on any host: the lockstep search makes one fit
+    # call per K for the grid, one per ternary step and one for the midpoints
+    # (the per-candidate search made 7601 medium and 761 large/VK calls)
+    calls = _count_calls(monkeypatch)
+    optimize(log_x0, regime, density_table)
+    assert 0 < calls["fit"] <= max_fits
+    assert calls["bracket"] <= (0 if regime == "medium" else 25)
+
+
+@pytest.mark.parametrize("log_x0", [500.0, 1500.0, 2487.9])
+def test_optimize_refuses_medium_anchor_before_searching(density_table, monkeypatch, log_x0):
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        optimize(log_x0, "medium", density_table)
+    assert calls["fit"] == 0
+    with pytest.raises(ValueError) as bound:
+        medium_bound(log_x0, 0.99, 4, density_table)
+    assert str(refused.value) == str(bound.value) == "medium pipeline requires log x0 >= 2488"
 
 
 # -- regime comparison and coverage --------------------------------------------

@@ -1,5 +1,7 @@
+import bisect
 import math
 
+import numpy as np
 import pytest
 
 from pntbounds.zdensity import (
@@ -70,6 +72,45 @@ def test_coeffs_domain(density_table):
         density_table.coeffs(0.5)
     with pytest.raises(ValueError):
         density_table.coeffs(1.0001)
+
+
+def _coeffs_oracle(table, sigma):
+    """The scalar rule as first written: nearest grid row if within 1e-12, else bisect."""
+    grid = table.sigma_grid
+    i = round((sigma - 0.98) / 0.001)
+    if 0 <= i < len(grid) and abs(grid[i] - sigma) < 1e-12:
+        return table.rows[i].C1, table.rows[i].C2
+    hi = bisect.bisect_left(grid, sigma)
+    return table.rows[hi].C1, table.rows[hi - 1].C2
+
+
+def test_coeffs_lanes_match_float_calls(density_table):
+    # the optimizer looks C1 and C2 up for a whole ndarray of sigmas at once;
+    # each lane must take the rows a float call takes, on and off the grid
+    grid = np.array(density_table.sigma_grid)
+    lanes = np.concatenate([grid, grid + 5e-13, grid - 5e-13, grid + 2e-12, grid - 2e-12, [1.0]])
+    lanes = lanes[(lanes >= 0.98) & (lanes <= 1.0)]
+    assert lanes.size == 21 * 5 + 1 - 4   # only 0.98 - d and 1.0 + d fall outside
+    c1, c2 = density_table.coeffs(lanes)
+    want = [density_table.coeffs(s) for s in lanes.tolist()]
+    assert list(zip(c1.tolist(), c2.tolist())) == want
+    assert want == [_coeffs_oracle(density_table, s) for s in lanes.tolist()]
+    # within 5e-13 counts as on the grid, 2e-12 away as off it
+    rows = density_table.rows
+    inner = grid[1:-1]
+    assert density_table.coeffs(inner + 5e-13)[0].tolist() == [r.C1 for r in rows[1:-1]]
+    assert density_table.coeffs(inner - 5e-13)[1].tolist() == [r.C2 for r in rows[1:-1]]
+    assert density_table.coeffs(inner + 2e-12)[0].tolist() == [r.C1 for r in rows[2:]]
+    assert density_table.coeffs(inner - 2e-12)[1].tolist() == [r.C2 for r in rows[:-2]]
+
+
+@pytest.mark.parametrize("bad", [0.98 - 5e-13, 1.0 + 5e-13, 0.5, 1.0001, math.nan])
+def test_coeffs_refuses_out_of_range_lanes_like_a_float_call(density_table, bad):
+    with pytest.raises(ValueError) as scalar:
+        density_table.coeffs(bad)
+    with pytest.raises(ValueError) as lanes:
+        density_table.coeffs(np.array([0.99, bad, 0.5]))
+    assert str(lanes.value) == str(scalar.value) == f"sigma={bad} outside table range [0.98, 1.0]"
 
 
 def test_recip_sum_at_validity_edge():
