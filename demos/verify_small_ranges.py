@@ -9,8 +9,6 @@ the stitching record that connects the sieve range to the first
 pipeline anchor at log x = 2488.
 """
 
-import math
-
 from pntbounds import (
     build_sieve,
     compute_default_rows,
@@ -22,6 +20,7 @@ from pntbounds import (
     verify_pointwise,
 )
 from pntbounds.cli import VERIFY_SMALL_LIMIT
+from pntbounds.regimes import abs_envelope
 
 
 def main() -> None:
@@ -37,29 +36,18 @@ def main() -> None:
 
     print("\n== pointwise envelope checks ==")
 
-    def psi_bound(x: float) -> float:
-        return math.exp(first.log_rel_envelope(math.log(x))) * x
-
+    psi_bound = abs_envelope(first.u_kind, first.A, first.B, first.C)
     rep = verify_pointwise(pt, psi_bound, "psi", 2.0, 59.0)
     print(f"  psi on [2, 59]:    {'pass' if rep.passed else 'FAIL'} "
           f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
 
-    theta_a1 = derived.theta_constants(first).A1
-
-    def theta_bound(x: float) -> float:
-        lx = math.log(x)
-        return theta_a1 * x * lx**first.B * math.exp(-first.C * math.sqrt(lx))
-
+    theta_bound = abs_envelope(first.u_kind, derived.theta_constants(first).A1, first.B, first.C)
     rep = verify_pointwise(pt, theta_bound, "theta", 2.0, 599.0)
     print(f"  theta on [2, 599]: {'pass' if rep.passed else 'FAIL'} "
           f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
 
     pi_c = derived.pi_constants_classical()
-
-    def pi_bound(x: float) -> float:
-        lx = math.log(x)
-        return pi_c.A2 * x * lx ** (pi_c.B - 1.0) * math.exp(-pi_c.C * math.sqrt(lx))
-
+    pi_bound = abs_envelope(pi_c.u_kind, pi_c.A2, pi_c.B - 1.0, pi_c.C)
     rep = verify_pointwise(pt, pi_bound, "pi", 2.0, 2657.0)
     print(f"  pi on [2, 2657]:   {'pass' if rep.passed else 'FAIL'} "
           f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")

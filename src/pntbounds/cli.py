@@ -182,25 +182,12 @@ def cmd_crossovers(args: argparse.Namespace) -> int:
 def cmd_verify_small(args: argparse.Namespace) -> int:
     table = _resolve_table(args)
     pt = primes.build_sieve(args.limit)
-    rows = engine.compute_default_rows(table)
-    first = rows[0]
-
-    def psi_bound(x: float) -> float:
-        return math.exp(first.log_rel_envelope(math.log(x))) * x
-
-    theta_a1 = derived.theta_constants(first).A1
-
-    def theta_bound(x: float) -> float:
-        lx = math.log(x)
-        return theta_a1 * x * lx**first.B * math.exp(-first.C * math.sqrt(lx))
-
+    first = engine.compute_default_rows(table)[0]
     pi_c = derived.pi_constants_classical()
-
-    def pi_bound(x: float) -> float:
-        lx = math.log(x)
-        return pi_c.A2 * x * lx ** (pi_c.B - 1.0) * math.exp(-pi_c.C * math.sqrt(lx))
-
-    bounds = {"psi": psi_bound, "theta": theta_bound, "pi": pi_bound}
+    theta_a1 = derived.theta_constants(first).A1
+    bounds = {"psi": regimes.abs_envelope(first.u_kind, first.A, first.B, first.C),
+              "theta": regimes.abs_envelope(first.u_kind, theta_a1, first.B, first.C),
+              "pi": regimes.abs_envelope(pi_c.u_kind, pi_c.A2, pi_c.B - 1.0, pi_c.C)}
     checks = [primes.verify_pointwise(pt, bounds[q], q, 2.0, hi)
               for q, hi in SIEVE_CHECKED_HI.items()]
     coverage = engine.piecewise_coverage(first, pt)
@@ -235,13 +222,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     elif q == "theta":
         for r in applicable:
             a1 = derived.theta_constants(r, extra=0.001 if r.regime == "vk" else 0.01).A1
-            val = math.log(a1) + r.B * math.log(args.log_x) - r.C * r.decay_arg(args.log_x)
+            val = regimes.log_envelope(r.u_kind, math.log(a1), r.B, r.C, args.log_x)
             candidates.append((val, r.label))
     else:
         for name, pic in (("classical", derived.pi_constants_classical()),
                           ("vk", derived.pi_constants_vk())):
-            u = math.sqrt(args.log_x) if pic.u_kind == "sqrt_log" else regimes.vk_decay_arg(args.log_x)
-            val = math.log(pic.A2) + (pic.B - 1.0) * math.log(args.log_x) - pic.C * u
+            val = regimes.log_envelope(pic.u_kind, math.log(pic.A2), pic.B - 1.0, pic.C, args.log_x)
             candidates.append((val, name))
     best_val, best_src = min(candidates)
     rel = ExtReal.exp_of(best_val)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .engine import BoundConstants, CertificationError, _round_up
-from .regimes import vk_decay_arg, vk_decay_arg_prime
+from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg
 
 __all__ = [
     "GAP_A1",
@@ -39,13 +38,6 @@ I2_CEIL = 7.87e12            # same over [599, exp(58)]; a loose but safe ceilin
 _CONST_PIECES = 2.0 / math.log(2.0) + I1_CEIL + I2_CEIL
 
 
-def _t_u_prime(kind: str, log_t: float) -> float:
-    """t u'(t) as a function of log t (equals du/d log t)."""
-    if kind == "sqrt_log":
-        return 1.0 / (2.0 * math.sqrt(log_t))
-    return vk_decay_arg_prime(log_t)
-
-
 @dataclass(frozen=True)
 class ThetaConstants:
     A1: float
@@ -63,14 +55,12 @@ def theta_constants(psi: BoundConstants, extra: float = 0.01) -> ThetaConstants:
     if not psi.monotone_certified:
         raise CertificationError("psi constants are not certified")
     log_x = max(psi.X, GAP_MIN_LOG_X)
-    u = psi.decay_arg(log_x)
-    lhs = math.log(extra) + psi.B * math.log(log_x) - psi.C * u
+    lhs = log_envelope(psi.u_kind, math.log(extra), psi.B, psi.C, log_x)
     rhs = math.log(GAP_A1 + GAP_A2) - log_x / 2.0
     if lhs < rhs:
         raise CertificationError(f"gap absorption fails at log x = {log_x:g}")
     # ratio increasing needs C u'(x) <= 1/2; u' is decreasing, check left end
-    kind = "vk_r" if psi.regime == "vk" else "sqrt_log"
-    if psi.C * _t_u_prime(kind, log_x) >= 0.5:
+    if psi.C * decay_arg_prime(psi.u_kind, log_x) >= 0.5:
         raise CertificationError("gap ratio not increasing")
     return ThetaConstants(A1=psi.A + extra, source_label=psi.label)
 
@@ -83,12 +73,12 @@ class PiConstants:
     B: float
     C: float
     alpha: float
-    u_kind: Literal["sqrt_log", "vk_r"]
+    u_kind: DecayKind
     i2_used: float
     i2_recomputed: float
 
 
-def _check_h_condition(B: float, C: float, alpha: float, u_kind: str) -> None:
+def _check_h_condition(B: float, C: float, alpha: float, u_kind: DecayKind) -> None:
     """Certify log t - alpha - C t log t u'(t) >= log^(B+alpha-1) t, t >= exp(58).
 
     Checked on a 4000-point log grid up to log t = 1e6; beyond that the
@@ -99,11 +89,11 @@ def _check_h_condition(B: float, C: float, alpha: float, u_kind: str) -> None:
     expo = B + alpha - 1.0
     big = 1e6
     for log_t in np.geomspace(GAP_MIN_LOG_X, big, 4000):
-        lhs = log_t - alpha - C * log_t * _t_u_prime(u_kind, float(log_t))
+        lhs = log_t - alpha - C * log_t * decay_arg_prime(u_kind, float(log_t))
         if lhs < log_t**expo:
             raise CertificationError(f"h' condition fails at log t = {log_t:g}")
     # tail: d/dL [L - alpha - C L u'(L) - L^expo] > 0 at L = big and beyond
-    slope = 1.0 - C * 1.5 * _t_u_prime(u_kind, big) - expo * big ** (expo - 1.0)
+    slope = 1.0 - C * 1.5 * decay_arg_prime(u_kind, big) - expo * big ** (expo - 1.0)
     if slope <= 0.0:
         raise CertificationError("h' tail dominance not established")
 

@@ -22,7 +22,8 @@ from typing import Callable, Literal, NamedTuple, Sequence
 import numpy as np
 
 from .extnum import ExtReal
-from .regimes import Bracket, bracket_nu2, bracket_nu3, vk_decay_arg, vk_decay_arg_prime
+from .regimes import (Bracket, DecayKind, abs_envelope, bracket_nu2, bracket_nu3, decay_arg_prime,
+                      log_envelope, vk_decay_arg, vk_decay_arg_prime)
 from .zfr import R0
 from .zdensity import DensityTable, LOG_RIEMANN_HEIGHT, recip_sum_bounds
 
@@ -56,6 +57,7 @@ RVM_COEF = 4.3128        # truncation coefficient of the zero-sum formula
 RVM_LOG_POW = 0.6
 MIN_MEDIUM_LOG_X = 2488.0
 _LOG_2PI = math.log(2.0 * math.pi)
+_MAX_LOG_A = math.log(float(np.finfo(float).max) / 1e3)  # A and A * 10^3 stay finite floats
 # zeros below the verified height H sit on the critical line; their reciprocal
 # sum enters s1 as twice the upper bound at H, and the below-sigma tail as
 # twice (upper(T) - lower(H))
@@ -141,7 +143,7 @@ def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float) -> bool:
     Canonical u^a e^{-bu} terms use the closed-form peak test (peak at
     a/b must not exceed u0).  Anything else falls back to a sign-checked
     4097-point finite-difference scan on [u0, 4 u0] plus a closed-form
-    derivative bound beyond 4 u0.
+    derivative bound beyond 4 u0.  A scan value that is not finite fails.
     """
     for t in terms:
         if t.quad == 0.0 and t.poly is None:
@@ -151,8 +153,11 @@ def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float) -> bool:
                 continue
         u1 = 4.0 * u0
         try:
-            vals = t.log_eval(np.linspace(u0, u1, 4097))
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = t.log_eval(np.linspace(u0, u1, 4097))
         except ValueError:
+            return False
+        if not np.all(np.isfinite(vals)):
             return False
         tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
         if np.any(np.diff(vals) > tol):
@@ -173,6 +178,10 @@ def _round_up(v: float, decimals: int) -> float:
 
 def _round_down(v: float, decimals: int) -> float:
     return math.floor(v * 10**decimals + 1e-9) / 10**decimals
+
+
+# the decay argument of each pipeline's envelope
+_U_KIND: dict[str, DecayKind] = {"medium": "sqrt_log", "large": "sqrt_log", "vk": "vk_r"}
 
 
 @dataclass(frozen=True)
@@ -199,8 +208,9 @@ class BoundConstants:
     bracket: Bracket | None = None        # large/vk only
     raw_terms: tuple[EnvelopeTerm, ...] = field(default=(), repr=False, compare=False)
 
-    def decay_arg(self, log_x: float) -> float:
-        return vk_decay_arg(log_x) if self.regime == "vk" else math.sqrt(log_x)
+    @property
+    def u_kind(self) -> DecayKind:
+        return _U_KIND[self.regime]
 
     def log_rel_envelope(self, log_x: float, rounded: bool = True) -> float:
         """ln of the relative envelope A (log x)^B e^{-C u(x)}."""
@@ -208,7 +218,7 @@ class BoundConstants:
             la, b, c = math.log(self.A), self.B, self.C
         else:
             la, b, c = self.log_A_unrounded, self.B_unrounded, self.C_unrounded
-        return la + b * math.log(log_x) - c * self.decay_arg(log_x)
+        return log_envelope(self.u_kind, la, b, c, log_x)
 
     def as_dict(self) -> dict:
         m, e = self.eps0.log10_parts()
@@ -265,37 +275,20 @@ def check_rvm_precondition(log_x: float, log_T: float) -> bool:
 
 
 def epsilon0_at(log_A: float, B: float, C: float, X: float,
-                decay: Literal["sqrt_log", "vk_r"] = "sqrt_log") -> tuple[ExtReal, float]:
-    """Supremum of A (log x)^B e^{-C u} over log x >= X (from unrounded A).
+                decay: DecayKind = "sqrt_log") -> tuple[ExtReal, float]:
+    """Supremum of A (log x)^B e^{-C u} over log x = L >= X (from unrounded A).
 
-    For the sqrt envelope the unconstrained maximizer is log x = (2B/C)^2;
-    the supremum sits there if interior, else at X.  The vk envelope's
-    maximizer is found by bisecting the derivative.
+    The log envelope has slope (B - C L u'(L)) / L, and L u'(L) increases,
+    so the envelope falls beyond X when B <= C X u'(X) and the supremum is
+    at X.  Otherwise it peaks later: at L = (2B/C)^2 for u = sqrt(L), while
+    a VK envelope still rising at X is refused.
     """
-    if decay == "sqrt_log":
-        peak = (2.0 * B / C) ** 2
-        at = max(X, peak)
-        return ExtReal.exp_of(log_A + B * math.log(at) - C * math.sqrt(at)), at
-
-    def deriv(l: float) -> float:
-        return B / l - C * vk_decay_arg_prime(l)
-
-    lo, hi = 3.1, X
-    if deriv(hi) >= 0.0:
-        at = X
-    elif deriv(lo) <= 0.0:
-        at = X
-    else:
-        for _ in range(200):
-            m = math.sqrt(lo * hi)
-            if deriv(m) > 0.0:
-                lo = m
-            else:
-                hi = m
-            if hi / lo < 1.0 + 1e-12:
-                break
-        at = max(X, 0.5 * (lo + hi))
-    return ExtReal.exp_of(log_A + B * math.log(at) - C * vk_decay_arg(at)), at
+    at = X
+    if B > C * X * decay_arg_prime(decay, X):
+        if decay != "sqrt_log":
+            raise CertificationError(f"the {decay} envelope still rises at log x = {X:g}")
+        at = max(X, (2.0 * B / C) ** 2)
+    return ExtReal.exp_of(log_envelope(decay, log_A, B, C, at)), at
 
 
 class _Envelope(NamedTuple):
@@ -339,9 +332,10 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
     if not f.certify():
         k_note = f", K={K}" if regime == "medium" else ""
         raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
+    if not f.log_a < _MAX_LOG_A:
+        raise CertificationError(f"A = e^{f.log_a:g} at log x0 = {log_x0:g} is too large to emit")
     x_claim = log_x0 if claim_X is None else claim_X
-    eps0, max_at = epsilon0_at(f.log_a, f.B, f.C, max(x_claim, math.log(2.0)),
-                               decay="vk_r" if regime == "vk" else "sqrt_log")
+    eps0, max_at = epsilon0_at(f.log_a, f.B, f.C, max(x_claim, math.log(2.0)), _U_KIND[regime])
     a_unrounded = math.exp(f.log_a)
     return BoundConstants(
         label=label or f"{log_x0:g}", regime=regime, X=x_claim, anchor=log_x0,
@@ -748,10 +742,8 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
 
     segs: list[CoverageSegment] = []
 
-    def bound_abs(x: float) -> float:
-        return math.exp(row.log_rel_envelope(math.log(x))) * x
-
-    rep = verify_pointwise(prime_table, bound_abs, "psi", 2.0, 59.0)
+    bound = abs_envelope(row.u_kind, row.A, row.B, row.C)
+    rep = verify_pointwise(prime_table, bound, "psi", 2.0, 59.0)
     segs.append(CoverageSegment(
         "[2, 59]", "pass" if rep.passed else "fail",
         f"sieve check at {rep.n_points} jump points, worst margin {rep.worst_margin:.4g}",

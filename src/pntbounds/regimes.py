@@ -5,12 +5,16 @@ integrand x^(-nu(t))/t rises to a single maximum at t0 and falls after
 it.  The constants (B0, B1) sandwich log t0 and (B2, B3) sandwich
 log min t*x^nu(t), in units of sqrt(log x) for the Ford region and
 log^(3/5) x (loglog x)^(-1/5) for the Vinogradov-Korobov one.
+
+The same two scales are the decay arguments u of the envelope
+A (log x)^B e^{-C u}, which this module alone defines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -23,6 +27,11 @@ __all__ = [
     "bracket_nu3",
     "verify_unimodal",
     "UnimodalReport",
+    "DecayKind",
+    "abs_envelope",
+    "decay_arg",
+    "decay_arg_prime",
+    "log_envelope",
     "vk_decay_arg",
     "vk_decay_arg_prime",
     "ConvergenceError",
@@ -48,6 +57,9 @@ class Bracket:
     B3: float
 
 
+DecayKind = Literal["sqrt_log", "vk_r"]
+
+
 def vk_decay_arg(log_x: float) -> float:
     """r(x) = log^(3/5) x * (loglog x)^(-1/5), the VK decay argument."""
     return log_x ** 0.6 / math.log(log_x) ** 0.2
@@ -57,6 +69,27 @@ def vk_decay_arg_prime(log_x: float) -> float:
     """r'(log x) = (3 loglog x - 1) / (5 log^(2/5) x (loglog x)^(6/5))."""
     ll = math.log(log_x)
     return (3.0 * ll - 1.0) / (5.0 * log_x**0.4 * ll**1.2)
+
+
+def decay_arg(kind: DecayKind, log_x: float) -> float:
+    """u(log x): sqrt(log x) for "sqrt_log" (classical and Ford), r(x) for "vk_r"."""
+    return math.sqrt(log_x) if kind == "sqrt_log" else vk_decay_arg(log_x)
+
+
+def decay_arg_prime(kind: DecayKind, log_x: float) -> float:
+    """du/d(log x).  For both kinds log x * u' increases in log x > 1."""
+    return 1.0 / (2.0 * math.sqrt(log_x)) if kind == "sqrt_log" else vk_decay_arg_prime(log_x)
+
+
+def log_envelope(kind: DecayKind, log_a: float, B: float, C: float, log_x: float) -> float:
+    """ln(A (log x)^B e^{-C u(log x)}) with ln A = log_a."""
+    return log_a + B * math.log(log_x) - C * decay_arg(kind, log_x)
+
+
+def abs_envelope(kind: DecayKind, A: float, B: float, C: float) -> Callable[[float], float]:
+    """x -> A x (log x)^B e^{-C u(log x)}, the envelope of an absolute error."""
+    log_a = math.log(A)
+    return lambda x: math.exp(log_envelope(kind, log_a, B, C, math.log(x))) * x
 
 
 def bracket_nu2(log_x0: float) -> Bracket:
@@ -137,18 +170,10 @@ def verify_unimodal(bracket: Bracket, log_x: float) -> UnimodalReport:
     pattern of "+-" or "-+-" with the single interior peak inside
     [B0 * scale, B1 * scale].
     """
-    if bracket.region_kind == "nu2":
-        if log_x < bracket.log_x0:
-            raise ValueError("log_x below the bracket hypothesis")
-        scale = math.sqrt(log_x)
-        nu = zfr.nu2
-    elif bracket.region_kind == "nu3":
-        if log_x < bracket.log_x0:
-            raise ValueError("log_x below the bracket hypothesis")
-        scale = vk_decay_arg(log_x)
-        nu = zfr.nu3
-    else:
-        raise ValueError(f"unknown region {bracket.region_kind!r}")
+    if log_x < bracket.log_x0:
+        raise ValueError("log_x below the bracket hypothesis")
+    kind, nu = {"nu2": ("sqrt_log", zfr.nu2), "nu3": ("vk_r", zfr.nu3)}[bracket.region_kind]
+    scale = decay_arg(kind, log_x)
 
     lo, hi = LOG_RIEMANN_HEIGHT, 2.0 * bracket.B1 * scale
     grid = np.linspace(lo, hi, 1000)

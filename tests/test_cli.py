@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pntbounds import cli
 
@@ -197,6 +202,69 @@ def test_meaningless_mantissas_fail_closed(capsys, argv):
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "significant digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "table1 --log-x0 1e300 --regime vk",
+    "table1 --log-x0 1e305 --regime vk",
+    "table1 --log-x0 3e7 --regime large --sigma 0.9999",
+    "table1 --log-x0 1e308 --regime large",
+])
+def test_overflowing_rows_fail_closed(argv):
+    # A overflowing a float, and a certificate scan that overflows, each end
+    # in one error line: no traceback and no numpy warning on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "pntbounds.cli", *argv.split()],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+_FINITE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False)
+_SIGMA = st.one_of(st.floats(min_value=0.97, max_value=1.01), _FINITE)
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(["table1", "brackets", "eval"]))
+    if command == "eval":
+        return ["eval", f"--log-x={draw(_FINITE)!r}",
+                "--quantity", draw(st.sampled_from(["psi", "theta", "pi"]))]
+    argv = [command, f"--log-x0={draw(_FINITE)!r}"]
+    if command == "brackets":
+        return argv + ["--regime", draw(st.sampled_from(["nu2", "nu3"]))]
+    argv += ["--regime", draw(st.sampled_from(["medium", "large", "vk", "auto"]))]
+    if draw(st.booleans()):
+        argv.append(f"--sigma={draw(_SIGMA)!r}")
+    if draw(st.booleans()):
+        argv.append(f"--K={draw(st.integers(min_value=-2, max_value=12))}")
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_cli_argv())
+@example(["table1", "--log-x0", "1e300", "--regime", "vk"])
+@example(["table1", "--log-x0", "1e305", "--regime", "vk"])
+@example(["table1", "--log-x0", "1e308", "--regime", "large"])
+@example(["table1", "--log-x0=-1e+308", "--regime", "large"])
+@example(["eval", "--log-x", "1e308", "--quantity", "pi"])
+@example(["brackets", "--log-x0", "1e308", "--regime", "nu3"])
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    assert caught == []
+    if rc == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_verify_small_passes(capsys):

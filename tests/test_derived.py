@@ -11,10 +11,9 @@ from pntbounds.derived import (
     pi_constants_classical,
     pi_constants_vk,
     theta_constants,
-    _t_u_prime,
 )
 from pntbounds.primes import verify_pointwise
-from pntbounds.regimes import vk_decay_arg
+from pntbounds.regimes import decay_arg_prime, vk_decay_arg
 
 
 def test_theta_constants_all_rows(default_rows):
@@ -80,7 +79,7 @@ def test_pi_vk_constants():
 
 def test_vk_decay_derivative_value():
     # with the consistent log^(2/5) denominator the value at exp(58) is ~0.082
-    got = _t_u_prime("vk_r", 58.0)
+    got = decay_arg_prime("vk_r", 58.0)
     want = (3.0 * math.log(58.0) - 1.0) / (5.0 * 58.0**0.4 * math.log(58.0) ** 1.2)
     assert got == pytest.approx(want, rel=1e-14)
     assert got == pytest.approx(0.08201, abs=1e-5)
@@ -93,7 +92,7 @@ def test_vk_decay_derivative_value():
 def test_vk_h_condition_chain_at_left_end():
     # log t - alpha - C t log t u'(t) >= log^(B+alpha-1) t with the true derivative
     c = 0.1853
-    lhs = 58.0 - 0.19 - c * 58.0 * _t_u_prime("vk_r", 58.0)
+    lhs = 58.0 - 0.19 - c * 58.0 * decay_arg_prime("vk_r", 58.0)
     assert lhs >= 58.0**0.991
     assert lhs - 58.0**0.991 == pytest.approx(0.99, abs=0.02)
 

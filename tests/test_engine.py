@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pntbounds.engine import (
     vk_terms,
 )
 from pntbounds.extnum import ExtReal
-from pntbounds.regimes import bracket_nu3
+from pntbounds.regimes import bracket_nu3, vk_decay_arg_prime
 from pntbounds.zdensity import LOG_RIEMANN_HEIGHT, DensityTable
 from pntbounds.zfr import R0
 
@@ -201,14 +202,29 @@ def test_epsilon0_maximizer_against_grid_argmax(default_rows):
     assert grid[int(np.argmax(vals))] == pytest.approx(peak, abs=1e-3)
 
 
-def test_epsilon0_equals_envelope_at_maximizer(default_rows):
-    for row in default_rows:
+def test_epsilon0_equals_envelope_at_maximizer(default_rows, vk_row, density_table):
+    vk_rows = [vk_row, optimize(3e10, "vk", density_table)]
+    for row in [*default_rows, *vk_rows]:
         want = row.log_rel_envelope(row.eps0_max_at, rounded=False)
         assert row.eps0.log_value == pytest.approx(want, rel=1e-9)
         for bump in (0.99, 1.01):
             at = row.eps0_max_at * bump
             if at >= row.X:
                 assert row.log_rel_envelope(at, rounded=False) <= row.eps0.log_value + 1e-12
+    # a VK envelope is emitted only where it already falls, so its supremum is at X
+    for row in vk_rows:
+        assert row.eps0_max_at == row.X
+
+
+def test_epsilon0_refuses_vk_envelope_rising_at_threshold():
+    # slope B - C X r'(X) at X = 2.8e10: C = 1e-6 leaves the envelope rising
+    log_a, b, c, x = math.log(0.033), 1.8, 1e-6, 2.8e10
+    assert b > c * x * vk_decay_arg_prime(x)
+    with pytest.raises(CertificationError, match="still rises"):
+        epsilon0_at(log_a, b, c, x, "vk_r")
+    # the same envelope with the row's C falls from X on
+    _, at = epsilon0_at(log_a, b, 0.1852, x, "vk_r")
+    assert at == x
 
 
 def test_epsilon0_anchored_when_maximizer_interior():
@@ -237,6 +253,15 @@ def test_certifier_handles_gaussian_terms():
     # and a genuinely increasing gaussian-coefficient term must fail
     bad = EnvelopeTerm(0.0, 0.0, -2.0, quad=0.001)
     assert not certify_monotone([bad], 25.0)
+
+
+def test_certifier_fails_closed_on_non_finite_scan_values():
+    # at u0 = 1e154 the quadratic factor overflows to inf on the scan; the
+    # tolerance 1e-12 max|vals| would then be inf and pass every step
+    term = EnvelopeTerm(0.0, -3.0, -1.0, quad=0.5, poly=(1.0, 0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not certify_monotone([term], 1e154)
 
 
 def test_all_reference_rows_certify(default_rows, vk_row):

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from pntbounds.regimes import (
+    abs_envelope,
     bracket_nu2,
     bracket_nu3,
+    decay_arg,
+    decay_arg_prime,
+    log_envelope,
     verify_unimodal,
     vk_decay_arg,
 )
@@ -114,3 +118,33 @@ def test_minimum_bracketing_nu3():
     tol = float(np.max(np.diff(grid))) * 2.0
     assert np.all(h >= br.B2 * w - 1e-9)
     assert float(np.min(h)) <= br.B3 * w + tol
+
+
+# -- the envelope shape A (log x)^B e^{-C u(log x)} ---------------------------
+
+
+def test_decay_args_are_sqrt_log_and_vk_r():
+    for log_x in (2.0, 58.0, 2488.0, 2.8e10):
+        assert decay_arg("sqrt_log", log_x) == math.sqrt(log_x)
+        assert decay_arg("vk_r", log_x) == log_x**0.6 / math.log(log_x) ** 0.2
+
+
+@pytest.mark.parametrize("kind", ["sqrt_log", "vk_r"])
+def test_decay_arg_prime_is_the_derivative(kind):
+    for log_x in (5.0, 58.0, 2488.0, 1e5, 2.8e10):
+        h = log_x * 1e-6
+        fd = (decay_arg(kind, log_x + h) - decay_arg(kind, log_x - h)) / (2.0 * h)
+        assert decay_arg_prime(kind, log_x) == pytest.approx(fd, rel=1e-6)
+    # L u'(L) increases, so an envelope falling at X falls beyond it
+    grid = np.geomspace(3.1, 1e300, 4000)
+    assert np.all(np.diff([L * decay_arg_prime(kind, float(L)) for L in grid]) > 0.0)
+
+
+@pytest.mark.parametrize("kind", ["sqrt_log", "vk_r"])
+def test_log_and_abs_envelope(kind):
+    a, b, c = 9.4, 1.515, 0.8274
+    for x in (3.0, 59.0, 2657.0):
+        lx = math.log(x)
+        want = a * x * lx**b * math.exp(-c * decay_arg(kind, lx))
+        assert log_envelope(kind, math.log(a), b, c, lx) == pytest.approx(math.log(want / x), rel=1e-14)
+        assert abs_envelope(kind, a, b, c)(x) == pytest.approx(want, rel=1e-13)
