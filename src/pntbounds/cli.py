@@ -101,19 +101,34 @@ def _emit_rows(rows: Sequence[BoundConstants], fmt: str) -> None:
         sys.stdout.write(_rows_text(rows))
 
 
+def _table1_unused_flag(args: argparse.Namespace) -> str | None:
+    """Why a ``table1`` flag would go unused beside the others, if one would."""
+    if args.log_x0 is None:
+        flag = next((f for f in ("sigma", "K", "regime") if getattr(args, f) is not None), None)
+        return flag and f"--{flag} applies only to a --log-x0 row"
+    if args.rows is not None:
+        return "--rows cannot be combined with --log-x0"
+    if args.optimize and (args.sigma, args.K) != (None, None):
+        return "--optimize chooses sigma and K and cannot be combined with --sigma or --K"
+    if args.K is not None and args.regime != "medium":
+        return f"--K applies only to the medium regime, not {args.regime}"
+    return None
+
+
 def cmd_table1(args: argparse.Namespace) -> int:
+    if args.log_x0 is not None and args.regime in (None, "auto"):
+        args.regime = "medium" if args.log_x0 < 1e5 else "large"
+    if reason := _table1_unused_flag(args):
+        args.usage_error(reason)
     table = _resolve_table(args)
     params = list(engine.DEFAULT_ROW_PARAMS)
     if args.log_x0 is not None:
-        regime = args.regime
-        if regime in (None, "auto"):
-            regime = "medium" if args.log_x0 < 1e5 else "large"
         if args.optimize:
-            rows = [engine.optimize(args.log_x0, regime, table, label=f"{args.log_x0:g}")]
+            rows = [engine.optimize(args.log_x0, args.regime, table, label=f"{args.log_x0:g}")]
         else:
-            sigma, k = {"medium": (0.99, 4), "large": (0.999, 1), "vk": (0.9999932, 1)}[regime]
-            p = engine.RowParams("vk" if regime == "vk" else f"{args.log_x0:g}",
-                                 args.log_x0, args.log_x0, regime,
+            sigma, k = {"medium": (0.99, 4), "large": (0.999, 1), "vk": (0.9999932, 1)}[args.regime]
+            p = engine.RowParams("vk" if args.regime == "vk" else f"{args.log_x0:g}",
+                                 args.log_x0, args.log_x0, args.regime,
                                  sigma if args.sigma is None else args.sigma,
                                  k if args.K is None else args.K)
             rows = [engine.compute_row(p, table)]
@@ -263,10 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", choices=["medium", "large", "vk", "auto"], default=None)
     p.add_argument("--log-x0", dest="log_x0", type=finite_float, default=None,
                    help="compute a single custom row anchored here")
-    p.add_argument("--sigma", type=finite_float, default=None)
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--sigma", type=finite_float, default=None,
+                   help="sigma of the --log-x0 row (not with --optimize)")
+    p.add_argument("--K", type=int, default=None,
+                   help="K of a medium --log-x0 row (not with --optimize)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=cmd_table1)
+    p.set_defaults(func=cmd_table1, usage_error=p.error)
 
     p = sub.add_parser("brackets", help="turning-point/minimum bracket constants")
     p.add_argument("--regime", choices=["nu2", "nu3"], default="nu2")

@@ -116,55 +116,34 @@ def _log_sum(terms: Sequence[EnvelopeTerm], u):
 # ---------------------------------------------------------------------------
 
 
-def _tail_phi_max(term: EnvelopeTerm, u1: float) -> float:
-    """Upper bound on d(ln g)/du over [u1, inf); <= 0 proves the tail decays."""
+def _phi_sup(term: EnvelopeTerm, u0: float) -> float:
+    """Upper bound on d(ln g)/du = a/u - b - 2gu + q'/q over [u0, inf), or inf.
+
+    a/u - 2gu peaks at u0, or beyond it at u* = sqrt(-a/2g) (at inf if g = 0).
+    If q2 > 0 and q'(u0) >= 0, q grows from u0 on, so q^2 (ln q)'' =
+    -(2 q2 q + q1^2 - 4 q0 q2) falls; if it is <= 0 at u0, ln q is concave
+    from u0 on and q'/q peaks at u0.  A non-finite intermediate gives inf.
+    """
     a, b, g = term.power, term.decay, term.quad
-    q_ratio = 0.0
+    if g < 0.0:
+        return math.inf
+    if a < 0.0 and (g == 0.0 or math.sqrt(-a / (2.0 * g)) > u0):
+        phi = -2.0 * math.sqrt(-2.0 * a * g) - b
+    else:
+        phi = a / u0 - b - 2.0 * g * u0
     if term.poly is not None:
         q2, q1, q0 = term.poly
-        if q2 <= 0.0 or q2 * u1 * u1 + q1 * u1 + q0 <= 0.0:
+        q, dq = q2 * u0 * u0 + q1 * u0 + q0, 2.0 * q2 * u0 + q1
+        concave = 2.0 * q2 * q + q1 * q1 - 4.0 * q0 * q2
+        if not (q2 > 0.0 and q > 0.0 and dq >= 0.0 and math.inf > concave >= 0.0):
             return math.inf
-        if q1 * u1 + q0 < -0.5 * q2 * u1 * u1:  # need q >= q2 u^2 / 2 beyond u1
-            return math.inf
-        q_ratio = 4.0 / u1 + 2.0 * abs(q1) / (q2 * u1 * u1)
-    if g == 0.0:
-        return (a / u1 if a > 0.0 else 0.0) - b + q_ratio
-    if a >= 0.0:
-        return a / u1 - b - 2.0 * g * u1 + q_ratio
-    u_star = math.sqrt(-a / (2.0 * g))
-    if u_star <= u1:
-        return a / u1 - b - 2.0 * g * u1 + q_ratio
-    return -2.0 * math.sqrt(-2.0 * a * g) - b + q_ratio
+        phi += dq / q
+    return phi if math.isfinite(phi) else math.inf
 
 
 def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float) -> bool:
-    """True iff every term is nonincreasing on [u0, inf).
-
-    Canonical u^a e^{-bu} terms use the closed-form peak test (peak at
-    a/b must not exceed u0).  Anything else falls back to a sign-checked
-    4097-point finite-difference scan on [u0, 4 u0] plus a closed-form
-    derivative bound beyond 4 u0.  A scan value that is not finite fails.
-    """
-    for t in terms:
-        if t.quad == 0.0 and t.poly is None:
-            if t.power <= 0.0 and t.decay >= 0.0:
-                continue
-            if t.decay > 0.0 and t.power / t.decay <= u0:
-                continue
-        u1 = 4.0 * u0
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                vals = t.log_eval(np.linspace(u0, u1, 4097))
-        except ValueError:
-            return False
-        if not np.all(np.isfinite(vals)):
-            return False
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-        if np.any(np.diff(vals) > tol):
-            return False
-        if _tail_phi_max(t, u1) > 0.0:
-            return False
-    return True
+    """True iff a closed-form bound proves every term nonincreasing on [u0, inf)."""
+    return all(_phi_sup(t, u0) <= 0.0 for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +610,9 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     probes of every cell still wider than 1e-6, and a last call the
     midpoints.  A fit's lanes equal its float calls bit for bit, so the
     picks are those of searching each cell on its own.  Ties break
-    deterministically toward smaller sigma, then smaller K.  Only
-    parameter sets whose monotonicity certifies are emitted.
+    deterministically toward smaller sigma, then smaller K.  The first
+    candidate that certifies is emitted; if none does, the error carries
+    the best-ranked candidate's reason.
     """
     if regime == "medium":
         _check_medium_anchor(log_x0)
@@ -654,12 +634,14 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
         candidates.extend(zip(fit(log_x0, mid, K, table)[0].tolist(), mid.tolist(), [K] * len(mid)))
 
     candidates.sort()
+    best_reason = None
     for _value, s, K in candidates:
         try:
             return _bound(regime, log_x0, s, K, table, claim_X, label)
-        except CertificationError:
-            continue
-    raise CertificationError(f"no certifiable parameter set at log x0 = {log_x0:g}")
+        except CertificationError as exc:
+            best_reason = best_reason or exc
+    raise CertificationError(f"no certifiable parameter set at log x0 = {log_x0:g} "
+                             f"(best-ranked candidate: {best_reason})")
 
 
 # ---------------------------------------------------------------------------

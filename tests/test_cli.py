@@ -85,6 +85,36 @@ def test_table1_override_out_of_hypothesis_fails(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    ("table1 --sigma 0.5", "--sigma applies only to a --log-x0 row"),
+    ("table1 --K 7", "--K applies only to a --log-x0 row"),
+    ("table1 --regime vk", "--regime applies only to a --log-x0 row"),
+    ("table1 --log-x0 1e6 --K 7 --regime large", "--K applies only to the medium regime, not large"),
+    ("table1 --log-x0 1e6 --K 7", "--K applies only to the medium regime, not large"),
+    ("table1 --log-x0 2.8e10 --K 1 --regime vk", "--K applies only to the medium regime, not vk"),
+    ("table1 --log-x0 6000 --optimize --sigma 0.99",
+     "--optimize chooses sigma and K and cannot be combined with --sigma or --K"),
+    ("table1 --log-x0 6000 --optimize --K 4",
+     "--optimize chooses sigma and K and cannot be combined with --sigma or --K"),
+    ("table1 --rows 6000 --log-x0 6000",
+     "--rows cannot be combined with --log-x0"),
+])
+def test_table1_refuses_flags_it_would_ignore(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert [line for line in out.err.splitlines() if "error:" in line] == \
+        [f"pntbounds table1: error: {reason}"]
+
+
+def test_table1_optimize_failure_says_why(capsys):
+    rc, out, err = run(capsys, "table1", "--log-x0", "1e300", "--regime", "vk", "--optimize")
+    assert (rc, out) == (1, "")
+    assert err == ("error: no certifiable parameter set at log x0 = 1e+300 (best-ranked candidate: "
+                   "A = e^inf at log x0 = 1e+300 is too large to emit)\n")
+
+
 def test_table1_unknown_row_label(capsys):
     rc, _, err = run(capsys, "table1", "--rows", "nope")
     assert rc == 2
@@ -211,8 +241,8 @@ def test_meaningless_mantissas_fail_closed(capsys, argv):
     "table1 --log-x0 1e308 --regime large",
 ])
 def test_overflowing_rows_fail_closed(argv):
-    # A overflowing a float, and a certificate scan that overflows, each end
-    # in one error line: no traceback and no numpy warning on stderr
+    # A overflowing a float, and an eps0 too extreme to print, each end in
+    # one error line: no traceback and no numpy warning on stderr
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

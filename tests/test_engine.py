@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pntbounds import engine
 from pntbounds.engine import (
@@ -255,13 +257,49 @@ def test_certifier_handles_gaussian_terms():
     assert not certify_monotone([bad], 25.0)
 
 
-def test_certifier_fails_closed_on_non_finite_scan_values():
-    # at u0 = 1e154 the quadratic factor overflows to inf on the scan; the
-    # tolerance 1e-12 max|vals| would then be inf and pass every step
-    term = EnvelopeTerm(0.0, -3.0, -1.0, quad=0.5, poly=(1.0, 0.0, 1.0))
+@pytest.mark.parametrize("term, u0", [
+    # nonincreasing, but q = 1 + u^2 overflows at u0 = 1e200
+    (EnvelopeTerm(0.0, -3.0, -1.0, quad=0.5, poly=(1.0, 0.0, 1.0)), 1e200),
+    # nonincreasing, but q = (u - 10)^2 + 1 still falls at u0 = 5 (q'(u0) < 0)
+    (EnvelopeTerm(0.0, 0.0, 5.0, poly=(1.0, -20.0, 101.0)), 5.0),
+    # ln q is convex at the vertex of q, and e^(-u/10) ((u - 10)^2 + 1) rises beyond it
+    (EnvelopeTerm(0.0, 0.0, 0.1, poly=(1.0, -20.0, 101.0)), 10.0),
+    # a negative quad grows without bound
+    (EnvelopeTerm(0.0, 0.0, 1.0, quad=-0.001), 5.0),
+    # e^(-u^2) falls, but 2 quad u0 overflows at u0 = 1e308
+    (EnvelopeTerm(0.0, 0.0, 0.0, quad=1.0), 1e308),
+], ids=["q_overflows", "q_still_falls", "ln_q_convex", "negative_quad", "slope_overflows"])
+def test_certifier_refuses_unproved_terms(term, u0):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not certify_monotone([term], 1e154)
+        assert not certify_monotone([term], u0)
+
+
+def _scan_rises(term: EnvelopeTerm, u0: float) -> bool:
+    """The sampled check the closed form replaced, on [u0, 8 u0]: does ln g rise
+    between two of 4097 points by more than float noise?"""
+    vals = term.log_eval(np.linspace(u0, 8.0 * u0, 4097))
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+    return bool(np.any(np.diff(vals) > tol))
+
+
+@st.composite
+def _terms_at_anchor(draw):
+    u0 = draw(st.floats(0.5, 100.0))
+    poly = None
+    if draw(st.booleans()):  # q = q2 ((u - r u0)^2 + m u0^2), real roots when m < 0
+        q2, r, m = draw(st.floats(0.01, 10.0)), draw(st.floats(0.0, 2.0)), draw(st.floats(-1.0, 1.0))
+        poly = (q2, -2.0 * q2 * r * u0, q2 * (r * r + m) * u0 * u0)
+    quad = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    return EnvelopeTerm(0.0, draw(st.floats(-10.0, 10.0)), draw(st.floats(-2.0, 5.0)), quad, poly), u0
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(_terms_at_anchor())
+def test_certified_terms_never_rise(term_u0):
+    term, u0 = term_u0
+    if certify_monotone([term], u0):
+        assert not _scan_rises(term, u0)
 
 
 def test_all_reference_rows_certify(default_rows, vk_row):
@@ -457,6 +495,25 @@ def test_optimize_refuses_medium_anchor_before_searching(density_table, monkeypa
     with pytest.raises(ValueError) as bound:
         medium_bound(log_x0, 0.99, 4, density_table)
     assert str(refused.value) == str(bound.value) == "medium pipeline requires log x0 >= 2488"
+
+
+def test_optimize_failure_names_the_best_ranked_reason(density_table, monkeypatch):
+    with pytest.raises(CertificationError) as refused:
+        optimize(1e300, "vk", density_table)
+    assert str(refused.value) == ("no certifiable parameter set at log x0 = 1e+300 (best-ranked "
+                                  "candidate: A = e^inf at log x0 = 1e+300 is too large to emit)")
+    # with every candidate refused for its own reason, the first one tried is named
+    tried = []
+
+    def refuse(regime, log_x0, sigma, K, *rest):
+        tried.append(sigma)
+        raise CertificationError(f"refused sigma={sigma!r}")
+
+    monkeypatch.setattr(engine, "_bound", refuse)
+    with pytest.raises(CertificationError) as refused:
+        optimize(1e6, "large", density_table)
+    assert len(tried) > 1
+    assert str(refused.value).endswith(f"(best-ranked candidate: refused sigma={tried[0]!r})")
 
 
 # -- regime comparison and coverage --------------------------------------------
