@@ -7,7 +7,6 @@ verifies every small-range claim exactly against a sieve.
 """
 
 from .extnum import ExtReal
-from .primes import PrimeTable, build_sieve, integral_I1, li, verify_pointwise
 from .regimes import Bracket, bracket_nu2, bracket_nu3, verify_unimodal, vk_decay_arg
 from .zdensity import DensityTable, load_table, recip_sum_bounds
 from .zfr import envelope_crossovers, limiting_constants, nu1, nu2, nu3
@@ -37,6 +36,15 @@ from .derived import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The sieve's names import ``primes``, and numpy with it, on first use."""
+    if name in ("PrimeTable", "build_sieve", "integral_I1", "li", "verify_pointwise"):
+        from . import primes
+        return getattr(primes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ExtReal",

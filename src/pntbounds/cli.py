@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import derived, engine, primes, regimes, zfr
+from . import derived, engine, regimes, zfr
 from .engine import BoundConstants, CertificationError
 from .extnum import ExtReal
 from .zdensity import DensityTable, load_table
@@ -53,6 +53,7 @@ def finite_float(text: str) -> float:
 
 def _sieve_limit(text: str) -> int:
     """argparse type of ``--limit``: an integer in [2, the sieve's memory budget]."""
+    from . import primes
     try:
         v = int(text)
     except ValueError:
@@ -195,6 +196,7 @@ def cmd_crossovers(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_small(args: argparse.Namespace) -> int:
+    from . import primes
     table = _resolve_table(args)
     pt = primes.build_sieve(args.limit)
     first = engine.compute_default_rows(table)[0]
@@ -312,7 +314,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CertificationError, zfr.ConsistencyError) as exc:
+    except (OSError, ValueError, zfr.PntBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

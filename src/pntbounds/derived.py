@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import BoundConstants, CertificationError, _round_up
 from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg
 
@@ -88,8 +86,8 @@ def _check_h_condition(B: float, C: float, alpha: float, u_kind: DecayKind) -> N
     """
     expo = B + alpha - 1.0
     big = 1e6
-    for log_t in np.geomspace(GAP_MIN_LOG_X, big, 4000):
-        lhs = log_t - alpha - C * log_t * decay_arg_prime(u_kind, float(log_t))
+    for log_t in (GAP_MIN_LOG_X * (big / GAP_MIN_LOG_X) ** (i / 3999) for i in range(4000)):
+        lhs = log_t - alpha - C * log_t * decay_arg_prime(u_kind, log_t)
         if lhs < log_t**expo:
             raise CertificationError(f"h' condition fails at log t = {log_t:g}")
     # tail: d/dL [L - alpha - C L u'(L) - L^expo] > 0 at L = big and beyond

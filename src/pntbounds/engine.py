@@ -16,15 +16,14 @@ monotonicity certificate.  Constants are rounded toward validity
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple, Sequence
 
-import numpy as np
-
-from .extnum import ExtReal
+from .extnum import EXT_ZERO, ExtReal
 from .regimes import (Bracket, DecayKind, abs_envelope, bracket_nu2, bracket_nu3, decay_arg_prime,
                       log_envelope, vk_decay_arg, vk_decay_arg_prime)
-from .zfr import R0
+from .zfr import PntBoundsError, R0
 from .zdensity import DensityTable, LOG_RIEMANN_HEIGHT, recip_sum_bounds
 
 __all__ = [
@@ -57,15 +56,15 @@ RVM_COEF = 4.3128        # truncation coefficient of the zero-sum formula
 RVM_LOG_POW = 0.6
 MIN_MEDIUM_LOG_X = 2488.0
 _LOG_2PI = math.log(2.0 * math.pi)
-_MAX_LOG_A = math.log(float(np.finfo(float).max) / 1e3)  # A and A * 10^3 stay finite floats
+_MAX_LOG_A = math.log(sys.float_info.max / 1e3)  # A and A * 10^3 stay finite floats
 # zeros below the verified height H sit on the critical line; their reciprocal
 # sum enters s1 as twice the upper bound at H, and the below-sigma tail as
 # twice (upper(T) - lower(H))
-_CH = 2.0 * recip_sum_bounds(LOG_RIEMANN_HEIGHT)[1]
-_RECIP2 = 2.0 * (recip_sum_bounds(LOG_RIEMANN_HEIGHT)[1] - recip_sum_bounds(LOG_RIEMANN_HEIGHT)[0])
+_RECIP_LO, _RECIP_HI = recip_sum_bounds(LOG_RIEMANN_HEIGHT)
+_CH, _RECIP2 = 2.0 * _RECIP_HI, 2.0 * (_RECIP_HI - _RECIP_LO)
 
 
-class CertificationError(RuntimeError):
+class CertificationError(PntBoundsError):
     """A bound could not be certified and is refused."""
 
 
@@ -90,14 +89,17 @@ class EnvelopeTerm(NamedTuple):
     poly: tuple[float, float, float] | None = None
 
     def log_eval(self, u):
-        """ln g(u); u may be a scalar or ndarray."""
-        val = self.coeff_log + self.power * np.log(u) - self.decay * u - self.quad * u * u
+        """ln g(u) by ``math.log`` at a float u (fields may hold lanes), pointwise for an ndarray u."""
+        if not isinstance(u, (int, float)):
+            import numpy as np
+            return np.array([self.log_eval(v) for v in u.tolist()])
+        val = self.coeff_log + self.power * math.log(u) - self.decay * u - self.quad * u * u
         if self.poly is not None:
             q2, q1, q0 = self.poly
             q = q2 * u * u + q1 * u + q0
-            if np.any(q <= 0.0):
+            if q <= 0.0:
                 raise ValueError("quadratic factor nonpositive on evaluation domain")
-            val = val + np.log(q)
+            val = val + math.log(q)
         return val
 
     def shifted(self, dpower: float, ddecay: float) -> "EnvelopeTerm":
@@ -105,10 +107,13 @@ class EnvelopeTerm(NamedTuple):
 
 
 def _log_sum(terms: Sequence[EnvelopeTerm], u):
-    """ln of the terms' sum at u, reduced term by term in order; lane by lane
-    when u or a term field is an ndarray, else a float."""
-    total = np.logaddexp.reduce(np.broadcast_arrays(*(t.log_eval(u) for t in terms)), axis=0)
-    return float(total) if total.ndim == 0 else total
+    """ln of the terms' sum at u, term by term in order: as ExtReals (numpy's ``logaddexp``
+    formula) for floats, by numpy lane by lane when u or a term field is an ndarray."""
+    logs = [t.log_eval(u) for t in terms]
+    if all(isinstance(v, float) for v in logs):
+        return float(sum(map(ExtReal, logs), EXT_ZERO).log_value)
+    import numpy as np
+    return np.logaddexp.reduce(np.broadcast_arrays(*logs), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +296,10 @@ def _log_2c(sigma, table: DensityTable):
     """(ln 2 C1, ln 2 C2) at sigma, lane by lane for an ndarray, each by ``math.log``
     (numpy's log differs from it in the last ulp on some inputs)."""
     c1, c2 = table.coeffs(sigma)
-    if np.ndim(sigma):
-        return (np.array([math.log(2.0 * c) for c in c1.tolist()]),
-                np.array([math.log(2.0 * c) for c in c2.tolist()]))
-    return math.log(2.0 * c1), math.log(2.0 * c2)
+    if isinstance(sigma, (int, float)):
+        return math.log(2.0 * c1), math.log(2.0 * c2)
+    import numpy as np
+    return tuple(np.array([math.log(2.0 * c) for c in cs.tolist()]) for cs in (c1, c2))
 
 
 def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
@@ -504,10 +509,13 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
 def _vk_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
     """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in."""
     br = bracket_nu3(log_x0)
-    # ExtReal sums one lane at a time
-    lanes = zip(*(v.ravel().tolist() for v in np.broadcast_arrays(*_vk_logs(log_x0, sigma, br, table))))
-    totals = [(g["s1"] + g["s2"] + g["s3"]).log_value for g in map(_vk_groups, lanes)]
-    log_total = np.array(totals) if np.ndim(sigma) else totals[0]
+    logs = _vk_logs(log_x0, sigma, br, table)
+    if isinstance(sigma, (int, float)):
+        log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
+    else:  # ExtReal sums one lane at a time
+        import numpy as np
+        lanes = zip(*(v.ravel().tolist() for v in np.broadcast_arrays(*logs)))
+        log_total = np.array([sum(_vk_groups(lane).values(), EXT_ZERO).log_value for lane in lanes])
 
     def envelope() -> _Envelope:
         p = 5.0 - 2.0 * sigma
@@ -614,6 +622,7 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     candidate that certifies is emitted; if none does, the error carries
     the best-ranked candidate's reason.
     """
+    import numpy as np
     if regime == "medium":
         _check_medium_anchor(log_x0)
     fit = _FITS[regime]
@@ -732,12 +741,9 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
         rep.worst_margin))
 
     lo, hi = math.log(59.0), 58.336
-    grid = np.linspace(lo, hi, 10_000)
-    worst = math.inf
-    for log_x in grid:
-        have = row.log_rel_envelope(float(log_x))
-        need = 2.0 * math.log(log_x) - math.log(8.0 * math.pi) - log_x / 2.0
-        worst = min(worst, have - need)
+    step = (hi - lo) / 9999  # np.linspace(lo, hi, 10_000), point for point
+    worst = min(row.log_rel_envelope(x) - (2.0 * math.log(x) - math.log(8.0 * math.pi) - x / 2.0)
+                for x in [lo + i * step for i in range(9999)] + [hi])
     segs.append(CoverageSegment(
         "(59, exp(58.336)]", "pass" if worst >= 0.0 else "fail",
         f"envelope vs sqrt(x) log^2 x/(8 pi) on a 10^4 log grid, worst log-margin {worst:.4g}",

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-import numpy as np
-
 from . import zfr
 from .zdensity import LOG_RIEMANN_HEIGHT
 
@@ -41,8 +39,8 @@ MIN_LOG_X0_NU2 = 1e5
 MIN_LOG_X0_NU3 = 2.8e10
 
 
-class ConvergenceError(RuntimeError):
-    pass
+class ConvergenceError(zfr.PntBoundsError):
+    """An iteration did not converge."""
 
 
 @dataclass(frozen=True)
@@ -175,6 +173,7 @@ def verify_unimodal(bracket: Bracket, log_x: float) -> UnimodalReport:
     kind, nu = {"nu2": ("sqrt_log", zfr.nu2), "nu3": ("vk_r", zfr.nu3)}[bracket.region_kind]
     scale = decay_arg(kind, log_x)
 
+    import numpy as np
     lo, hi = LOG_RIEMANN_HEIGHT, 2.0 * bracket.B1 * scale
     grid = np.linspace(lo, hi, 1000)
     g = np.array([-nu(y) * log_x - y for y in grid])

@@ -11,13 +11,12 @@ the grid point above and C2 from the grid point below.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 __all__ = [
     "RIEMANN_HEIGHT",
@@ -32,7 +31,7 @@ RIEMANN_HEIGHT = 3_000_175_332_800  # verified height: all zeros below have beta
 LOG_RIEMANN_HEIGHT = math.log(RIEMANN_HEIGHT)
 
 _HEADER = ["sigma", "d", "alpha", "delta", "C1", "C2"]
-_GRID_LO, _GRID_HI, _GRID_STEP, _GRID_ROWS = 0.980, 1.000, 0.001, 21
+_GRID_LO, _GRID_STEP, _GRID_ROWS = 0.980, 0.001, 21
 _RECIP_DEFECT = 0.9321
 _LOG_4PI_E = math.log(4.0 * math.pi) + 1.0
 
@@ -62,24 +61,26 @@ class DensityTable:
         return [r.sigma for r in self.rows]
 
     def coeffs(self, sigma):
-        """(C1, C2) at sigma, lane by lane for an ndarray sigma.
+        """(C1, C2) at a float sigma, or lane by lane for a 1-D ndarray sigma.
 
         A sigma within 1e-12 of a grid point takes that row; any other
         takes C1 from the row above and C2 from the row below, the
         conservative rule above.
         """
-        s = np.asarray(sigma, dtype=float)
-        outside = ~((s >= _GRID_LO) & (s <= _GRID_HI))
-        if outside.any():
-            bad = sigma if s.ndim == 0 else s[outside][0]
-            raise ValueError(f"sigma={bad} outside table range [{_GRID_LO}, {_GRID_HI}]")
-        grid = np.array(self.sigma_grid)
-        i = np.clip(np.rint((s - _GRID_LO) / _GRID_STEP).astype(int), 0, len(grid) - 1)
-        on_grid = np.abs(grid[i] - s) < 1e-12
-        hi = np.searchsorted(grid, s)
-        c1 = np.array([r.C1 for r in self.rows])[np.where(on_grid, i, hi)]
-        c2 = np.array([r.C2 for r in self.rows])[np.where(on_grid, i, hi - 1)]
-        return (c1, c2) if s.ndim else (float(c1), float(c2))
+        grid = self.sigma_grid
+        if isinstance(sigma, (int, float)):
+            return self._coeffs_at(sigma, grid)
+        import numpy as np
+        return tuple(np.array(c) for c in zip(*[self._coeffs_at(s, grid) for s in sigma.tolist()]))
+
+    def _coeffs_at(self, sigma: float, grid: list[float]) -> tuple[float, float]:
+        if not grid[0] <= sigma <= grid[-1]:  # a row at or above, and one at or below
+            raise ValueError(f"sigma={sigma} outside table range [{grid[0]}, {grid[-1]}]")
+        i = min(max(round((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1)
+        if abs(grid[i] - sigma) < 1e-12:
+            return self.rows[i].C1, self.rows[i].C2
+        hi = bisect.bisect_left(grid, sigma)
+        return self.rows[hi].C1, self.rows[hi - 1].C2
 
 
 def load_table(path: str | Path | None = None) -> DensityTable:
@@ -90,10 +91,14 @@ def load_table(path: str | Path | None = None) -> DensityTable:
     else:
         text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(text.strip().splitlines())
-    header = next(reader)
+    header = next(reader, [])
     if header != _HEADER:
         raise ValueError(f"bad density table header {header!r}, expected {_HEADER!r}")
-    rows = [DensityRow(*(float(v) for v in line)) for line in reader if line]
+    values = [[float(v) for v in line] for line in reader if line]
+    for i, vals in enumerate(values):
+        if len(vals) != len(_HEADER) or not all(map(math.isfinite, vals)):
+            raise ValueError(f"row {i}: expected {len(_HEADER)} finite numbers, got {vals}")
+    rows = [DensityRow(*vals) for vals in values]
     if len(rows) != _GRID_ROWS:
         raise ValueError(f"expected {_GRID_ROWS} rows, got {len(rows)}")
     for i, r in enumerate(rows):

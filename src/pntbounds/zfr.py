@@ -28,6 +28,7 @@ __all__ = [
     "envelope_crossovers",
     "limiting_constants",
     "Crossover",
+    "PntBoundsError",
     "ConsistencyError",
 ]
 
@@ -40,7 +41,11 @@ _LOG2 = math.log(2.0)
 _LOG3 = math.log(3.0)
 
 
-class ConsistencyError(RuntimeError):
+class PntBoundsError(RuntimeError):
+    """Base of the package's refusals (defined here, the module every pipeline imports)."""
+
+
+class ConsistencyError(PntBoundsError):
     """An expected sign change or containment failed."""
 
 

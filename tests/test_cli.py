@@ -195,6 +195,102 @@ def test_corrupt_density_table_fails_cleanly(capsys, monkeypatch, tmp_path):
     assert "header" in err
 
 
+_BUNDLED_CSV = (Path(cli.__file__).parent / "data" / "zero_density.csv").read_text(encoding="utf-8")
+
+
+def _one_error_line(rc, out, err):
+    return rc == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def _with_field(row: int, field: int, value: str) -> str:
+    lines = _BUNDLED_CSV.splitlines()
+    cells = lines[row + 1].split(",")
+    cells[field] = value
+    lines[row + 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("content, reason", [
+    ("", "header"),
+    (_BUNDLED_CSV.replace("\n0.990,", "\n0.990,1,", 1), "expected 6 finite numbers"),
+    ("\n".join(ln.rsplit(",", 1)[0] if i == 3 else ln
+               for i, ln in enumerate(_BUNDLED_CSV.splitlines())), "expected 6 finite numbers"),
+    (_with_field(5, 4, "nan"), "expected 6 finite numbers"),
+    (_with_field(5, 4, "inf"), "expected 6 finite numbers"),
+    (_with_field(20, 5, "-inf"), "expected 6 finite numbers"),
+    (_with_field(0, 0, "NaN"), "expected 6 finite numbers"),
+    (_with_field(7, 3, "x"), "could not convert"),
+    (None, "No such file"),
+    ("DIR", "Is a directory"),
+])
+def test_density_table_probes_fail_closed(capsys, tmp_path, content, reason):
+    path = tmp_path / "table.csv"
+    if content == "DIR":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content, encoding="utf-8")
+    rc, out, err = run(capsys, "--density-table", str(path), "table1", "--rows", "6000")
+    assert _one_error_line(rc, out, err), err
+    assert reason in err
+
+
+@st.composite
+def _mutated_csv(draw) -> str:
+    lines = _BUNDLED_CSV.splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        kind = draw(st.sampled_from(["drop_row", "dup_row", "drop_field", "add_field", "set_field",
+                                     "truncate"]))
+        cells = lines[i].split(",")
+        j = draw(st.integers(min_value=0, max_value=len(cells) - 1))
+        if kind == "drop_row":
+            del lines[i]
+        elif kind == "dup_row":
+            lines.insert(i, lines[i])
+        elif kind == "drop_field":
+            lines[i] = ",".join(cells[:j] + cells[j + 1:])
+        elif kind == "add_field":
+            lines[i] = ",".join(cells[:j] + ["1"] + cells[j:])
+        elif kind == "set_field":
+            cells[j] = draw(st.sampled_from(["nan", "inf", "-inf", "", "x", "0", "-1", "1e308",
+                                             "17.5", "0.9855"]))
+            lines[i] = ",".join(cells)
+        else:
+            lines = lines[:i]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_mutated_csv(), st.sampled_from([["table1", "--rows", "6000,1e5"], ["crossovers"],
+                                        ["eval", "--log-x", "6000", "--quantity", "theta"]]))
+def test_cli_fuzz_mutated_density_tables(tmp_path_factory, content, argv):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_text(content, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = cli.main(["--density-table", str(path), *argv])
+    assert caught == []
+    assert rc == 0 or _one_error_line(rc, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("argv", [["brackets"], ["table1", "--rows", "1e5"]])
+def test_domain_errors_exit_1(capsys, monkeypatch, argv):
+    from pntbounds import engine, regimes
+
+    def no_fixed_point(log_x0):
+        raise regimes.ConvergenceError("B0 fixed point did not converge in 200 iterations")
+
+    monkeypatch.setattr(regimes, "bracket_nu2", no_fixed_point)
+    monkeypatch.setattr(engine, "bracket_nu2", no_fixed_point)
+    rc, out, err = run(capsys, *argv)
+    assert _one_error_line(rc, out, err)
+    assert "did not converge" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["table1", "--format", "yaml"])

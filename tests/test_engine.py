@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pntbounds import engine
@@ -383,6 +383,26 @@ def _sigma_probes(table):
     return ([s for s in grid if s < 1.0] + [lo + 1e-9 for lo, _ in cells]
             + [min(hi - 1e-9, 1.0 - 1e-9) for _, hi in cells]
             + [0.5 * (lo + hi) for lo, hi in cells] + [0.9999932])
+
+
+_TERM_LOG = st.one_of(st.floats(min_value=-60.0, max_value=60.0),
+                      st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TERM_LOG, min_size=1, max_size=23))
+@example([1.5, 1.5, 1.5])
+@example([-1e308, 1e308, 0.0])
+@example([0.0, 5e-324, -5e-324])
+def test_float_log_sum_is_numpys_logaddexp_reduce(values):
+    # a float fit sums its terms with math, an ndarray fit with numpy's reduce;
+    # the optimizer's lanes equal its float calls only if the two agree exactly
+    terms = [EnvelopeTerm(v, 0.0, 0.0) for v in values]
+    logs = [t.log_eval(1.0) for t in terms]
+    total = engine._log_sum(terms, 1.0)
+    with np.errstate(over="ignore"):  # x - y may overflow to inf; both sides then add 0
+        want = float(np.logaddexp.reduce(np.array(logs)))
+    assert type(total) is float and total.hex() == want.hex()
 
 
 @pytest.mark.parametrize("regime, log_x0, K", [

@@ -1,5 +1,6 @@
 import bisect
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -111,6 +112,22 @@ def test_coeffs_refuses_out_of_range_lanes_like_a_float_call(density_table, bad)
     with pytest.raises(ValueError) as lanes:
         density_table.coeffs(np.array([0.99, bad, 0.5]))
     assert str(lanes.value) == str(scalar.value) == f"sigma={bad} outside table range [0.98, 1.0]"
+
+
+def test_coeffs_refuses_sigma_beyond_the_tables_own_grid_ends(density_table, tmp_path):
+    # load_table lets a grid sigma sit up to 1e-9 off its nominal value; below
+    # the first row there is no row to take C2 from (index -1 would wrap to
+    # the last, smallest C2), and above the last none to take C1 from
+    lines = resources.files("pntbounds").joinpath("data/zero_density.csv").read_text().splitlines()
+    lines[1] = "0.9800000005" + lines[1][len("0.980"):]
+    lines[-1] = "0.9999999995" + lines[-1][len("1.000"):]
+    path = tmp_path / "nudged.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = load_table(path)
+    for sigma in (0.98, 1.0):
+        with pytest.raises(ValueError, match="outside table range"):
+            table.coeffs(sigma)
+    assert table.coeffs(0.9800000005) == density_table.coeffs(0.98)
 
 
 def test_recip_sum_at_validity_edge():
