@@ -4,9 +4,13 @@ sieve-based verification of envelope claims on small ranges.
 Everything here is finite and exact (up to double rounding in sums of
 logs): psi, theta and pi are step functions read from a sieve and a
 short table of the prime powers p^m (m >= 2), by binary search.  Envelope
-claims on [lo, hi] are certified by checking every jump point together
-with its left-sided limit, which suffices because the distance to the
-main term is piecewise monotone between jumps.
+claims on [lo, hi] are checked at every jump point together with its
+left-sided limit.  Between jumps the distance to the main term is
+piecewise monotone, so these points carry the worst margin if the
+envelope's slope also beats the main term's on each gap (bound' >= 1 for
+psi and theta, bound' >= li' for pi).  That condition is not proved yet
+(ROADMAP item 2, third bullet), so a pass is a check at these points, not
+a proof over the whole range.
 """
 
 from __future__ import annotations
@@ -200,8 +204,11 @@ def verify_pointwise(
     ``bound`` is the absolute envelope.  The main term is x for psi and
     theta, li(x) for pi.  Each jump is tested at the jump point and at
     its left-sided limit; the interval endpoints are tested as well.
-    Between jumps f is constant and the main term monotone, so these
-    finitely many points carry the extrema.  ``bound`` (and li) is called
+    Between jumps f is constant and the main term monotone, so
+    |f - main| has no interior maximum on a gap.  The margin
+    bound - |f - main| has no interior minimum there if, in addition,
+    bound' >= 1 (psi, theta) or bound' >= li' (pi) on the gap; that is not
+    proved yet (ROADMAP item 2, third bullet).  ``bound`` (and li) is called
     once per jump and endpoint, the rest is one numpy pass over the
     points.  A NaN margin fails the check and counts as the worst.
     """

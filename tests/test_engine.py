@@ -561,6 +561,78 @@ def test_piecewise_coverage_segments(default_rows, sieve10m):
     assert -0.02 < last.margin < 0.0
     assert report.hard_pass
 
+_SEGMENT = "(59, exp(58.336)]"
+_TAIL = "(exp(2000), exp(2488)]"
+
+
+def _old_grid_min(row) -> float:
+    """The 10^4-point log grid the (59, exp(58.336)] segment used to sample;
+    a test oracle only."""
+    lo, hi = math.log(59.0), 58.336
+    step = (hi - lo) / 9999
+    return min(row.log_rel_envelope(x) - (2.0 * math.log(x) - math.log(8.0 * math.pi) - x / 2.0)
+               for x in [lo + i * step for i in range(9999)] + [hi])
+
+
+def _segment(report, span):
+    return next(s for s in report.segments if s.span == span)
+
+
+def test_coverage_closed_form_margin_is_the_old_grid_minimum(default_rows, sieve_small):
+    row = default_rows[0]
+    seg = _segment(piecewise_coverage(row, sieve_small), _SEGMENT)
+    assert seg.margin == _old_grid_min(row) == 5.151223978086184
+
+
+@pytest.mark.parametrize("changes, premise", [
+    ({"B": 2.0}, "B < 2"),
+    ({"C": -0.1}, "C >= 0"),
+    ({"C": 2.0}, "f'(log 59) > 0"),
+    ({"A": 1e-3}, "f(log 59) >= 0"),
+])
+def test_coverage_segment_fails_closed(default_rows, sieve_small, changes, premise):
+    report = piecewise_coverage(dataclasses.replace(default_rows[0], **changes), sieve_small)
+    seg = _segment(report, _SEGMENT)
+    assert seg.status == "fail"
+    assert f"not proved ({premise} fails)" in seg.detail  # the other three premises hold
+    assert not report.hard_pass
+
+
+@pytest.mark.parametrize("changes", [{"C": 0.05}, {"C_unrounded": 0.05}])
+def test_coverage_tail_needs_a_decreasing_envelope(default_rows, sieve_small, changes):
+    # (2B/C)^2 = 3672 > 2000: the envelope still rises at log x = 2000
+    report = piecewise_coverage(dataclasses.replace(default_rows[0], **changes), sieve_small)
+    assert _segment(report, _SEGMENT).status == "pass"
+    assert _segment(report, _TAIL).status == "fail"
+    assert not report.hard_pass
+
+
+def test_coverage_refuses_a_row_without_sqrt_decay(vk_row, sieve_small):
+    with pytest.raises(ValueError, match="sqrt_log"):
+        piecewise_coverage(vk_row, sieve_small)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.floats(-6.0, 6.0), st.floats(1.0, 1.99), st.floats(0.0, 3.0))
+@example(1.1, 1.99, 3.0)  # f(log 59) = 0.29 > 0, but f dips to -0.20 further in
+def test_coverage_closed_form_never_passes_a_negative_grid(default_rows, sieve_small, log_a, b, c):
+    row = dataclasses.replace(default_rows[0], A=math.exp(log_a), B=b, C=c)
+    if _segment(piecewise_coverage(row, sieve_small), _SEGMENT).status == "pass":
+        assert _old_grid_min(row) >= 0.0
+
+
+def test_coverage_evaluates_the_envelope_o1_times(default_rows, sieve_small, monkeypatch):
+    calls = []
+    envelope = engine.BoundConstants.log_rel_envelope
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return envelope(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.BoundConstants, "log_rel_envelope", counting)
+    piecewise_coverage(default_rows[0], sieve_small)
+    assert len(calls) <= 4
+
 
 def test_no_constants_without_certificate(density_table, monkeypatch):
     monkeypatch.setattr(engine, "certify_monotone", lambda *a, **k: False)
