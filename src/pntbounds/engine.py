@@ -230,8 +230,8 @@ class BoundConstants:
 
 
 def ck(sigma: float, K: int, k: int) -> float:
-    """Decay rate of the k-th density term (in sqrt(log x / R0) units)."""
-    if not 0 <= k <= K - 1:
+    """Decay rate of the k-th density term (in sqrt(log x / R0) units); lane by lane for ndarrays."""
+    if isinstance(K, int) and not 0 <= k <= K - 1:
         raise ValueError(f"k={k} outside 0..{K - 1}")
     return (K + k) / K + K / (K + k) - (8.0 / 3.0) * (1.0 - sigma) * (1.0 + (k + 1) / K)
 
@@ -287,9 +287,17 @@ class _Envelope(NamedTuple):
 
 # A regime's fit at (log x0, sigma, K): ln of its unrounded envelope at the anchor,
 # the value ``optimize`` ranks by, and a builder of the envelope, called only to emit.
-# An ndarray sigma gives the value lane by lane, each lane equal to the float
-# sigma's bit for bit; only a float sigma's envelope is built.
+# An ndarray sigma with an int K, or with an ndarray K aligned with it, gives the
+# value lane by lane for each (sigma, K) pair, each lane equal to that pair's float
+# call bit for bit (only the medium fit reads K); only a float sigma's envelope is built.
 _Fit = tuple[float, Callable[[], _Envelope]]
+
+
+def _by_value(fn: Callable, values):
+    """fn at each lane of an ndarray, called once per distinct value (a list-valued fn gives rows)."""
+    import numpy as np
+    distinct, where = np.unique(values, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()])[where].T
 
 
 def _log_2c(sigma, table: DensityTable):
@@ -299,7 +307,8 @@ def _log_2c(sigma, table: DensityTable):
     if isinstance(sigma, (int, float)):
         return math.log(2.0 * c1), math.log(2.0 * c2)
     import numpy as np
-    return tuple(np.array([math.log(2.0 * c) for c in cs.tolist()]) for cs in (c1, c2))
+    logs = _by_value(lambda c: math.log(2.0 * c), np.concatenate([c1, c2]))
+    return logs[:c1.size], logs[c1.size:]
 
 
 def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
@@ -338,15 +347,23 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
 
 
 def _medium_raw_terms(sigma: float, K: int, table: DensityTable) -> dict[str, list[EnvelopeTerm]]:
-    """Raw s1/s2/s3 summands as functions of u = sqrt(log x / R0)."""
+    """Raw s1/s2/s3 summands as functions of u = sqrt(log x / R0).
+
+    An ndarray K pads each lane's s2 to the largest K with ln 0 = -inf terms,
+    which numpy's logaddexp adds exactly, so a lane sums its float call's terms.
+    """
     log_2c1, log_2c2 = _log_2c(sigma, table)
     p = 5.0 - 2.0 * sigma
+    k_max = K if isinstance(K, int) else int(K.max())
+
+    def log_ratios(j: int) -> list[float]:
+        return [math.log(1.0 + (k + 1) / j) if k < j else -math.inf for k in range(k_max)]
+
     s2: list[EnvelopeTerm] = []
-    for k in range(K):
-        ratio = 1.0 + (k + 1) / K
+    for k, log_ratio in enumerate(log_ratios(K) if isinstance(K, int) else _by_value(log_ratios, K)):
         dk = (K + k) / K + K / (K + k)
-        s2.append(EnvelopeTerm(log_2c1 + p * math.log(ratio), p, ck(sigma, K, k)))
-        s2.append(EnvelopeTerm(log_2c2 + 2.0 * math.log(ratio), 2.0, dk))
+        s2.append(EnvelopeTerm(log_2c1 + p * log_ratio, p, ck(sigma, K, k)))
+        s2.append(EnvelopeTerm(log_2c2 + 2.0 * log_ratio, 2.0, dk))
     s1 = [
         EnvelopeTerm(math.log(_CH), 0.0, 0.0, quad=R0 / 2.0),
         EnvelopeTerm(0.0, 0.0, 0.0, quad=(1.0 - sigma) * R0,
@@ -376,7 +393,7 @@ def _medium_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fi
     there; the sum normalized by u^p e^{-C' u} is built only at emission."""
     if not check_rvm_precondition(log_x0, 2.0 * math.sqrt(log_x0 / R0)):
         raise ValueError("zero-sum formula precondition fails at the anchor")
-    if K < 1:
+    if isinstance(K, int) and K < 1:
         raise ValueError("K >= 1 required")
     raw = [t for group in _medium_raw_terms(sigma, K, table).values() for t in group]
     u0 = math.sqrt(log_x0 / R0)
@@ -391,9 +408,13 @@ def _medium_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fi
     return _log_sum(raw, u0), envelope
 
 
-def _check_medium_anchor(log_x0: float) -> None:
-    if log_x0 < MIN_MEDIUM_LOG_X:
+def _check_request(regime: str, log_x0: float, claim_X: float | None) -> None:
+    """Refuse a medium anchor below 2488, and a large or VK claim other than the
+    anchor (those pipelines emit constants for log x >= log x0 only)."""
+    if regime == "medium" and log_x0 < MIN_MEDIUM_LOG_X:
         raise ValueError(f"medium pipeline requires log x0 >= {MIN_MEDIUM_LOG_X:g}")
+    if regime != "medium" and claim_X not in (None, log_x0):
+        raise ValueError(f"the {regime} pipeline claims log x >= {log_x0:g}, its anchor, not {claim_X:g}")
 
 
 def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
@@ -404,7 +425,7 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
     C = C'/sqrt(R0) and A = A'(x0)/R0^B, emitted only if the normalized
     sum certifies as nonincreasing.
     """
-    _check_medium_anchor(log_x0)
+    _check_request("medium", log_x0, claim_X)
     return _emit("medium", log_x0, sigma, K, table, claim_X, label)
 
 
@@ -512,10 +533,10 @@ def _vk_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
     logs = _vk_logs(log_x0, sigma, br, table)
     if isinstance(sigma, (int, float)):
         log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
-    else:  # ExtReal sums one lane at a time
+    else:  # the ExtReal sum's association, (s1 + s2) + s3
         import numpy as np
-        lanes = zip(*(v.ravel().tolist() for v in np.broadcast_arrays(*logs)))
-        log_total = np.array([sum(_vk_groups(lane).values(), EXT_ZERO).log_value for lane in lanes])
+        s1a, s1b, s2a, s2b, s3 = logs
+        log_total = np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
 
     def envelope() -> _Envelope:
         p = 5.0 - 2.0 * sigma
@@ -583,6 +604,7 @@ _FITS = {"medium": _medium_fit, "large": _large_fit, "vk": _vk_fit}
 def _bound(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
            table: DensityTable, claim_X: float | None, label: str | None) -> BoundConstants:
     """The regime dispatch, by the public entries' names (perfbench's tracer rebinds them)."""
+    _check_request(regime, log_x0, claim_X)
     if regime == "medium":
         return medium_bound(log_x0, sigma, K, table, claim_X=claim_X, label=label)
     if regime == "large":
@@ -613,36 +635,34 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     regime's fit that also emits the row.  For each K in 1..10 (medium;
     K = 1 otherwise) the candidates are the density grid's sigmas below 1
     and, in each grid cell, the end of a ternary search (the off-grid
-    interpolation rule applies there).  The cells' searches run in
-    lockstep: one fit call takes the grid, each step one call the two
-    probes of every cell still wider than 1e-6, and a last call the
-    midpoints.  A fit's lanes equal its float calls bit for bit, so the
-    picks are those of searching each cell on its own.  Ties break
-    deterministically toward smaller sigma, then smaller K.  The first
-    candidate that certifies is emitted; if none does, the error carries
-    the best-ranked candidate's reason.
+    interpolation rule applies there).  One lockstep runs every search;
+    its lanes are the (K, cell) pairs.  Each step makes one fit call for
+    the two probes of every lane still wider than 1e-6, and a last call
+    ranks the grid points and the midpoints for every K at once.  A fit's
+    lanes equal its float calls bit for bit, so the picks are those of
+    searching each (K, cell) on its own.  Ties break deterministically
+    toward smaller sigma, then smaller K.  The first candidate that
+    certifies is emitted; if none does, the error carries the best-ranked
+    candidate's reason.
     """
     import numpy as np
-    if regime == "medium":
-        _check_medium_anchor(log_x0)
+    _check_request(regime, log_x0, claim_X)
     fit = _FITS[regime]
     cells = np.array(table.sigma_grid)
     grid = cells[cells < 1.0]
-    k_range = range(1, 11) if regime == "medium" else [1]
-    candidates: list[tuple[float, float, int]] = []
-    for K in k_range:
-        candidates.extend(zip(fit(log_x0, grid, K, table)[0].tolist(), grid.tolist(), [K] * len(grid)))
-        a, b = cells[:-1] + 1e-9, np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9)
-        while (live := np.flatnonzero(b - a > 1e-6)).size:
-            al, bl = a[live], b[live]
-            m1, m2 = al + (bl - al) / 3.0, bl - (bl - al) / 3.0
-            v = fit(log_x0, np.concatenate([m1, m2]), K, table)[0]
-            left = v[:live.size] <= v[live.size:]
-            a[live], b[live] = np.where(left, al, m1), np.where(left, m2, bl)
-        mid = 0.5 * (a + b)
-        candidates.extend(zip(fit(log_x0, mid, K, table)[0].tolist(), mid.tolist(), [K] * len(mid)))
-
-    candidates.sort()
+    ks = np.arange(1, 11) if regime == "medium" else np.ones(1, dtype=int)
+    a = np.tile(cells[:-1] + 1e-9, ks.size)
+    b = np.tile(np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9), ks.size)
+    lane_K = np.repeat(ks, cells.size - 1)
+    while (live := np.flatnonzero(b - a > 1e-6)).size:
+        al, bl = a[live], b[live]
+        m1, m2 = al + (bl - al) / 3.0, bl - (bl - al) / 3.0
+        v = fit(log_x0, np.concatenate([m1, m2]), np.tile(lane_K[live], 2), table)[0]
+        left = v[:live.size] <= v[live.size:]
+        a[live], b[live] = np.where(left, al, m1), np.where(left, m2, bl)
+    sigmas = np.concatenate([np.tile(grid, ks.size), 0.5 * (a + b)])
+    Ks = np.concatenate([np.repeat(ks, grid.size), lane_K])
+    candidates = sorted(zip(fit(log_x0, sigmas, Ks, table)[0].tolist(), sigmas.tolist(), Ks.tolist()))
     best_reason = None
     for _value, s, K in candidates:
         try:

@@ -65,13 +65,21 @@ class DensityTable:
 
         A sigma within 1e-12 of a grid point takes that row; any other
         takes C1 from the row above and C2 from the row below, the
-        conservative rule above.
+        conservative rule above.  Lanes take it in one pass: ``np.rint`` rounds
+        half to even as ``round`` does, ``searchsorted(side="left")`` is ``bisect_left``.
         """
         grid = self.sigma_grid
         if isinstance(sigma, (int, float)):
             return self._coeffs_at(sigma, grid)
         import numpy as np
-        return tuple(np.array(c) for c in zip(*[self._coeffs_at(s, grid) for s in sigma.tolist()]))
+        g = np.array(grid)
+        for s in sigma[~((g[0] <= sigma) & (sigma <= g[-1]))][:1].tolist():
+            self._coeffs_at(s, grid)  # raises the float call's error
+        c1, c2 = np.array([(r.C1, r.C2) for r in self.rows]).T
+        i = np.minimum(np.maximum(np.rint((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1).astype(int)
+        on = np.abs(g[i] - sigma) < 1e-12
+        hi = np.searchsorted(g, sigma, side="left")
+        return np.where(on, c1[i], c1[hi]), np.where(on, c2[i], c2[hi - 1])
 
     def _coeffs_at(self, sigma: float, grid: list[float]) -> tuple[float, float]:
         if not grid[0] <= sigma <= grid[-1]:  # a row at or above, and one at or below

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -11,9 +12,11 @@ from pntbounds import engine
 from pntbounds.engine import (
     CertificationError,
     EnvelopeTerm,
+    RowParams,
     certify_monotone,
     check_rvm_precondition,
     ck,
+    compute_row,
     cprime,
     epsilon0_at,
     large_bound,
@@ -406,17 +409,53 @@ def test_float_log_sum_is_numpys_logaddexp_reduce(values):
 
 
 @pytest.mark.parametrize("regime, log_x0, K", [
-    *[("medium", x, K) for x in (2488.0, 7000.0) for K in (1, 4, 10)],
-    ("large", 1e5, 1), ("large", 3e8, 1), ("vk", 2.8e10, 1), ("vk", 5e11, 1),
+    *[("medium", x, K) for x in (2488.0, 7000.0) for K in (1, 4, 10, "mixed")],
+    *[(regime, x, K) for regime, x in (("large", 1e5), ("large", 3e8), ("vk", 2.8e10), ("vk", 5e11))
+      for K in (1, "mixed")],
 ])
 def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, K):
-    # optimize ranks whole ndarrays of sigmas at once; its picks equal a
-    # per-candidate search's only if every lane equals the float call exactly
+    # optimize ranks every (K, sigma) pair at once; its picks equal a
+    # per-candidate search's only if every lane equals the float call exactly.
+    # "mixed" interleaves K = 1..10 over the lanes, so a medium lane's s2 is
+    # padded to the largest K
     sigmas = _sigma_probes(density_table)
+    Ks = [1 + i % 10 if K == "mixed" else K for i in range(len(sigmas))]
     fit = engine._FITS[regime]
-    lanes = fit(log_x0, np.array(sigmas), K, density_table)[0]
+    lanes = fit(log_x0, np.array(sigmas), np.array(Ks) if K == "mixed" else K, density_table)[0]
     assert isinstance(lanes, np.ndarray) and lanes.shape == (len(sigmas),)
-    assert lanes.tolist() == [fit(log_x0, s, K, density_table)[0] for s in sigmas]
+    assert lanes.tolist() == [fit(log_x0, s, k, density_table)[0] for s, k in zip(sigmas, Ks)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(*[st.floats(min_value=-60.0, max_value=60.0)] * 5), min_size=1, max_size=8))
+def test_vk_lanes_sum_in_the_float_calls_association(density_table, values):
+    # the VK float fit sums ExtReals as (s1a + s1b) + (s2a + s2b), then + s3;
+    # at real anchors s1 is negligible and any order agrees, so comparable
+    # summands stand in for _vk_logs here
+    sigmas = np.linspace(0.985, 0.995, len(values))
+    by_sigma = dict(zip(sigmas.tolist(), values))
+
+    def logs(log_x, sigma, br, table):
+        return by_sigma[sigma] if isinstance(sigma, float) else tuple(np.array(values).T)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_vk_logs", logs)
+        lanes = engine._vk_fit(3e10, sigmas, 1, density_table)[0]
+        assert lanes.tolist() == [engine._vk_fit(3e10, s, 1, density_table)[0] for s in sigmas.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_TERM_LOG, st.integers(0, 3)), min_size=1, max_size=23), st.integers(0, 3))
+@example([(1.5, 1), (1.5, 0)], 2)
+@example([(-1e308, 2), (1e308, 0)], 1)
+def test_neg_inf_padding_leaves_the_lane_sum_exact(values, lead):
+    # a medium lane with K below the largest K holds ln 0 = -inf terms among
+    # its own; numpy's reduce must return the unpadded sum bit for bit
+    terms = [EnvelopeTerm(v, 0.0, 0.0) for v, _ in values]
+    padded = [-math.inf] * lead + [x for v, pad in values for x in [v] + [-math.inf] * pad]
+    with np.errstate(over="ignore"):
+        got = float(np.logaddexp.reduce(np.array(padded)))
+    assert got.hex() == engine._log_sum(terms, 1.0).hex()
 
 
 def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
@@ -430,6 +469,8 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     table = DensityTable(tuple(dataclasses.replace(r, C1=c1, C2=c2)
                                for r, c1, c2 in zip(density_table.rows, pick, pick[::-1])))
     sigmas = _sigma_probes(table)
+    c1_lanes, c2_lanes = table.coeffs(np.array(sigmas))
+    assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [table.coeffs(s) for s in sigmas]
     c1_lanes, c2_lanes = engine._log_2c(np.array(sigmas), table)
     assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table) for s in sigmas]
     for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1), ("vk", 3e10, 1)):
@@ -460,8 +501,19 @@ def _per_candidate_optimize(log_x0, regime, table):
             continue
 
 
+def _seeded_anchors(n=5, seed=13):
+    """n anchors per regime, drawn as the benchmark draws its optimize requests."""
+    rng = random.Random(seed)
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))  # noqa: E731
+    anchors = ([("medium", rng.uniform(2488.0, 1e4)) for _ in range(n)]
+               + [("large", log_uniform(1e5, 1e10)) for _ in range(n)]
+               + [("vk", log_uniform(2.8e10, 1e12)) for _ in range(n)])
+    return [(regime, float(f"{x:.6g}")) for regime, x in anchors]
+
+
 @pytest.mark.parametrize("quantum", [0.0, 0.5])
-@pytest.mark.parametrize("regime, log_x0", [("medium", 3456.7), ("large", 2.5e7), ("vk", 4e10)])
+@pytest.mark.parametrize("regime, log_x0", [("medium", 3456.7), ("large", 2.5e7), ("vk", 4e10),
+                                            *_seeded_anchors()])
 def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeypatch, regime, log_x0,
                                                           quantum):
     if quantum:  # values floored to a coarse step tie often, so tie-breaking must agree too
@@ -494,12 +546,13 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("regime, log_x0, max_fits", [
-    ("medium", 6000.0, 220), ("large", 1e6, 25), ("vk", 3e10, 25),
+    ("medium", 6000.0, 30), ("large", 1e6, 25), ("vk", 3e10, 25),
 ])
 def test_optimize_work_count(density_table, monkeypatch, regime, log_x0, max_fits):
-    # a speed guard that holds on any host: the lockstep search makes one fit
-    # call per K for the grid, one per ternary step and one for the midpoints
-    # (the per-candidate search made 7601 medium and 761 large/VK calls)
+    # a speed guard that holds on any host: one lockstep over every (K, cell)
+    # makes one fit call per ternary step and one for the grid and midpoints
+    # (the per-candidate search made 7601 medium and 761 large/VK calls, and
+    # a lockstep per K made about 200 medium calls)
     calls = _count_calls(monkeypatch)
     optimize(log_x0, regime, density_table)
     assert 0 < calls["fit"] <= max_fits
@@ -515,6 +568,25 @@ def test_optimize_refuses_medium_anchor_before_searching(density_table, monkeypa
     with pytest.raises(ValueError) as bound:
         medium_bound(log_x0, 0.99, 4, density_table)
     assert str(refused.value) == str(bound.value) == "medium pipeline requires log x0 >= 2488"
+
+
+@pytest.mark.parametrize("regime, log_x0", [("large", 1e6), ("vk", 3e10)])
+def test_large_and_vk_refuse_a_claim_other_than_the_anchor(density_table, monkeypatch, regime, log_x0):
+    # these pipelines emit constants for log x >= log x0 only, so any other
+    # claim is refused, by optimize before it searches
+    sigma = 0.999 if regime == "large" else 0.9999932
+    want = f"the {regime} pipeline claims log x >= {log_x0:g}, its anchor, not {0.5 * log_x0:g}"
+    with pytest.raises(ValueError) as refused:
+        compute_row(RowParams("t", 0.5 * log_x0, log_x0, regime, sigma, 1), density_table)
+    assert str(refused.value) == want
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        optimize(log_x0, regime, density_table, claim_X=0.5 * log_x0)
+    assert str(refused.value) == want and calls["fit"] == 0
+    with pytest.raises(ValueError, match="its anchor, not"):
+        optimize(log_x0, regime, density_table, claim_X=2.0 * log_x0)
+    row = compute_row(RowParams("t", log_x0, log_x0, regime, sigma, 1), density_table)
+    assert row.X == log_x0
 
 
 def test_optimize_failure_names_the_best_ranked_reason(density_table, monkeypatch):
