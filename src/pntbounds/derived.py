@@ -3,7 +3,8 @@
 A psi envelope transfers to theta by absorbing the prime-power gap
 psi(x) - theta(x) < a1 sqrt(x) + a2 x^(1/3) into a small additive bump
 of the leading constant, and to pi by partial summation, which costs a
-factor 1/log x plus three explicit integrals over |theta(t) - t|.
+factor 1/log x plus three explicit integrals over |theta(t) - t|.  Its
+h' condition on log t >= 58 is proved in closed form at 58 alone.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import BoundConstants, CertificationError, _round_up
+from .engine import _COVERAGE_TOL, BoundConstants, CertificationError, _round_up
 from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg
 
 __all__ = [
@@ -33,7 +34,6 @@ GAP_MIN_LOG_X = 58.0         # gap bound valid for x > exp(58)
 
 I1_CEIL = 5.43               # integral of |theta - t|/(t log^2 t) over [2, 599]
 I2_CEIL = 7.87e12            # same over [599, exp(58)]; a loose but safe ceiling
-_CONST_PIECES = 2.0 / math.log(2.0) + I1_CEIL + I2_CEIL
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,8 @@ def theta_constants(psi: BoundConstants, extra: float = 0.01) -> ThetaConstants:
     (a1 + a2) e^{-log x / 2}, and the ratio of the left side to that
     majorant is increasing in x, so the left endpoint decides.
     """
+    if not 0.0 < extra < math.inf:
+        raise ValueError(f"extra must be finite and > 0, got {extra}")
     if not psi.monotone_certified:
         raise CertificationError("psi constants are not certified")
     log_x = max(psi.X, GAP_MIN_LOG_X)
@@ -77,74 +79,69 @@ class PiConstants:
 
 
 def _check_h_condition(B: float, C: float, alpha: float, u_kind: DecayKind) -> None:
-    """Certify log t - alpha - C t log t u'(t) >= log^(B+alpha-1) t, t >= exp(58).
+    """Certify h(L) = L - alpha - C L u'(L) - L^(B+alpha-1) >= 0 for all L >= 58.
 
-    Checked on a 4000-point log grid up to log t = 1e6; beyond that the
-    left side grows linearly in log t while the right is a strictly
-    smaller power, and the slope gap is already positive and widening at
-    the grid end.
+    L = log t and u' = du/dL.  h(L)/L = 1 - alpha/L - C u'(L) - L^(B+alpha-2),
+    and each subtracted term is nonincreasing on [58, inf) when
+    alpha >= 0, C >= 0, B + alpha <= 2 and u' is nonincreasing there.  u' is
+    1/(2 sqrt L) for "sqrt_log"; for "vk_r" its log derivative is negative
+    once log L > 0.92.  Then h/L is nondecreasing, so h(58) >= 0 proves
+    h >= 0 on [58, inf).  The computed h(58) must clear ``_COVERAGE_TOL``
+    (1e-12), far above its float error, so it also refuses a B + alpha just
+    above 2 whose float sum rounds to 2.  Every comparison fails on NaN.
     """
-    expo = B + alpha - 1.0
-    big = 1e6
-    for log_t in (GAP_MIN_LOG_X * (big / GAP_MIN_LOG_X) ** (i / 3999) for i in range(4000)):
-        lhs = log_t - alpha - C * log_t * decay_arg_prime(u_kind, log_t)
-        if lhs < log_t**expo:
-            raise CertificationError(f"h' condition fails at log t = {log_t:g}")
-    # tail: d/dL [L - alpha - C L u'(L) - L^expo] > 0 at L = big and beyond
-    slope = 1.0 - C * 1.5 * decay_arg_prime(u_kind, big) - expo * big ** (expo - 1.0)
-    if slope <= 0.0:
-        raise CertificationError("h' tail dominance not established")
+    lo = GAP_MIN_LOG_X
+    h0 = lo - alpha - C * lo * decay_arg_prime(u_kind, lo) - lo ** (B + alpha - 1.0)
+    vk_ok = u_kind == "vk_r" and math.log(lo) > 0.92
+    premises = {"alpha >= 0": alpha >= 0.0, "C >= 0": C >= 0.0, "B + alpha <= 2": B + alpha <= 2.0,
+                "u' nonincreasing": u_kind == "sqrt_log" or vk_ok, "h(58) >= 0": h0 >= _COVERAGE_TOL}
+    unproved = [name for name, ok in premises.items() if not ok]
+    if unproved:
+        raise CertificationError(f"h' condition not proved ({', '.join(unproved)} fails), "
+                                 f"h(58) = {h0:.4g}")
 
 
-def _recompute_i2() -> float:
-    """Integral of 1/(8 pi sqrt t) over [599, exp(58)] in closed form."""
-    return (math.exp(29.0) - math.sqrt(599.0)) / (4.0 * math.pi)
+def _pi_constants(a1: float, b: float, c: float, alpha: float, u_kind: DecayKind,
+                  digits: int, readings: tuple[float, ...]) -> PiConstants:
+    """A2 = A1 (1 + 58^(1-B-alpha) + third), rounded up at ``digits`` decimals.
+
+    third = (2/log 2 + I1 + I2) 58^(1-B) e^(-58) r / A1 for each reading r of
+    e^(C u) at log x = 58.  A2 takes the largest; the readings must agree
+    at the printed precision.  The loose I2 ceiling enters A2.
+    """
+    _check_h_condition(b, c, alpha, u_kind)
+    lo = GAP_MIN_LOG_X
+    second = lo ** (1.0 - b - alpha)
+    base = (2.0 / math.log(2.0) + I1_CEIL + I2_CEIL) * lo ** (1.0 - b) / (a1 * math.exp(lo))
+    a2s = [a1 * (1.0 + second + base * r) for r in readings]
+    if len({round(a2, digits) for a2 in a2s}) > 1:
+        raise CertificationError("third-term readings disagree at the printed precision")
+    a2 = max(a2s)
+    return PiConstants(
+        A2_unrounded=a2, A2=_round_up(a2, digits),
+        A1=a1, B=b, C=c, alpha=alpha, u_kind=u_kind,
+        # the closed-form integral of 1/(8 pi sqrt t) over [599, exp(58)]
+        i2_used=I2_CEIL, i2_recomputed=(math.exp(29.0) - math.sqrt(599.0)) / (4.0 * math.pi),
+    )
 
 
 def pi_constants_classical() -> PiConstants:
-    """Constants for the all-x pi bound built on the first theta row.
+    """The all-x pi bound on the first theta row: A1 = 9.40, B = 1.515, C = 0.8274.
 
-    Uses the fixed inputs A1 = 9.40, B = 1.515, C = 0.8274 with
-    alpha = 0.45.  The loose I2 ceiling enters the assembled constant;
-    the recomputed integral is reported alongside it.
+    alpha = 0.45; the one reading is e^(C sqrt 58).  h(58) = 4.08 and
+    B + alpha = 1.965.
     """
     a1, b, c, alpha = 9.40, 1.515, 0.8274, 0.45
-    _check_h_condition(b, c, alpha, "sqrt_log")
-    x0_log = GAP_MIN_LOG_X
-    third = _CONST_PIECES * x0_log ** (1.0 - b) * math.exp(c * math.sqrt(x0_log) - x0_log) / a1
-    a2 = a1 * (1.0 + x0_log ** (1.0 - b - alpha) + third)
-    return PiConstants(
-        A2_unrounded=a2, A2=_round_up(a2, 2),
-        A1=a1, B=b, C=c, alpha=alpha, u_kind="sqrt_log",
-        i2_used=I2_CEIL, i2_recomputed=_recompute_i2(),
-    )
+    return _pi_constants(a1, b, c, alpha, "sqrt_log", 2, (math.exp(c * math.sqrt(GAP_MIN_LOG_X)),))
 
 
 def pi_constants_vk() -> PiConstants:
-    """Constants for the VK-shape pi bound (inputs A1=0.027, B=1.801, C=0.1853).
+    """The VK-shape pi bound: A1 = 0.027, B = 1.801, C = 0.1853, alpha = 0.19.
 
-    The derivative of the decay argument has a log^(2/5) t denominator;
-    with it, t u'(t) at exp(58) is about 0.082 and the full condition on
-    h' still holds with margin about 1.  (Swapping the exponent to 5/2
-    reproduces the much smaller 1.63e-5 ceiling sometimes quoted for
-    this step; both the condition and the assembled constant are
-    insensitive to which one is used.)
+    The third term is read as u(x0)^C and as e^(C u(x0)).  With u' from r(x)
+    (a log^(2/5) denominator), h(58) = 1.01 and B + alpha = 1.991.  An
+    exponent of 5/2 there gives the 1.63e-5 ceiling sometimes quoted.
     """
     a1, b, c, alpha = 0.027, 1.801, 0.1853, 0.19
-    _check_h_condition(b, c, alpha, "vk_r")
-    x0_log = GAP_MIN_LOG_X
-    u0 = vk_decay_arg(x0_log)
-    x0 = math.exp(x0_log)
-    base = _CONST_PIECES * x0_log ** (1.0 - b) / (a1 * x0)
-    third_pow = base * u0**c          # (u(x0))^C reading
-    third_exp = base * math.exp(c * u0)
-    a2_pow = a1 * (1.0 + x0_log ** (1.0 - b - alpha) + third_pow)
-    a2_exp = a1 * (1.0 + x0_log ** (1.0 - b - alpha) + third_exp)
-    if round(a2_pow, 3) != round(a2_exp, 3):
-        raise CertificationError("third-term readings disagree at the printed precision")
-    a2 = max(a2_pow, a2_exp)
-    return PiConstants(
-        A2_unrounded=a2, A2=_round_up(a2, 3),
-        A1=a1, B=b, C=c, alpha=alpha, u_kind="vk_r",
-        i2_used=I2_CEIL, i2_recomputed=_recompute_i2(),
-    )
+    u0 = vk_decay_arg(GAP_MIN_LOG_X)
+    return _pi_constants(a1, b, c, alpha, "vk_r", 3, (u0**c, math.exp(c * u0)))

@@ -130,8 +130,8 @@ def li(x: float) -> float:
     and is summed until the terms fall below double precision; it agrees
     with an arbitrary-precision li to within 1e-14 relative on [2, 2e9].
     """
-    if x < 2.0:
-        raise ValueError(f"li requires x >= 2, got {x}")
+    if not 2.0 <= x < math.inf:  # NaN and inf fail too; the series would never end
+        raise ValueError(f"li requires finite x >= 2, got {x}")
     lx = math.log(x)
     total, inner, n = 0.0, 0.0, 0
     term = -2.0  # (-1)^(n-1) (ln x)^n / (n! 2^(n-1)) = -2 (-ln x / 2)^n / n!

@@ -78,6 +78,8 @@ class Crossover:
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    if not 0.0 < tol < math.inf:  # a NaN or inf tol would skip the refinement
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -85,8 +87,7 @@ def _bisect(f: Callable[[float], float], a: float, b: float, tol: float) -> floa
         return b
     if fa * fb > 0.0:
         raise ConsistencyError(f"no sign change on [{a}, {b}]: f(a)={fa:g}, f(b)={fb:g}")
-    while b - a > tol:
-        m = 0.5 * (a + b)
+    while b - a > tol and a < (m := 0.5 * (a + b)) < b:  # a tol below float spacing ends here
         fm = f(m)
         if fm == 0.0:
             return m

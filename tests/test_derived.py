@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pntbounds import derived
 from pntbounds.derived import (
@@ -37,11 +41,15 @@ def test_theta_constants_vk(vk_row):
 
 
 def test_theta_constants_refuse_uncertified(default_rows):
-    import dataclasses
-
     broken = dataclasses.replace(default_rows[0], monotone_certified=False)
     with pytest.raises(CertificationError):
         theta_constants(broken)
+
+
+@pytest.mark.parametrize("extra", [math.nan, math.inf, -math.inf, 0.0, -0.01])
+def test_theta_constants_refuse_bad_extra(default_rows, extra):
+    with pytest.raises(ValueError, match="extra must be finite and > 0"):
+        theta_constants(default_rows[0], extra=extra)
 
 
 def test_pi_classical_constants():
@@ -143,3 +151,95 @@ def test_pi_envelope_passes_small_range_and_medium_bridge(sieve_small):
 def test_derived_helpers_reexported():
     assert derived.I1_CEIL == 5.43
     assert derived.I2_CEIL == 7.87e12
+
+
+def test_pi_constants_pinned_bit_for_bit():
+    want = {
+        pi_constants_classical: dict(
+            A2_unrounded="0x1.32c7378dd7b45p+3", A2="0x1.32e147ae147aep+3",
+            A1="0x1.2cccccccccccdp+3", B="0x1.83d70a3d70a3dp+0", C="0x1.a7a0f9096bb99p-1",
+            alpha="0x1.ccccccccccccdp-2", u_kind="sqrt_log",
+            i2_used="0x1.ca18237b00000p+42", i2_recomputed="0x1.235c36b67a8ffp+38"),
+        pi_constants_vk: dict(
+            A2_unrounded="0x1.c24766c97127cp-6", A2="0x1.cac083126e979p-6",
+            A1="0x1.ba5e353f7ced9p-6", B="0x1.cd0e560418937p+0", C="0x1.7b7e90ff97247p-3",
+            alpha="0x1.851eb851eb852p-3", u_kind="vk_r",
+            i2_used="0x1.ca18237b00000p+42", i2_recomputed="0x1.235c36b67a8ffp+38"),
+    }
+    for build, fields in want.items():
+        got = {k: v.hex() if isinstance(v, float) else v
+               for k, v in dataclasses.asdict(build()).items()}
+        assert got == fields
+
+
+_H_GRID = np.geomspace(58.0, 1e8, 20001)
+
+
+def _h_on_grid(B, C, alpha, u_kind):
+    """Test-side oracle: h(L) = L - alpha - C L u'(L) - L^(B+alpha-1) on a dense log grid."""
+    L = _H_GRID
+    ll = np.log(L)
+    if u_kind == "sqrt_log":
+        up = 1.0 / (2.0 * np.sqrt(L))
+    else:
+        up = (3.0 * ll - 1.0) / (5.0 * L**0.4 * ll**1.2)
+    return L - alpha - C * L * up - L ** (B + alpha - 1.0)
+
+
+def _h_proved(B, C, alpha, u_kind):
+    try:
+        derived._check_h_condition(B, C, alpha, u_kind)
+    except CertificationError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(1.0, 2.5), st.floats(0.0, 3.0), st.floats(0.0, 1.0),
+       st.sampled_from(["sqrt_log", "vk_r"]))
+def test_h_condition_closed_form_never_beats_dense_grid(B, C, alpha, u_kind):
+    h = _h_on_grid(B, C, alpha, u_kind)
+    if _h_proved(B, C, alpha, u_kind):
+        assert h.min() >= 0.0
+    elif B + alpha <= 2.0:
+        # inside its premises the closed form refuses only a failing left end
+        assert h[0] < 1e-12
+
+
+@pytest.mark.parametrize("which", range(3))
+def test_h_condition_refuses_nan(which):
+    args = [1.515, 0.8274, 0.45]
+    args[which] = math.nan
+    with pytest.raises(CertificationError):
+        derived._check_h_condition(*args, "sqrt_log")
+
+
+@pytest.mark.parametrize("delta, proved", [(-1e-3, False), (5e-13, False), (1e-3, True)])
+def test_h_condition_decided_at_58(delta, proved):
+    # C puts h(58) just below 0, inside the 1e-12 float allowance, or above it;
+    # h(59) is about 0.5 in every case
+    C = 2.0 * (57.0 - delta) / math.sqrt(58.0)
+    h = _h_on_grid(1.0, C, 0.0, "sqrt_log")
+    assert h[0] == pytest.approx(delta, abs=1e-9)
+    assert _h_proved(1.0, C, 0.0, "sqrt_log") is proved
+
+
+def test_h_condition_names_each_premise():
+    for args, premise in [((2.5, 0.0, 0.0, "sqrt_log"), "B + alpha <= 2"),
+                          ((1.515, -0.1, 0.45, "sqrt_log"), "C >= 0"),
+                          ((1.515, 0.8274, -0.1, "sqrt_log"), "alpha >= 0"),
+                          ((1.515, 0.8274, 0.45, "sqrt"), "u' nonincreasing")]:
+        with pytest.raises(CertificationError, match=re.escape(premise)):
+            derived._check_h_condition(*args)
+
+
+def test_h_condition_alpha_premise_is_load_bearing():
+    # alpha < 0 with h(58) > 0: h = 4 - sqrt(L)/2 turns negative at L = 64
+    h = _h_on_grid(6.0, 1.0, -4.0, "sqrt_log")
+    assert h[0] > 0.0 > h.min()
+    assert not _h_proved(6.0, 1.0, -4.0, "sqrt_log")
+
+
+def test_pi_builder_refuses_disagreeing_readings():
+    with pytest.raises(CertificationError, match="readings disagree"):
+        derived._pi_constants(0.027, 1.801, 0.1853, 0.19, "vk_r", 3, (1.0, 1e12))

@@ -121,6 +121,13 @@ def test_li_domain():
         li(1.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_li_refuses_non_finite(x):
+    # for NaN or inf the series would never end
+    with pytest.raises(ValueError, match="li requires finite x >= 2"):
+        li(x)
+
+
 def test_integral_i1(sieve_small):
     v64 = integral_I1(sieve_small, intervals_per_segment=64)
     v128 = integral_I1(sieve_small, intervals_per_segment=128)

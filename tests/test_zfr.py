@@ -116,6 +116,19 @@ def test_bisect_requires_sign_change():
         _bisect(lambda y: 1.0, 1.0, 2.0, tol=1e-6)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3])
+def test_bisect_refuses_bad_tol(tol):
+    # a NaN or inf tol would return the bracket midpoints 125 and 55000 unrefined
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        envelope_crossovers(tol=tol)
+
+
+def test_bisect_stops_at_float_resolution():
+    # a tol below the spacing of floats near the root ends at adjacent floats
+    root = _bisect(lambda y: y * y - 2.0, 1.0, 2.0, tol=1e-30)
+    assert root == pytest.approx(math.sqrt(2.0), abs=4e-16)
+
+
 def test_limiting_constants():
     lims = limiting_constants()
     assert lims["C1_limit"] == pytest.approx(2.0 / math.sqrt(R0), rel=1e-15)
