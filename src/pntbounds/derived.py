@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .engine import _COVERAGE_TOL, BoundConstants, CertificationError, _round_up
-from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg
+from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime_falls
 
 __all__ = [
     "GAP_A1",
@@ -84,17 +84,17 @@ def _check_h_condition(B: float, C: float, alpha: float, u_kind: DecayKind) -> N
     L = log t and u' = du/dL.  h(L)/L = 1 - alpha/L - C u'(L) - L^(B+alpha-2),
     and each subtracted term is nonincreasing on [58, inf) when
     alpha >= 0, C >= 0, B + alpha <= 2 and u' is nonincreasing there.  u' is
-    1/(2 sqrt L) for "sqrt_log"; for "vk_r" its log derivative is negative
-    once log L > 0.92.  Then h/L is nondecreasing, so h(58) >= 0 proves
-    h >= 0 on [58, inf).  The computed h(58) must clear ``_COVERAGE_TOL``
+    1/(2 sqrt L) for "sqrt_log"; for "vk_r" it falls exactly when log L > (sqrt(145) - 1)/12
+    = 0.920133... (``vk_decay_arg_prime_falls``).  Then h/L is nondecreasing, so h(58) >= 0
+    proves h >= 0 on [58, inf).  The computed h(58) must clear ``_COVERAGE_TOL``
     (1e-12), far above its float error, so it also refuses a B + alpha just
     above 2 whose float sum rounds to 2.  Every comparison fails on NaN.
     """
     lo = GAP_MIN_LOG_X
-    h0 = lo - alpha - C * lo * decay_arg_prime(u_kind, lo) - lo ** (B + alpha - 1.0)
-    vk_ok = u_kind == "vk_r" and math.log(lo) > 0.92
+    u_ok = u_kind == "sqrt_log" or (u_kind == "vk_r" and vk_decay_arg_prime_falls(lo))
+    h0 = lo - alpha - C * lo * decay_arg_prime(u_kind, lo) - lo ** (B + alpha - 1.0) if u_ok else math.nan
     premises = {"alpha >= 0": alpha >= 0.0, "C >= 0": C >= 0.0, "B + alpha <= 2": B + alpha <= 2.0,
-                "u' nonincreasing": u_kind == "sqrt_log" or vk_ok, "h(58) >= 0": h0 >= _COVERAGE_TOL}
+                "u' nonincreasing": u_ok, "h(58) >= 0": h0 >= _COVERAGE_TOL}
     unproved = [name for name, ok in premises.items() if not ok]
     if unproved:
         raise CertificationError(f"h' condition not proved ({', '.join(unproved)} fails), "

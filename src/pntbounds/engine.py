@@ -15,6 +15,7 @@ monotonicity certificate.  Constants are rounded toward validity
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 from .extnum import EXT_ZERO, ExtReal
 from .regimes import (Bracket, DecayKind, abs_envelope, bracket_nu2, bracket_nu3, decay_arg_prime,
-                      log_envelope, vk_decay_arg, vk_decay_arg_prime)
+                      log_envelope, vk_decay_arg, vk_decay_arg_prime, vk_decay_arg_prime_falls)
 from .zfr import PntBoundsError, R0
 from .zdensity import DensityTable, LOG_RIEMANN_HEIGHT, recip_sum_bounds
 
@@ -107,13 +108,15 @@ class EnvelopeTerm(NamedTuple):
 
 
 def _log_sum(terms: Sequence[EnvelopeTerm], u):
-    """ln of the terms' sum at u, term by term in order: as ExtReals (numpy's ``logaddexp``
-    formula) for floats, by numpy lane by lane when u or a term field is an ndarray."""
+    """ln of the terms' sum at u, term by term in order (a stacked term row by row): as ExtReals
+    (numpy's ``logaddexp`` formula) for floats, by numpy lane by lane when u or a field is an ndarray."""
     logs = [t.log_eval(u) for t in terms]
     if all(isinstance(v, float) for v in logs):
         return float(sum(map(ExtReal, logs), EXT_ZERO).log_value)
     import numpy as np
-    return np.logaddexp.reduce(np.broadcast_arrays(*logs), axis=0)
+    rows = [np.atleast_2d(v) for v in logs]
+    lanes = max(r.shape[1] for r in rows)
+    return np.logaddexp.reduce(np.concatenate([np.broadcast_to(r, (len(r), lanes)) for r in rows]), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +174,8 @@ _U_KIND: dict[str, DecayKind] = {"medium": "sqrt_log", "large": "sqrt_log", "vk"
 @dataclass(frozen=True)
 class BoundConstants:
     """A certified constant set: |psi(x) - x| <= A x (log x)^B e^{-C u(x)}
-    and |psi(x) - x| <= eps0 * x, for all log x >= X."""
+    and |psi(x) - x| <= eps0 * x, for all log x >= X.  ``raw_terms`` is rebuilt on
+    each read from ``table``, the density table certified against (shared, not copied)."""
 
     label: str
     regime: Literal["medium", "large", "vk"]
@@ -190,11 +194,16 @@ class BoundConstants:
     monotone_certified: bool
     log_A_unrounded: float
     bracket: Bracket | None = None        # large/vk only
-    raw_terms: tuple[EnvelopeTerm, ...] = field(default=(), repr=False, compare=False)
+    table: DensityTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def u_kind(self) -> DecayKind:
         return _U_KIND[self.regime]
+
+    @property
+    def raw_terms(self) -> tuple[EnvelopeTerm, ...]:
+        """The summands the envelope was certified from (none for VK), by the regime's float fit."""
+        return _FITS[self.regime](self.anchor, self.sigma, self.K, self.table)[1]().raw_terms
 
     def log_rel_envelope(self, log_x: float, rounded: bool = True) -> float:
         """ln of the relative envelope A (log x)^B e^{-C u(x)}."""
@@ -231,7 +240,7 @@ class BoundConstants:
 
 def ck(sigma: float, K: int, k: int) -> float:
     """Decay rate of the k-th density term (in sqrt(log x / R0) units); lane by lane for ndarrays."""
-    if isinstance(K, int) and not 0 <= k <= K - 1:
+    if isinstance(K, int) and isinstance(k, int) and not 0 <= k <= K - 1:
         raise ValueError(f"k={k} outside 0..{K - 1}")
     return (K + k) / K + K / (K + k) - (8.0 / 3.0) * (1.0 - sigma) * (1.0 + (k + 1) / K)
 
@@ -282,33 +291,28 @@ class _Envelope(NamedTuple):
     B: float
     C: float
     certify: Callable[[], bool]
-    extras: dict                # regime-specific BoundConstants fields
+    bracket: Bracket | None = None             # large/vk only
+    raw_terms: tuple[EnvelopeTerm, ...] = ()   # the summands before normalization (not VK)
 
 
-# A regime's fit at (log x0, sigma, K): ln of its unrounded envelope at the anchor,
-# the value ``optimize`` ranks by, and a builder of the envelope, called only to emit.
-# An ndarray sigma with an int K, or with an ndarray K aligned with it, gives the
-# value lane by lane for each (sigma, K) pair, each lane equal to that pair's float
-# call bit for bit (only the medium fit reads K); only a float sigma's envelope is built.
+# A regime's fit at (log x0, sigma, K): ln of its unrounded envelope at the anchor, the
+# value ``optimize`` ranks by, and a builder of the envelope (to emit, or rebuild raw terms).
+# An ndarray sigma with an int K, or an aligned ndarray K, gives it lane by lane per (sigma, K)
+# pair from the float call's summand definitions, bit for bit (only the medium fit reads K);
+# only a float sigma's envelope is built.
 _Fit = tuple[float, Callable[[], _Envelope]]
 
 
-def _by_value(fn: Callable, values):
-    """fn at each lane of an ndarray, called once per distinct value (a list-valued fn gives rows)."""
-    import numpy as np
-    distinct, where = np.unique(values, return_inverse=True)
-    return np.array([fn(v) for v in distinct.tolist()])[where].T
-
-
 def _log_2c(sigma, table: DensityTable):
-    """(ln 2 C1, ln 2 C2) at sigma, lane by lane for an ndarray, each by ``math.log``
-    (numpy's log differs from it in the last ulp on some inputs)."""
-    c1, c2 = table.coeffs(sigma)
+    """(ln 2 C1, ln 2 C2) at sigma, each by ``math.log`` (numpy's log differs from it in
+    the last ulp on some inputs); lanes index the rows' logs by ``table.rows_at``."""
     if isinstance(sigma, (int, float)):
+        c1, c2 = table.coeffs(sigma)
         return math.log(2.0 * c1), math.log(2.0 * c2)
     import numpy as np
-    logs = _by_value(lambda c: math.log(2.0 * c), np.concatenate([c1, c2]))
-    return logs[:c1.size], logs[c1.size:]
+    i1, i2 = table.rows_at(sigma)
+    logs = np.array([(math.log(2.0 * r.C1), math.log(2.0 * r.C2)) for r in table.rows])
+    return logs[i1, 0], logs[i2, 1]
 
 
 def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
@@ -337,7 +341,7 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
         B_unrounded=f.B, B=_round_up(f.B, 3),
         C_unrounded=f.C, C=_round_down(f.C, 4),
         eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
-        log_A_unrounded=f.log_a, **f.extras,
+        log_A_unrounded=f.log_a, bracket=f.bracket, table=table,
     )
 
 
@@ -346,24 +350,36 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _log_ratios(K: int, k_max: int) -> tuple[float, ...]:
+    """ln(1 + (k+1)/K) by ``math.log`` for k < k_max, with ln 0 = -inf for k >= K (a lane's padding)."""
+    return tuple(math.log(1.0 + (k + 1) / K) if k < K else -math.inf for k in range(k_max))
+
+
 def _medium_raw_terms(sigma: float, K: int, table: DensityTable) -> dict[str, list[EnvelopeTerm]]:
     """Raw s1/s2/s3 summands as functions of u = sqrt(log x / R0).
 
-    An ndarray K pads each lane's s2 to the largest K with ln 0 = -inf terms,
-    which numpy's logaddexp adds exactly, so a lane sums its float call's terms.
+    s2 runs a_0 b_0 a_1 b_1 ...; for lanes it is one term padded to the largest K with
+    ln 0 = -inf rows, which numpy's logaddexp adds exactly, so a lane sums its float call's terms.
     """
     log_2c1, log_2c2 = _log_2c(sigma, table)
     p = 5.0 - 2.0 * sigma
-    k_max = K if isinstance(K, int) else int(K.max())
 
-    def log_ratios(j: int) -> list[float]:
-        return [math.log(1.0 + (k + 1) / j) if k < j else -math.inf for k in range(k_max)]
+    def s2(k, lr):  # (coeff_log, power, decay) of a_k and b_k, lr = ln(1 + (k+1)/K)
+        return (log_2c1 + p * lr, p, ck(sigma, K, k)), (log_2c2 + 2.0 * lr, 2.0, (K + k) / K + K / (K + k))
 
-    s2: list[EnvelopeTerm] = []
-    for k, log_ratio in enumerate(log_ratios(K) if isinstance(K, int) else _by_value(log_ratios, K)):
-        dk = (K + k) / K + K / (K + k)
-        s2.append(EnvelopeTerm(log_2c1 + p * log_ratio, p, ck(sigma, K, k)))
-        s2.append(EnvelopeTerm(log_2c2 + 2.0 * log_ratio, 2.0, dk))
+    if isinstance(sigma, (int, float)):
+        s2_terms = [EnvelopeTerm(*f) for k, lr in enumerate(_log_ratios(K, K)) for f in s2(k, lr)]
+    else:  # the fields of a_k and b_k are (k, lane) arrays, interleaved into (2 k_max, lane)
+        import numpy as np
+        k_max = int(np.max(K))
+        lr = np.array([_log_ratios(j, k_max) for j in range(k_max + 1)]).T[:, np.reshape(K, -1)]
+        K = np.asarray(K, dtype=float)  # s2 reads it; float ops are exact on these small integers
+        a, b = s2(np.arange(k_max, dtype=float)[:, None], lr)
+        fields = np.empty((3, k_max, 2, sigma.size))  # field, k, (a_k, b_k), lane
+        for i in range(3):
+            fields[i, :, 0], fields[i, :, 1] = a[i], b[i]
+        s2_terms = [EnvelopeTerm(*fields.reshape(3, 2 * k_max, -1))]
     s1 = [
         EnvelopeTerm(math.log(_CH), 0.0, 0.0, quad=R0 / 2.0),
         EnvelopeTerm(0.0, 0.0, 0.0, quad=(1.0 - sigma) * R0,
@@ -371,7 +387,7 @@ def _medium_raw_terms(sigma: float, K: int, table: DensityTable) -> dict[str, li
                            _LOG_2PI**2 / (2.0 * math.pi) - _CH + _RECIP2)),
     ]
     s3 = [EnvelopeTerm(math.log(RVM_COEF) + RVM_LOG_POW * math.log(R0), 1.2, 2.0)]
-    return {"s1": s1, "s2": s2, "s3": s3}
+    return {"s1": s1, "s2": s2_terms, "s3": s3}
 
 
 def medium_terms(log_x: float, sigma: float, K: int, table: DensityTable) -> dict[str, ExtReal]:
@@ -403,7 +419,7 @@ def _medium_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fi
         cp = cprime(sigma, K)
         norm = [t.shifted(-p, -cp) for t in raw]
         return _Envelope(_log_sum(norm, u0) - p / 2.0 * math.log(R0), p / 2.0, cp / math.sqrt(R0),
-                         lambda: certify_monotone(norm, u0), dict(raw_terms=tuple(raw)))
+                         lambda: certify_monotone(norm, u0), raw_terms=tuple(raw))
 
     return _log_sum(raw, u0), envelope
 
@@ -453,7 +469,7 @@ def _large_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit
 
     def envelope() -> _Envelope:
         return _Envelope(log_a, p / 2.0, c, lambda: certify_monotone(norm, v0),
-                         dict(bracket=br, raw_terms=tuple(t.shifted(p, c) for t in norm)))
+                         br, tuple(t.shifted(p, c) for t in norm))
 
     return log_a + p * math.log(v0) - c * v0, envelope
 
@@ -501,15 +517,15 @@ def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> di
 def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
     """Closed-form decrease checks for the VK normalized sum.
 
-    Uses that w'(log x) is decreasing for log x >= 3 (its log derivative
-    is negative once loglog x > 0.92), so each derivative condition only
-    needs checking at the anchor.
+    Uses that w' = r'(log x) decreases from the anchor on (exactly when loglog x
+    > (sqrt(145) - 1)/12 = 0.920133..., ``vk_decay_arg_prime_falls``), so each
+    derivative condition only needs checking at the anchor.
     """
     c = br.B2 * (8.0 * sigma - 5.0) / 3.0
     w0 = vk_decay_arg(log_x0)
     wp0 = vk_decay_arg_prime(log_x0)
     ll0 = math.log(log_x0)
-    if math.log(ll0) <= 0.92:
+    if not vk_decay_arg_prime_falls(log_x0):
         return False
     if c >= br.B2:                                   # density C2 term
         return False
@@ -546,7 +562,7 @@ def _vk_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
         log_a = (log_total - p * math.log(br.B2 * w0) + c_exact * w0
                  + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
         return _Envelope(log_a, 3.0 * p / 5.0, c_exact,
-                         lambda: _certify_vk_monotone(log_x0, sigma, br), dict(bracket=br))
+                         lambda: _certify_vk_monotone(log_x0, sigma, br), br)
 
     return log_total, envelope
 
@@ -638,7 +654,8 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     interpolation rule applies there).  One lockstep runs every search;
     its lanes are the (K, cell) pairs.  Each step makes one fit call for
     the two probes of every lane still wider than 1e-6, and a last call
-    ranks the grid points and the midpoints for every K at once.  A fit's
+    ranks the grid points and the midpoints for every K at once.  The
+    medium fit sums all its lanes as one term x lane matrix.  A fit's
     lanes equal its float calls bit for bit, so the picks are those of
     searching each (K, cell) on its own.  Ties break deterministically
     toward smaller sigma, then smaller K.  The first candidate that

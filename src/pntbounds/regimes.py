@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Literal, NoReturn
 
 from . import zfr
 from .zdensity import LOG_RIEMANN_HEIGHT
@@ -32,6 +32,7 @@ __all__ = [
     "log_envelope",
     "vk_decay_arg",
     "vk_decay_arg_prime",
+    "vk_decay_arg_prime_falls",
     "ConvergenceError",
 ]
 
@@ -69,14 +70,28 @@ def vk_decay_arg_prime(log_x: float) -> float:
     return (3.0 * ll - 1.0) / (5.0 * log_x**0.4 * ll**1.2)
 
 
+def vk_decay_arg_prime_falls(log_x: float) -> bool:
+    """r' decreases on [log x, inf): its log derivative is negative exactly when y = loglog x >
+    (sqrt(145) - 1)/12 = 0.920133..., the root of 6y^2 + y - 6; 0.9202 clears y's float error."""
+    return math.log(log_x) > 0.9202
+
+
+def _unknown(kind: str) -> NoReturn:
+    raise ValueError(f"unknown decay kind {kind!r}, expected 'sqrt_log' or 'vk_r'")
+
+
 def decay_arg(kind: DecayKind, log_x: float) -> float:
     """u(log x): sqrt(log x) for "sqrt_log" (classical and Ford), r(x) for "vk_r"."""
-    return math.sqrt(log_x) if kind == "sqrt_log" else vk_decay_arg(log_x)
+    if kind == "sqrt_log":
+        return math.sqrt(log_x)
+    return vk_decay_arg(log_x) if kind == "vk_r" else _unknown(kind)
 
 
 def decay_arg_prime(kind: DecayKind, log_x: float) -> float:
     """du/d(log x).  For both kinds log x * u' increases in log x > 1."""
-    return 1.0 / (2.0 * math.sqrt(log_x)) if kind == "sqrt_log" else vk_decay_arg_prime(log_x)
+    if kind == "sqrt_log":
+        return 1.0 / (2.0 * math.sqrt(log_x))
+    return vk_decay_arg_prime(log_x) if kind == "vk_r" else _unknown(kind)
 
 
 def log_envelope(kind: DecayKind, log_a: float, B: float, C: float, log_x: float) -> float:
@@ -86,6 +101,8 @@ def log_envelope(kind: DecayKind, log_a: float, B: float, C: float, log_x: float
 
 def abs_envelope(kind: DecayKind, A: float, B: float, C: float) -> Callable[[float], float]:
     """x -> A x (log x)^B e^{-C u(log x)}, the envelope of an absolute error."""
+    if kind not in ("sqrt_log", "vk_r"):  # refused when built, not at the first call
+        _unknown(kind)
     log_a = math.log(A)
     return lambda x: math.exp(log_envelope(kind, log_a, B, C, math.log(x))) * x
 

@@ -61,7 +61,15 @@ class DensityTable:
         return [r.sigma for r in self.rows]
 
     def coeffs(self, sigma):
-        """(C1, C2) at a float sigma, or lane by lane for a 1-D ndarray sigma.
+        """(C1, C2) from the rows ``rows_at`` picks, lane by lane for a 1-D ndarray sigma."""
+        i1, i2 = self.rows_at(sigma)
+        if isinstance(sigma, (int, float)):
+            return self.rows[i1].C1, self.rows[i2].C2
+        import numpy as np
+        return np.array([r.C1 for r in self.rows])[i1], np.array([r.C2 for r in self.rows])[i2]
+
+    def rows_at(self, sigma):
+        """Indices of the rows giving (C1, C2) at sigma, lane by lane for a 1-D ndarray.
 
         A sigma within 1e-12 of a grid point takes that row; any other
         takes C1 from the row above and C2 from the row below, the
@@ -70,25 +78,21 @@ class DensityTable:
         """
         grid = self.sigma_grid
         if isinstance(sigma, (int, float)):
-            return self._coeffs_at(sigma, grid)
+            if not grid[0] <= sigma <= grid[-1]:  # a row at or above, and one at or below
+                raise ValueError(f"sigma={sigma} outside table range [{grid[0]}, {grid[-1]}]")
+            i = min(max(round((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1)
+            if abs(grid[i] - sigma) < 1e-12:
+                return i, i
+            hi = bisect.bisect_left(grid, sigma)
+            return hi, hi - 1
         import numpy as np
         g = np.array(grid)
         for s in sigma[~((g[0] <= sigma) & (sigma <= g[-1]))][:1].tolist():
-            self._coeffs_at(s, grid)  # raises the float call's error
-        c1, c2 = np.array([(r.C1, r.C2) for r in self.rows]).T
+            self.rows_at(s)  # raises the float call's error
         i = np.minimum(np.maximum(np.rint((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1).astype(int)
         on = np.abs(g[i] - sigma) < 1e-12
         hi = np.searchsorted(g, sigma, side="left")
-        return np.where(on, c1[i], c1[hi]), np.where(on, c2[i], c2[hi - 1])
-
-    def _coeffs_at(self, sigma: float, grid: list[float]) -> tuple[float, float]:
-        if not grid[0] <= sigma <= grid[-1]:  # a row at or above, and one at or below
-            raise ValueError(f"sigma={sigma} outside table range [{grid[0]}, {grid[-1]}]")
-        i = min(max(round((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1)
-        if abs(grid[i] - sigma) < 1e-12:
-            return self.rows[i].C1, self.rows[i].C2
-        hi = bisect.bisect_left(grid, sigma)
-        return self.rows[hi].C1, self.rows[hi - 1].C2
+        return np.where(on, i, hi), np.where(on, i, hi - 1)
 
 
 def load_table(path: str | Path | None = None) -> DensityTable:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import warnings
@@ -456,6 +457,81 @@ def test_neg_inf_padding_leaves_the_lane_sum_exact(values, lead):
     with np.errstate(over="ignore"):
         got = float(np.logaddexp.reduce(np.array(padded)))
     assert got.hex() == engine._log_sum(terms, 1.0).hex()
+
+
+_SIGMA_ANYWHERE = st.one_of(st.integers(0, 20), st.floats(0.98, 1.0))  # a grid row's sigma, or any
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.floats(2488.0, 1e6),
+       st.lists(st.tuples(_SIGMA_ANYWHERE, st.integers(1, 10)), min_size=1, max_size=16))
+def test_medium_lanes_equal_their_float_calls_by_hex(density_table, log_x0, lanes):
+    # the lanes sum one (term, lane) matrix, each padded to the largest K; the
+    # float call sums its own 2K + 3 terms as ExtReals
+    grid = density_table.sigma_grid
+    sigmas = [grid[s] if isinstance(s, int) else s for s, _ in lanes]
+    Ks = [K for _, K in lanes]
+    got = engine._medium_fit(log_x0, np.array(sigmas), np.array(Ks), density_table)[0]
+    want = [engine._medium_fit(log_x0, s, K, density_table)[0] for s, K in zip(sigmas, Ks)]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("K", [1, 4, 10, "mixed"])
+def test_a_medium_lane_fit_builds_at_most_five_terms(density_table, monkeypatch, K):
+    # a speed guard that holds on any host: a lane fit's s2 is one stacked term, so
+    # it builds s1 (2 terms), s2 (1) and s3 (1) whatever K is; a float fit builds 2K + 3
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return EnvelopeTerm(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "EnvelopeTerm", counting)
+    sigmas = np.array(_sigma_probes(density_table))
+    Ks = np.array([1 + i % 10 for i in range(sigmas.size)]) if K == "mixed" else K
+    engine._medium_fit(5000.0, sigmas, Ks, density_table)
+    assert 0 < len(built) <= 5
+    if K != "mixed":
+        built.clear()
+        engine._medium_fit(5000.0, 0.99, K, density_table)
+        assert len(built) == 2 * K + 3
+
+
+# sha256 over the 15 default rows' raw terms, as "label:<field hexes>;poly?" lines,
+# taken when every row stored its terms; the rebuilt terms must match bit for bit
+_RAW_TERMS_SHA256 = "3b51fed49ab2d36b7d6874df1622de2137563729a376deee6897ad624e6208b2"
+
+
+def test_rows_store_no_terms_and_rebuild_them_bit_for_bit(default_rows, vk_row, density_table):
+    names = [f.name for f in dataclasses.fields(engine.BoundConstants)]
+    assert "raw_terms" not in names
+    for row in [*default_rows, vk_row]:
+        assert row.table is density_table  # shared, not copied
+        for name in names:
+            value = getattr(row, name)
+            assert not (isinstance(value, tuple) and any(isinstance(t, EnvelopeTerm) for t in value)), name
+    assert vk_row.raw_terms == ()
+    assert len(default_rows) == 15
+    digest = hashlib.sha256()
+    for row in default_rows:
+        assert row.raw_terms
+        for t in row.raw_terms:
+            fields = ",".join(float(v).hex() for v in (t.coeff_log, t.power, t.decay, t.quad, *(t.poly or ())))
+            digest.update(f"{row.label}:{fields};{'poly' if t.poly else ''}\n".encode())
+    assert digest.hexdigest() == _RAW_TERMS_SHA256
+
+
+def test_vk_certificate_and_h_condition_read_the_one_vk_premise(monkeypatch):
+    from pntbounds import derived
+
+    br = bracket_nu3()
+    assert engine._certify_vk_monotone(2.8e10, 0.9999932, br)
+    derived.pi_constants_vk()
+    monkeypatch.setattr(engine, "vk_decay_arg_prime_falls", lambda log_x: False)
+    monkeypatch.setattr(derived, "vk_decay_arg_prime_falls", lambda log_x: False)
+    assert not engine._certify_vk_monotone(2.8e10, 0.9999932, br)
+    with pytest.raises(CertificationError, match="u' nonincreasing"):
+        derived.pi_constants_vk()
 
 
 def test_fit_lanes_take_math_log_of_the_coefficients(density_table):

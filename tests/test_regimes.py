@@ -12,6 +12,7 @@ from pntbounds.regimes import (
     log_envelope,
     verify_unimodal,
     vk_decay_arg,
+    vk_decay_arg_prime_falls,
 )
 from pntbounds.zdensity import LOG_RIEMANN_HEIGHT
 from pntbounds.zfr import D_FORD, R1_FORD, nu2, nu3
@@ -148,3 +149,43 @@ def test_log_and_abs_envelope(kind):
         want = a * x * lx**b * math.exp(-c * decay_arg(kind, lx))
         assert log_envelope(kind, math.log(a), b, c, lx) == pytest.approx(math.log(want / x), rel=1e-14)
         assert abs_envelope(kind, a, b, c)(x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("call", [
+    lambda kind: decay_arg(kind, 100.0),
+    lambda kind: decay_arg_prime(kind, 100.0),
+    lambda kind: log_envelope(kind, 0.0, 1.0, 1.0, 100.0),
+    lambda kind: abs_envelope(kind, 1.0, 1.0, 1.0),  # refused when built, before any call
+])
+@pytest.mark.parametrize("kind", ["sqrt", "typo", "", "SQRT_LOG"])
+def test_unknown_decay_kinds_are_refused(call, kind):
+    # an unknown kind once fell through to the VK branch: decay_arg("sqrt", 100) gave 11.68
+    with pytest.raises(ValueError, match=f"unknown decay kind {kind!r}"):
+        call(kind)
+
+
+def test_vk_prime_premise_sits_above_the_exact_root():
+    # w' = r'(L), L = log x: its log derivative is negative exactly when
+    # y = log L > (sqrt(145) - 1)/12, the root of 6y^2 + y - 6
+    mpmath = pytest.importorskip("mpmath")
+
+    def log_r_prime(L):
+        ll = mpmath.log(L)
+        return mpmath.log((3 * ll - 1) / (5 * L ** mpmath.mpf("0.4") * ll ** mpmath.mpf("1.2")))
+
+    def log_derivative(y):  # d/dL ln r'(L) at L = e^y
+        return mpmath.diff(log_r_prime, mpmath.exp(y))
+
+    with mpmath.workdps(40):
+        root = (mpmath.sqrt(145) - 1) / 12
+        assert abs(6 * root**2 + root - 6) < mpmath.mpf(10) ** -35
+        assert float(root) == pytest.approx(0.920133, abs=1e-6)
+        assert log_derivative(root - mpmath.mpf("1e-4")) > 0
+        assert log_derivative(root + mpmath.mpf("1e-4")) < 0
+        assert log_derivative(mpmath.mpf("0.92")) > 0  # a bar at 0.92 would be unsound
+    assert not vk_decay_arg_prime_falls(math.exp(0.92))
+    assert not vk_decay_arg_prime_falls(math.exp(0.9201))
+    assert vk_decay_arg_prime_falls(math.exp(0.9203))
+    assert not vk_decay_arg_prime_falls(math.nan)
+    # every caller sits far above the bar: the h' check at log x = 58, VK anchors from 2.8e10
+    assert vk_decay_arg_prime_falls(58.0) and vk_decay_arg_prime_falls(2.8e10)
