@@ -111,14 +111,14 @@ def _table1_unused_flag(args: argparse.Namespace) -> str | None:
         return "--rows cannot be combined with --log-x0"
     if args.optimize and (args.sigma, args.K) != (None, None):
         return "--optimize chooses sigma and K and cannot be combined with --sigma or --K"
-    if args.K is not None and args.regime != "medium":
+    if args.K is not None and len(engine.REGIMES[args.regime].Ks) == 1:
         return f"--K applies only to the medium regime, not {args.regime}"
     return None
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
     if args.log_x0 is not None and args.regime in (None, "auto"):
-        args.regime = "medium" if args.log_x0 < 1e5 else "large"
+        args.regime = "large" if args.log_x0 >= engine.REGIMES["large"].min_log_x0 else "medium"
     if reason := _table1_unused_flag(args):
         args.usage_error(reason)
     table = _resolve_table(args)
@@ -127,9 +127,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
         if args.optimize:
             rows = [engine.optimize(args.log_x0, args.regime, table, label=f"{args.log_x0:g}")]
         else:
-            sigma, k = {"medium": (0.99, 4), "large": (0.999, 1), "vk": (0.9999932, 1)}[args.regime]
-            p = engine.RowParams("vk" if args.regime == "vk" else f"{args.log_x0:g}",
-                                 args.log_x0, args.log_x0, args.regime,
+            rec = engine.REGIMES[args.regime]
+            sigma, k = rec.default_sigma_K
+            p = engine.RowParams(rec.label.format(args.log_x0), args.log_x0, args.log_x0, args.regime,
                                  sigma if args.sigma is None else args.sigma,
                                  k if args.K is None else args.K)
             rows = [engine.compute_row(p, table)]
@@ -238,7 +238,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         candidates = [(r.log_rel_envelope(args.log_x), r.label) for r in applicable]
     elif q == "theta":
         for r in applicable:
-            a1 = derived.theta_constants(r, extra=0.001 if r.regime == "vk" else 0.01).A1
+            a1 = derived.theta_constants(r, extra=10.0 ** -engine.REGIMES[r.regime].a_decimals).A1
             val = regimes.log_envelope(r.u_kind, math.log(a1), r.B, r.C, args.log_x)
             candidates.append((val, r.label))
     else:

@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple, Sequence
 
 from .extnum import EXT_ZERO, ExtReal
-from .regimes import (Bracket, DecayKind, abs_envelope, bracket_nu2, bracket_nu3, decay_arg_prime,
-                      log_envelope, vk_decay_arg, vk_decay_arg_prime, vk_decay_arg_prime_falls)
-from .zfr import PntBoundsError, R0
+from .regimes import (MIN_LOG_X0_NU2, MIN_LOG_X0_NU3, Bracket, DecayKind, abs_envelope, bracket_nu2,
+                      bracket_nu3, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime,
+                      vk_decay_arg_prime_falls)
+from .zfr import PntBoundsError, R0, _bisect
 from .zdensity import DensityTable, LOG_RIEMANN_HEIGHT, recip_sum_bounds
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "optimize",
     "regime_compare",
     "RegimeCrossings",
+    "REGIMES",
     "piecewise_coverage",
     "CoverageSegment",
     "CoverageReport",
@@ -55,7 +57,6 @@ __all__ = [
 
 RVM_COEF = 4.3128        # truncation coefficient of the zero-sum formula
 RVM_LOG_POW = 0.6
-MIN_MEDIUM_LOG_X = 2488.0
 _LOG_2PI = math.log(2.0 * math.pi)
 _MAX_LOG_A = math.log(sys.float_info.max / 1e3)  # A and A * 10^3 stay finite floats
 # zeros below the verified height H sit on the critical line; their reciprocal
@@ -167,10 +168,6 @@ def _round_down(v: float, decimals: int) -> float:
     return math.floor(v * 10**decimals + 1e-9) / 10**decimals
 
 
-# the decay argument of each pipeline's envelope
-_U_KIND: dict[str, DecayKind] = {"medium": "sqrt_log", "large": "sqrt_log", "vk": "vk_r"}
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """A certified constant set: |psi(x) - x| <= A x (log x)^B e^{-C u(x)}
@@ -198,12 +195,12 @@ class BoundConstants:
 
     @property
     def u_kind(self) -> DecayKind:
-        return _U_KIND[self.regime]
+        return REGIMES[self.regime].kind
 
     @property
     def raw_terms(self) -> tuple[EnvelopeTerm, ...]:
         """The summands the envelope was certified from (none for VK), by the regime's float fit."""
-        return _FITS[self.regime](self.anchor, self.sigma, self.K, self.table)[1]().raw_terms
+        return REGIMES[self.regime].fit(self.anchor, self.sigma, self.K, self.table)[1]().raw_terms
 
     def log_rel_envelope(self, log_x: float, rounded: bool = True) -> float:
         """ln of the relative envelope A (log x)^B e^{-C u(x)}."""
@@ -319,25 +316,26 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
           table: DensityTable, claim_X: float | None = None, label: str | None = None) -> BoundConstants:
     """The one emission path of the three pipelines.
 
-    Validates sigma, builds the regime's envelope from its fit, refuses it
-    unless its certificate holds, takes eps0 over log x >= the claimed
-    threshold, and rounds toward validity (A and B up, C down).
+    Checks the request and sigma, builds the regime's envelope from its fit,
+    refuses it unless its certificate holds, takes eps0 over log x >= the
+    claimed threshold, and rounds toward validity (A and B up, C down).
     """
+    rec = _check_request(regime, log_x0, claim_X, K)
     if not (0.98 <= sigma < 1.0):
         raise ValueError(f"sigma={sigma} outside [0.98, 1)")
-    f = _FITS[regime](log_x0, sigma, K, table)[1]()
+    f = rec.fit(log_x0, sigma, K, table)[1]()
     if not f.certify():
-        k_note = f", K={K}" if regime == "medium" else ""
+        k_note = f", K={K}" if len(rec.Ks) > 1 else ""
         raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
     if not f.log_a < _MAX_LOG_A:
         raise CertificationError(f"A = e^{f.log_a:g} at log x0 = {log_x0:g} is too large to emit")
     x_claim = log_x0 if claim_X is None else claim_X
-    eps0, max_at = epsilon0_at(f.log_a, f.B, f.C, max(x_claim, math.log(2.0)), _U_KIND[regime])
+    eps0, max_at = epsilon0_at(f.log_a, f.B, f.C, max(x_claim, math.log(2.0)), rec.kind)
     a_unrounded = math.exp(f.log_a)
     return BoundConstants(
-        label=label or f"{log_x0:g}", regime=regime, X=x_claim, anchor=log_x0,
+        label=label or rec.label.format(log_x0), regime=regime, X=x_claim, anchor=log_x0,
         sigma=sigma, K=K,
-        A_unrounded=a_unrounded, A=_round_up(a_unrounded, 3 if regime == "vk" else 2),
+        A_unrounded=a_unrounded, A=_round_up(a_unrounded, rec.a_decimals),
         B_unrounded=f.B, B=_round_up(f.B, 3),
         C_unrounded=f.C, C=_round_down(f.C, 4),
         eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
@@ -424,15 +422,6 @@ def _medium_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fi
     return _log_sum(raw, u0), envelope
 
 
-def _check_request(regime: str, log_x0: float, claim_X: float | None) -> None:
-    """Refuse a medium anchor below 2488, and a large or VK claim other than the
-    anchor (those pipelines emit constants for log x >= log x0 only)."""
-    if regime == "medium" and log_x0 < MIN_MEDIUM_LOG_X:
-        raise ValueError(f"medium pipeline requires log x0 >= {MIN_MEDIUM_LOG_X:g}")
-    if regime != "medium" and claim_X not in (None, log_x0):
-        raise ValueError(f"the {regime} pipeline claims log x >= {log_x0:g}, its anchor, not {claim_X:g}")
-
-
 def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
                  claim_X: float | None = None, label: str | None = None) -> BoundConstants:
     """Constants for the classical-region pipeline, anchored at exp(log_x0).
@@ -441,7 +430,6 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
     C = C'/sqrt(R0) and A = A'(x0)/R0^B, emitted only if the normalized
     sum certifies as nonincreasing.
     """
-    _check_request("medium", log_x0, claim_X)
     return _emit("medium", log_x0, sigma, K, table, claim_X, label)
 
 
@@ -568,7 +556,7 @@ def _vk_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
 
 
 def vk_bound(log_x0: float, sigma: float, table: DensityTable,
-             label: str = "vk") -> BoundConstants:
+             label: str | None = None) -> BoundConstants:
     """Constants from the Vinogradov-Korobov region, anchored at exp(log_x0).
 
     The emitted envelope is A (log x)^B e^{-C r(x)} with B = 3(5-2 sigma)/5:
@@ -579,8 +567,43 @@ def vk_bound(log_x0: float, sigma: float, table: DensityTable,
 
 
 # ---------------------------------------------------------------------------
-# default parameter table and row computation
+# regime records, default parameter table and row computation
 # ---------------------------------------------------------------------------
+
+
+class Regime(NamedTuple):
+    """What a pipeline regime means (its fit, not its public entry, which ``_bound`` calls by name)."""
+
+    kind: DecayKind                       # the envelope's decay argument u
+    fit: Callable[..., _Fit]
+    min_log_x0: float                     # the anchor floor
+    Ks: tuple[int, ...]                   # the K values ``optimize`` searches; one value is the only K
+    free_claim: bool                      # may claim a threshold other than the anchor
+    a_decimals: int                       # A rounds up to this many decimals; theta adds one unit in the last
+    default_sigma_K: tuple[float, int]    # of a ``table1 --log-x0`` row
+    label: str                            # the default row label, formatted with the anchor
+
+
+REGIMES: dict[str, Regime] = {
+    "medium": Regime("sqrt_log", _medium_fit, 2488.0, tuple(range(1, 11)), True, 2, (0.99, 4), "{:g}"),
+    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2, (0.999, 1), "{:g}"),
+    "vk": Regime("vk_r", _vk_fit, MIN_LOG_X0_NU3, (1,), False, 3, (0.9999932, 1), "vk"),
+}
+
+
+def _check_request(regime: str, log_x0: float, claim_X: float | None, K: int | None = None) -> Regime:
+    """The regime's record, for a known regime, an anchor at or above its floor, no claim other
+    than the anchor unless the regime allows one, and no K other than a single-K regime's."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}, expected one of {', '.join(REGIMES)}")
+    rec = REGIMES[regime]
+    if not log_x0 >= rec.min_log_x0:  # a NaN anchor too
+        raise ValueError(f"{regime} pipeline requires log x0 >= {rec.min_log_x0:g}")
+    if not rec.free_claim and claim_X not in (None, log_x0):
+        raise ValueError(f"the {regime} pipeline claims log x >= {log_x0:g}, its anchor, not {claim_X:g}")
+    if K is not None and len(rec.Ks) == 1 and K != rec.Ks[0]:
+        raise ValueError(f"the {regime} pipeline takes K = {rec.Ks[0]}, not {K}")
+    return rec
 
 
 @dataclass(frozen=True)
@@ -614,18 +637,15 @@ DEFAULT_ROW_PARAMS: tuple[RowParams, ...] = (
 VK_DEFAULT_PARAMS = RowParams("vk", 2.8e10, 2.8e10, "vk", 0.9999932, 1)
 
 
-_FITS = {"medium": _medium_fit, "large": _large_fit, "vk": _vk_fit}
-
-
 def _bound(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
            table: DensityTable, claim_X: float | None, label: str | None) -> BoundConstants:
     """The regime dispatch, by the public entries' names (perfbench's tracer rebinds them)."""
-    _check_request(regime, log_x0, claim_X)
+    _check_request(regime, log_x0, claim_X, K)
     if regime == "medium":
         return medium_bound(log_x0, sigma, K, table, claim_X=claim_X, label=label)
     if regime == "large":
         return large_bound(log_x0, sigma, table, label=label)
-    return vk_bound(log_x0, sigma, table, label=label or "vk")
+    return vk_bound(log_x0, sigma, table, label=label)
 
 
 def compute_row(params: RowParams, table: DensityTable) -> BoundConstants:
@@ -663,23 +683,22 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     candidate's reason.
     """
     import numpy as np
-    _check_request(regime, log_x0, claim_X)
-    fit = _FITS[regime]
+    rec = _check_request(regime, log_x0, claim_X)
     cells = np.array(table.sigma_grid)
     grid = cells[cells < 1.0]
-    ks = np.arange(1, 11) if regime == "medium" else np.ones(1, dtype=int)
+    ks = np.array(rec.Ks)
     a = np.tile(cells[:-1] + 1e-9, ks.size)
     b = np.tile(np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9), ks.size)
     lane_K = np.repeat(ks, cells.size - 1)
     while (live := np.flatnonzero(b - a > 1e-6)).size:
         al, bl = a[live], b[live]
         m1, m2 = al + (bl - al) / 3.0, bl - (bl - al) / 3.0
-        v = fit(log_x0, np.concatenate([m1, m2]), np.tile(lane_K[live], 2), table)[0]
+        v = rec.fit(log_x0, np.concatenate([m1, m2]), np.tile(lane_K[live], 2), table)[0]
         left = v[:live.size] <= v[live.size:]
         a[live], b[live] = np.where(left, al, m1), np.where(left, m2, bl)
     sigmas = np.concatenate([np.tile(grid, ks.size), 0.5 * (a + b)])
     Ks = np.concatenate([np.repeat(ks, grid.size), lane_K])
-    candidates = sorted(zip(fit(log_x0, sigmas, Ks, table)[0].tolist(), sigmas.tolist(), Ks.tolist()))
+    candidates = sorted(zip(rec.fit(log_x0, sigmas, Ks, table)[0].tolist(), sigmas.tolist(), Ks.tolist()))
     best_reason = None
     for _value, s, K in candidates:
         try:
@@ -706,37 +725,18 @@ def regime_compare(rows: Sequence[BoundConstants], vk_row: BoundConstants) -> Re
 
     At each log x the sqrt side uses the best applicable row (largest
     threshold not exceeding log x).  Both crossings are bisected inside
-    the fixed brackets [40, 80] and [2e10, 3.4e10]; a missing sign change
-    raises.
+    the fixed brackets [40, 80] and [2e10, 3.4e10] to 1e-9 of the bracket's
+    midpoint; a missing sign change raises ``ConsistencyError``.
     """
 
-    def best_sqrt(log_x: float) -> float:
+    def gap(log_x: float) -> float:
         vals = [r.log_rel_envelope(log_x, rounded=False) for r in rows if r.X <= log_x]
         if not vals:
             raise ValueError(f"no row applicable at log x = {log_x:g}")
-        return min(vals)
+        return min(vals) - vk_row.log_rel_envelope(log_x, rounded=False)
 
-    def gap(log_x: float) -> float:
-        return best_sqrt(log_x) - vk_row.log_rel_envelope(log_x, rounded=False)
-
-    def bisect(a: float, b: float) -> float:
-        fa, fb = gap(a), gap(b)
-        if fa * fb > 0.0:
-            raise CertificationError(f"no envelope crossing in [{a:g}, {b:g}]")
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = gap(m)
-            if fm == 0.0:
-                return m
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-            if (b - a) <= 1e-9 * max(1.0, abs(b)):
-                break
-        return 0.5 * (a + b)
-
-    return RegimeCrossings(lower_log_x=bisect(40.0, 80.0), upper_log_x=bisect(2e10, 3.4e10))
+    return RegimeCrossings(lower_log_x=_bisect(gap, 40.0, 80.0, tol=1e-9 * 60.0),
+                           upper_log_x=_bisect(gap, 2e10, 3.4e10, tol=1e-9 * 2.7e10))
 
 
 # allowance for float error in the coverage closed forms (see piecewise_coverage)

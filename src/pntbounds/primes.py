@@ -9,7 +9,7 @@ left-sided limit.  Between jumps the distance to the main term is
 piecewise monotone, so these points carry the worst margin if the
 envelope's slope also beats the main term's on each gap (bound' >= 1 for
 psi and theta, bound' >= li' for pi).  That condition is not proved yet
-(ROADMAP item 2, third bullet), so a pass is a check at these points, not
+(ROADMAP item 4), so a pass is a check at these points, not
 a proof over the whole range.
 """
 
@@ -208,7 +208,7 @@ def verify_pointwise(
     |f - main| has no interior maximum on a gap.  The margin
     bound - |f - main| has no interior minimum there if, in addition,
     bound' >= 1 (psi, theta) or bound' >= li' (pi) on the gap; that is not
-    proved yet (ROADMAP item 2, third bullet).  ``bound`` (and li) is called
+    proved yet (ROADMAP item 4).  ``bound`` (and li) is called
     once per jump and endpoint, the rest is one numpy pass over the
     points.  A NaN margin fails the check and counts as the worst.
     """

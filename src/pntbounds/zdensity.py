@@ -60,13 +60,10 @@ class DensityTable:
     def sigma_grid(self) -> list[float]:
         return [r.sigma for r in self.rows]
 
-    def coeffs(self, sigma):
-        """(C1, C2) from the rows ``rows_at`` picks, lane by lane for a 1-D ndarray sigma."""
+    def coeffs(self, sigma: float) -> tuple[float, float]:
+        """(C1, C2) from the rows ``rows_at`` picks."""
         i1, i2 = self.rows_at(sigma)
-        if isinstance(sigma, (int, float)):
-            return self.rows[i1].C1, self.rows[i2].C2
-        import numpy as np
-        return np.array([r.C1 for r in self.rows])[i1], np.array([r.C2 for r in self.rows])[i2]
+        return self.rows[i1].C1, self.rows[i2].C2
 
     def rows_at(self, sigma):
         """Indices of the rows giving (C1, C2) at sigma, lane by lane for a 1-D ndarray.

@@ -29,7 +29,7 @@ from pntbounds.engine import (
     vk_terms,
 )
 from pntbounds.extnum import ExtReal
-from pntbounds.regimes import bracket_nu3, vk_decay_arg_prime
+from pntbounds.regimes import MIN_LOG_X0_NU2, bracket_nu3, vk_decay_arg_prime
 from pntbounds.zdensity import LOG_RIEMANN_HEIGHT, DensityTable
 from pntbounds.zfr import R0
 
@@ -374,7 +374,7 @@ def test_optimize_ranks_and_emits_with_the_pipeline_code(density_table, monkeypa
     for regime, log_x0 in (("medium", 6000.0), ("large", 1e6), ("vk", 3e10)):
         row = optimize(log_x0, regime, density_table)
         # the ranked value is the emitted row's unrounded envelope at its anchor
-        value, _ = engine._FITS[regime](log_x0, row.sigma, row.K, density_table)
+        value, _ = engine.REGIMES[regime].fit(log_x0, row.sigma, row.K, density_table)
         assert value == pytest.approx(row.log_rel_envelope(log_x0, rounded=False), abs=1e-9)
     assert calls["compute_row"] == 0
     assert all(calls[f"{regime}_bound"] >= 1 for regime in ("medium", "large", "vk"))
@@ -421,7 +421,7 @@ def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, 
     # padded to the largest K
     sigmas = _sigma_probes(density_table)
     Ks = [1 + i % 10 if K == "mixed" else K for i in range(len(sigmas))]
-    fit = engine._FITS[regime]
+    fit = engine.REGIMES[regime].fit
     lanes = fit(log_x0, np.array(sigmas), np.array(Ks) if K == "mixed" else K, density_table)[0]
     assert isinstance(lanes, np.ndarray) and lanes.shape == (len(sigmas),)
     assert lanes.tolist() == [fit(log_x0, s, k, density_table)[0] for s, k in zip(sigmas, Ks)]
@@ -545,19 +545,20 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     table = DensityTable(tuple(dataclasses.replace(r, C1=c1, C2=c2)
                                for r, c1, c2 in zip(density_table.rows, pick, pick[::-1])))
     sigmas = _sigma_probes(table)
-    c1_lanes, c2_lanes = table.coeffs(np.array(sigmas))
-    assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [table.coeffs(s) for s in sigmas]
+    i1, i2 = table.rows_at(np.array(sigmas))
+    lanes = [(table.rows[a].C1, table.rows[b].C2) for a, b in zip(i1.tolist(), i2.tolist())]
+    assert lanes == [table.coeffs(s) for s in sigmas]
     c1_lanes, c2_lanes = engine._log_2c(np.array(sigmas), table)
     assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table) for s in sigmas]
     for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1), ("vk", 3e10, 1)):
-        fit = engine._FITS[regime]
+        fit = engine.REGIMES[regime].fit
         lanes = fit(log_x0, np.array(sigmas), K, table)[0]
         assert lanes.tolist() == [fit(log_x0, s, K, table)[0] for s in sigmas]
 
 
 def _per_candidate_optimize(log_x0, regime, table):
     """The search one cell and one candidate at a time, with float fit calls."""
-    fit = engine._FITS[regime]
+    fit = engine.REGIMES[regime].fit
     candidates = []
     for K in range(1, 11) if regime == "medium" else [1]:
         candidates += [(fit(log_x0, s, K, table)[0], s, K) for s in table.sigma_grid if s < 1.0]
@@ -593,11 +594,11 @@ def _seeded_anchors(n=5, seed=13):
 def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeypatch, regime, log_x0,
                                                           quantum):
     if quantum:  # values floored to a coarse step tie often, so tie-breaking must agree too
-        for name, real in list(engine._FITS.items()):
-            def coarse(*args, _real=real):
+        for name, rec in list(engine.REGIMES.items()):
+            def coarse(*args, _real=rec.fit):
                 value, envelope = _real(*args)
                 return np.floor(value / quantum) * quantum, envelope
-            monkeypatch.setitem(engine._FITS, name, coarse)
+            monkeypatch.setitem(engine.REGIMES, name, rec._replace(fit=coarse))
     row = optimize(log_x0, regime, density_table)
     ref = _per_candidate_optimize(log_x0, regime, density_table)
     assert (row.sigma, row.K) == (ref.sigma, ref.K)
@@ -608,11 +609,11 @@ def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeyp
 def _count_calls(monkeypatch):
     """Wrap the three fits and engine's bracket bindings with call counters."""
     calls = {"fit": 0, "bracket": 0}
-    for regime, fn in list(engine._FITS.items()):
-        def fit(*args, _fn=fn):
+    for regime, rec in list(engine.REGIMES.items()):
+        def fit(*args, _fn=rec.fit):
             calls["fit"] += 1
             return _fn(*args)
-        monkeypatch.setitem(engine._FITS, regime, fit)
+        monkeypatch.setitem(engine.REGIMES, regime, rec._replace(fit=fit))
     for name in ("bracket_nu2", "bracket_nu3"):
         def bracket(*args, _fn=getattr(engine, name)):
             calls["bracket"] += 1
@@ -663,6 +664,49 @@ def test_large_and_vk_refuse_a_claim_other_than_the_anchor(density_table, monkey
         optimize(log_x0, regime, density_table, claim_X=2.0 * log_x0)
     row = compute_row(RowParams("t", log_x0, log_x0, regime, sigma, 1), density_table)
     assert row.X == log_x0
+
+
+@pytest.mark.parametrize("name", ["bogus", "Large", ""])
+def test_every_entry_refuses_an_unknown_regime(density_table, monkeypatch, name):
+    # a name outside the regime table once fell through the dispatch to the VK
+    # pipeline and came back a certified row; optimize refuses before any fit
+    want = f"unknown regime {name!r}, expected one of medium, large, vk"
+    for call in (lambda: compute_row(RowParams("x", 3e10, 3e10, name, 0.9999932, 1), density_table),
+                 lambda: engine._bound(name, 3e10, 0.9999932, 1, density_table, None, None)):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == want
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        optimize(3e10, name, density_table)
+    assert str(refused.value) == want and calls["fit"] == 0
+
+
+@pytest.mark.parametrize("regime, log_x0", [("large", 5e4), ("large", MIN_LOG_X0_NU2 * (1 - 1e-12)),
+                                            ("vk", 1e10), ("medium", math.nan), ("vk", math.nan)])
+def test_optimize_refuses_an_anchor_below_the_floor_before_searching(density_table, monkeypatch,
+                                                                     regime, log_x0):
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        optimize(log_x0, regime, density_table)
+    floor = engine.REGIMES[regime].min_log_x0
+    assert str(refused.value) == f"{regime} pipeline requires log x0 >= {floor:g}"
+    assert calls["fit"] == calls["bracket"] == 0
+
+
+@pytest.mark.parametrize("regime, log_x0, sigma", [("large", 1e6, 0.999), ("vk", 3e10, 0.9999932)])
+def test_large_and_vk_refuse_a_K_other_than_1(density_table, regime, log_x0, sigma):
+    # these pipelines have a single split; a K = 7 request was once served as a K = 1 row
+    with pytest.raises(ValueError) as refused:
+        compute_row(RowParams("y", log_x0, log_x0, regime, sigma, 7), density_table)
+    assert str(refused.value) == f"the {regime} pipeline takes K = 1, not 7"
+    assert compute_row(RowParams("y", log_x0, log_x0, regime, sigma, 1), density_table).K == 1
+
+
+def test_medium_takes_a_K_beyond_the_optimizer_range(density_table):
+    # only the single-K regimes refuse a K; medium takes any K >= 1, not just optimize's 1..10
+    row = compute_row(RowParams("6000", 6000.0, 6000.0, "medium", 0.99, 12), density_table)
+    assert row.K == 12
 
 
 def test_optimize_failure_names_the_best_ranked_reason(density_table, monkeypatch):
