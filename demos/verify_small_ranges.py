@@ -52,9 +52,9 @@ def main() -> None:
     print(f"  pi on [2, 2657]:   {'pass' if rep.passed else 'FAIL'} "
           f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
 
-    print("\n== the tail integral over [2, 599] ==")
+    print("\n== the tail integral over [2, 599], in closed form ==")
     i1 = integral_I1(pt)
-    print(f"  integral of |theta(t) - t| / (t log^2 t) = {i1:.6f}  (ceiling used: {derived.I1_CEIL})")
+    print(f"  integral of |theta(t) - t| / (t log^2 t) = {i1:.12f}  (ceiling used: {derived.I1_CEIL})")
 
     print("\n== stitching the all-x claim down from the first anchor ==")
     for seg in piecewise_coverage(first, pt).segments:

@@ -10,7 +10,7 @@ h' condition on log t >= 58 is proved in closed form at 58 alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import _COVERAGE_TOL, BoundConstants, CertificationError, _round_up
 from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime_falls
@@ -36,8 +36,7 @@ I1_CEIL = 5.43               # integral of |theta - t|/(t log^2 t) over [2, 599]
 I2_CEIL = 7.87e12            # same over [599, exp(58)]; a loose but safe ceiling
 
 
-@dataclass(frozen=True)
-class ThetaConstants:
+class ThetaConstants(NamedTuple):
     A1: float
     source_label: str
 
@@ -65,8 +64,7 @@ def theta_constants(psi: BoundConstants, extra: float = 0.01) -> ThetaConstants:
     return ThetaConstants(A1=psi.A + extra, source_label=psi.label)
 
 
-@dataclass(frozen=True)
-class PiConstants:
+class PiConstants(NamedTuple):
     A2_unrounded: float
     A2: float
     A1: float

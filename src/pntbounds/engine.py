@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, Literal, NamedTuple, Sequence
 
 from .extnum import EXT_ZERO, ExtReal
@@ -168,11 +167,11 @@ def _round_down(v: float, decimals: int) -> float:
     return math.floor(v * 10**decimals + 1e-9) / 10**decimals
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """A certified constant set: |psi(x) - x| <= A x (log x)^B e^{-C u(x)}
     and |psi(x) - x| <= eps0 * x, for all log x >= X.  ``raw_terms`` is rebuilt on
-    each read from ``table``, the density table certified against (shared, not copied)."""
+    each read from ``table``, the density table certified against (shared, not copied,
+    and left out of the repr)."""
 
     label: str
     regime: Literal["medium", "large", "vk"]
@@ -191,7 +190,10 @@ class BoundConstants:
     monotone_certified: bool
     log_A_unrounded: float
     bracket: Bracket | None = None        # large/vk only
-    table: DensityTable | None = field(default=None, repr=False, compare=False)
+    table: DensityTable | None = None
+
+    def __repr__(self) -> str:
+        return f"BoundConstants({', '.join(f'{k}={v!r}' for k, v in zip(self._fields[:-1], self))})"
 
     @property
     def u_kind(self) -> DecayKind:
@@ -208,7 +210,8 @@ class BoundConstants:
             la, b, c = math.log(self.A), self.B, self.C
         else:
             la, b, c = self.log_A_unrounded, self.B_unrounded, self.C_unrounded
-        return log_envelope(self.u_kind, la, b, c, log_x)
+        # ``u_kind`` without the property call: sieve checks run this once per jump point
+        return log_envelope(REGIMES[self.regime].kind, la, b, c, log_x)
 
     def as_dict(self) -> dict:
         m, e = self.eps0.log10_parts()
@@ -578,7 +581,7 @@ class Regime(NamedTuple):
     fit: Callable[..., _Fit]
     min_log_x0: float                     # the anchor floor
     Ks: tuple[int, ...]                   # the K values ``optimize`` searches; one value is the only K
-    free_claim: bool                      # may claim a threshold other than the anchor
+    free_claim: bool                      # may claim a threshold other than the anchor (below it, row log2 only)
     a_decimals: int                       # A rounds up to this many decimals; theta adds one unit in the last
     default_sigma_K: tuple[float, int]    # of a ``table1 --log-x0`` row
     label: str                            # the default row label, formatted with the anchor
@@ -593,7 +596,8 @@ REGIMES: dict[str, Regime] = {
 
 def _check_request(regime: str, log_x0: float, claim_X: float | None, K: int | None = None) -> Regime:
     """The regime's record, for a known regime, an anchor at or above its floor, no claim other
-    than the anchor unless the regime allows one, and no K other than a single-K regime's."""
+    than the anchor unless the regime allows one, no claim below the anchor but row ``log2``'s
+    (the only span below an anchor with a coverage record), and no K other than a single-K regime's."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}, expected one of {', '.join(REGIMES)}")
     rec = REGIMES[regime]
@@ -601,13 +605,15 @@ def _check_request(regime: str, log_x0: float, claim_X: float | None, K: int | N
         raise ValueError(f"{regime} pipeline requires log x0 >= {rec.min_log_x0:g}")
     if not rec.free_claim and claim_X not in (None, log_x0):
         raise ValueError(f"the {regime} pipeline claims log x >= {log_x0:g}, its anchor, not {claim_X:g}")
+    first = DEFAULT_ROW_PARAMS[0]  # the one row with a coverage record below its anchor
+    if claim_X is not None and not claim_X >= log_x0 and (claim_X, log_x0) != (first.X, first.anchor):
+        raise ValueError(f"nothing covers log x in [{claim_X:g}, {log_x0:g}), below the {regime} anchor")
     if K is not None and len(rec.Ks) == 1 and K != rec.Ks[0]:
         raise ValueError(f"the {regime} pipeline takes K = {rec.Ks[0]}, not {K}")
     return rec
 
 
-@dataclass(frozen=True)
-class RowParams:
+class RowParams(NamedTuple):
     label: str
     X: float          # claimed validity threshold (log x)
     anchor: float     # pipeline anchor (log x0)
@@ -714,8 +720,7 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegimeCrossings:
+class RegimeCrossings(NamedTuple):
     lower_log_x: float
     upper_log_x: float
 
@@ -743,16 +748,14 @@ def regime_compare(rows: Sequence[BoundConstants], vk_row: BoundConstants) -> Re
 _COVERAGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CoverageSegment:
+class CoverageSegment(NamedTuple):
     span: str
     status: Literal["pass", "margin", "assumed", "fail"]
     detail: str
     margin: float  # worst margin; absolute for sieve checks, log-domain otherwise
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     segments: tuple[CoverageSegment, ...]
 
     @property

@@ -9,7 +9,6 @@ additions stay exact-in-log no matter how extreme the exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = ["ExtReal", "EXT_ZERO"]
 
@@ -17,17 +16,29 @@ _LN10 = math.log(10.0)
 _MANTISSA_DIGITS = 3  # significant digits a printed mantissa must carry
 
 
-@dataclass(frozen=True)
 class ExtReal:
     """A value in {0} + (0, inf), stored as log_value = ln(magnitude).
 
     Zero is an explicit flag rather than -inf so that comparisons stay
     total without special-casing sentinel arithmetic.  A log_value of
     +inf marks overflow; consumers that certify bounds must reject it.
+    Instances are immutable.  Not a tuple: equality and order are by value
+    (zero is the minimum), and no tuple equals an ExtReal.
     """
 
-    log_value: float
-    is_zero: bool = False
+    __slots__ = ("log_value", "is_zero")
+
+    def __init__(self, log_value: float, is_zero: bool = False) -> None:
+        object.__setattr__(self, "log_value", log_value)
+        object.__setattr__(self, "is_zero", is_zero)
+
+    def __setattr__(self, name: str, *_) -> None:
+        raise AttributeError(f"ExtReal is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return ExtReal, (self.log_value, self.is_zero)
 
     # -- constructors -------------------------------------------------
 

@@ -145,40 +145,23 @@ def li(x: float) -> float:
             return _EULER_GAMMA + math.log(lx) + math.sqrt(x) * total
 
 
-def integral_I1(table: PrimeTable, intervals_per_segment: int | None = None) -> float:
-    """Integral of |theta(t) - t| / (t log^2 t) over [2, 599].
+def integral_I1(table: PrimeTable) -> float:
+    """Integral of |theta(t) - t| / (t log^2 t) over [2, 599], in closed form.
 
-    theta is constant between consecutive primes, so the integral is a
-    finite sum of smooth one-segment integrals, each done by composite
-    Simpson with an even ``intervals_per_segment``.  With it unset, the
-    resolution is doubled until two successive totals agree to 1e-3.
+    theta is a constant c on each prime gap [a, b), where (t - c)/(t log^2 t)
+    has the antiderivative F(t) = li(t) - t/log t + c/log t.  The integrand
+    changes sign only at t = c, so a gap adds |F(b) - F(a)|, split at c when
+    a < c < b.
     """
     if table.limit < 599:
         raise ValueError("sieve must cover [2, 599]")
-    if intervals_per_segment is not None and intervals_per_segment % 2:
-        raise ValueError("Simpson's rule needs an even number of intervals")
-
-    def run(nseg: int) -> float:
-        pts = [2.0, *table.jumps("theta", 3.0, 599.0)[0].tolist(), 599.0]
-        total = 0.0
-        for a, b in zip(pts[:-1], pts[1:]):
-            c = table.theta(a)  # theta is c on [a, b)
-            xs = np.linspace(a, b, nseg + 1)
-            ys = np.abs(c - xs) / (xs * np.log(xs) ** 2)
-            total += (b - a) / (3.0 * nseg) * (ys[0] + 4.0 * ys[1::2].sum()
-                                               + 2.0 * ys[2:-1:2].sum() + ys[-1])
-        return float(total)
-
-    if intervals_per_segment is not None:
-        return run(intervals_per_segment)
-    n, prev = 32, run(32)
-    for _ in range(8):
-        n *= 2
-        cur = run(n)
-        if abs(cur - prev) < 1e-3:
-            return cur
-        prev = cur
-    raise RuntimeError("I1 quadrature failed to converge")
+    pts = [2.0, *table.jumps("theta", 3.0, 599.0)[0].tolist(), 599.0]
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        c = table.theta(a)  # theta is c on [a, b)
+        F = [li(t) - (t - c) / math.log(t) for t in ((a, c, b) if a < c < b else (a, b))]
+        total += sum(abs(hi - lo) for lo, hi in zip(F[:-1], F[1:]))
+    return total
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ A (log x)^B e^{-C u}, which this module alone defines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal, NoReturn
+from typing import Callable, Literal, NamedTuple, NoReturn
 
 from . import zfr
 from .zdensity import LOG_RIEMANN_HEIGHT
@@ -44,8 +43,7 @@ class ConvergenceError(zfr.PntBoundsError):
     """An iteration did not converge."""
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """B0 <= scale of log t0 <= B1 and B2 <= scale of log T <= B3."""
 
     region_kind: str  # "nu2" | "nu3"
@@ -162,8 +160,7 @@ def bracket_nu3(log_x0: float = MIN_LOG_X0_NU3) -> Bracket:
     return Bracket("nu3", log_x0, B0=b0, B1=b1, B2=b2, B3=b3)
 
 
-@dataclass(frozen=True)
-class UnimodalReport:
+class UnimodalReport(NamedTuple):
     region_kind: str
     log_x: float
     passed: bool

@@ -14,9 +14,9 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 __all__ = [
     "RIEMANN_HEIGHT",
@@ -36,8 +36,7 @@ _RECIP_DEFECT = 0.9321
 _LOG_4PI_E = math.log(4.0 * math.pi) + 1.0
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     sigma: float
     d: float
     alpha: float
@@ -46,8 +45,7 @@ class DensityRow:
     C2: float
 
 
-@dataclass(frozen=True)
-class DensityTable:
+class DensityTable(NamedTuple):
     """Validated (sigma, C1, C2) table.
 
     N(sigma, t) = 0 for t <= RIEMANN_HEIGHT; enforcing that is the

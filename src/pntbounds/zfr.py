@@ -14,8 +14,7 @@ becomes dominant near t = exp(54563), far outside double range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "R0",
@@ -70,8 +69,7 @@ def nu3(log_t: float) -> float:
     return 1.0 / (C_VK * log_t ** (2.0 / 3.0) * math.log(log_t) ** (1.0 / 3.0))
 
 
-@dataclass(frozen=True)
-class Crossover:
+class Crossover(NamedTuple):
     pair: str
     bracket: tuple[float, float]
     root_log_t: float

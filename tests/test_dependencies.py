@@ -1,5 +1,6 @@
 """numpy is loaded only by the sieve (`verify-small`), `table1 --optimize` and
-the demos; scipy is a test-only oracle."""
+the demos; scipy is a test-only oracle; the CLI's start-up path loads neither
+`dataclasses` nor `inspect`."""
 
 import os
 import subprocess
@@ -36,8 +37,9 @@ for demo in sys.argv[1:]:
 """
 
 # Refuses every numpy import and runs each subcommand that serves a table row,
-# bracket, crossover or envelope value; then lifts the block and runs the two
-# commands that need arrays, which must load numpy themselves.
+# bracket, crossover or envelope value, none of which may load numpy,
+# `dataclasses` or `inspect`; then lifts the block and runs the two commands
+# that need arrays, which must load numpy themselves.
 NUMPY_CHILD = r"""
 import contextlib
 import importlib.abc
@@ -58,12 +60,17 @@ def run(argv):
             sys.exit(f"pntbounds {' '.join(argv)} failed")
 
 
+def refuse_loaded(what):
+    loaded = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+    if loaded:
+        sys.exit(f"{what} loaded {', '.join(loaded)}")
+
+
 blocker = BlockNumpy()
 sys.meta_path.insert(0, blocker)
 import pntbounds.cli as cli  # noqa: E402
 
-if "numpy" in sys.modules:
-    sys.exit("import pntbounds.cli loaded numpy")
+refuse_loaded("import pntbounds.cli")
 for argv in (["table1"], ["table1", "--format", "json"], ["table1", "--format", "csv"],
              ["table1", "--rows", "6000,1e5"],
              ["table1", "--log-x0", "6000", "--regime", "medium"],
@@ -72,8 +79,7 @@ for argv in (["table1"], ["table1", "--format", "json"], ["table1", "--format", 
              ["brackets", "--regime", "nu2"], ["brackets", "--regime", "nu3"], ["crossovers"],
              *[["eval", "--log-x", "100", "--quantity", q] for q in ("psi", "theta", "pi")]):
     run(argv)
-if "numpy" in sys.modules:
-    sys.exit("a subcommand loaded numpy")
+refuse_loaded("a subcommand")
 
 sys.meta_path.remove(blocker)
 for argv in (["verify-small"], ["table1", "--optimize", "--rows", "6000"]):

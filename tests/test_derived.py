@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -41,7 +40,7 @@ def test_theta_constants_vk(vk_row):
 
 
 def test_theta_constants_refuse_uncertified(default_rows):
-    broken = dataclasses.replace(default_rows[0], monotone_certified=False)
+    broken = default_rows[0]._replace(monotone_certified=False)
     with pytest.raises(CertificationError):
         theta_constants(broken)
 
@@ -168,7 +167,7 @@ def test_pi_constants_pinned_bit_for_bit():
     }
     for build, fields in want.items():
         got = {k: v.hex() if isinstance(v, float) else v
-               for k, v in dataclasses.asdict(build()).items()}
+               for k, v in build()._asdict().items()}
         assert got == fields
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -503,7 +502,7 @@ _RAW_TERMS_SHA256 = "3b51fed49ab2d36b7d6874df1622de2137563729a376deee6897ad624e6
 
 
 def test_rows_store_no_terms_and_rebuild_them_bit_for_bit(default_rows, vk_row, density_table):
-    names = [f.name for f in dataclasses.fields(engine.BoundConstants)]
+    names = engine.BoundConstants._fields
     assert "raw_terms" not in names
     for row in [*default_rows, vk_row]:
         assert row.table is density_table  # shared, not copied
@@ -519,6 +518,12 @@ def test_rows_store_no_terms_and_rebuild_them_bit_for_bit(default_rows, vk_row, 
             fields = ",".join(float(v).hex() for v in (t.coeff_log, t.power, t.decay, t.quad, *(t.poly or ())))
             digest.update(f"{row.label}:{fields};{'poly' if t.poly else ''}\n".encode())
     assert digest.hexdigest() == _RAW_TERMS_SHA256
+
+
+def test_row_repr_leaves_out_the_density_table(default_rows):
+    text = repr(default_rows[0])
+    assert text.startswith("BoundConstants(label='log2', regime='medium', X=0.693")
+    assert text.endswith(", bracket=None)") and "DensityRow" not in text
 
 
 def test_vk_certificate_and_h_condition_read_the_one_vk_premise(monkeypatch):
@@ -542,7 +547,7 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     c = rng.uniform(1.0, 30.0, 20_000)
     differ = c[np.log(2.0 * c) != np.array([math.log(2.0 * v) for v in c])]
     pick = np.sort(np.concatenate([differ, c])[:21]).tolist()
-    table = DensityTable(tuple(dataclasses.replace(r, C1=c1, C2=c2)
+    table = DensityTable(tuple(r._replace(C1=c1, C2=c2)
                                for r, c1, c2 in zip(density_table.rows, pick, pick[::-1])))
     sigmas = _sigma_probes(table)
     i1, i2 = table.rows_at(np.array(sigmas))
@@ -666,6 +671,23 @@ def test_large_and_vk_refuse_a_claim_other_than_the_anchor(density_table, monkey
     assert row.X == log_x0
 
 
+@pytest.mark.parametrize("claim_X", [3000.0, 4999.0, math.log(2.0), math.nan])
+def test_medium_refuses_a_claim_below_its_anchor_that_nothing_covers(density_table, monkeypatch, claim_X):
+    # the envelope is certified from the anchor on; only row log2's span below
+    # its anchor has a coverage record, so any other lower claim is refused
+    want = f"nothing covers log x in [{claim_X:g}, 5000), below the medium anchor"
+    with pytest.raises(ValueError) as refused:
+        medium_bound(5000.0, 0.989238, 4, density_table, claim_X=claim_X)
+    assert str(refused.value) == want
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        optimize(5000.0, "medium", density_table, claim_X=claim_X)
+    assert str(refused.value) == want and calls["fit"] == 0
+    assert medium_bound(5000.0, 0.989238, 4, density_table, claim_X=6000.0).X == 6000.0
+    first = engine.DEFAULT_ROW_PARAMS[0]
+    assert compute_row(first, density_table).X == first.X == math.log(2.0)
+
+
 @pytest.mark.parametrize("name", ["bogus", "Large", ""])
 def test_every_entry_refuses_an_unknown_regime(density_table, monkeypatch, name):
     # a name outside the regime table once fell through the dispatch to the VK
@@ -783,7 +805,7 @@ def test_coverage_closed_form_margin_is_the_old_grid_minimum(default_rows, sieve
     ({"A": 1e-3}, "f(log 59) >= 0"),
 ])
 def test_coverage_segment_fails_closed(default_rows, sieve_small, changes, premise):
-    report = piecewise_coverage(dataclasses.replace(default_rows[0], **changes), sieve_small)
+    report = piecewise_coverage(default_rows[0]._replace(**changes), sieve_small)
     seg = _segment(report, _SEGMENT)
     assert seg.status == "fail"
     assert f"not proved ({premise} fails)" in seg.detail  # the other three premises hold
@@ -793,7 +815,7 @@ def test_coverage_segment_fails_closed(default_rows, sieve_small, changes, premi
 @pytest.mark.parametrize("changes", [{"C": 0.05}, {"C_unrounded": 0.05}])
 def test_coverage_tail_needs_a_decreasing_envelope(default_rows, sieve_small, changes):
     # (2B/C)^2 = 3672 > 2000: the envelope still rises at log x = 2000
-    report = piecewise_coverage(dataclasses.replace(default_rows[0], **changes), sieve_small)
+    report = piecewise_coverage(default_rows[0]._replace(**changes), sieve_small)
     assert _segment(report, _SEGMENT).status == "pass"
     assert _segment(report, _TAIL).status == "fail"
     assert not report.hard_pass
@@ -808,7 +830,7 @@ def test_coverage_refuses_a_row_without_sqrt_decay(vk_row, sieve_small):
 @given(st.floats(-6.0, 6.0), st.floats(1.0, 1.99), st.floats(0.0, 3.0))
 @example(1.1, 1.99, 3.0)  # f(log 59) = 0.29 > 0, but f dips to -0.20 further in
 def test_coverage_closed_form_never_passes_a_negative_grid(default_rows, sieve_small, log_a, b, c):
-    row = dataclasses.replace(default_rows[0], A=math.exp(log_a), B=b, C=c)
+    row = default_rows[0]._replace(A=math.exp(log_a), B=b, C=c)
     if _segment(piecewise_coverage(row, sieve_small), _SEGMENT).status == "pass":
         assert _old_grid_min(row) >= 0.0
 

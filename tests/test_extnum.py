@@ -27,13 +27,25 @@ def test_mul_adds_log_values_exactly():
 
 
 def test_zero_is_minimum_and_ordering_total():
-    vals = [EXT_ZERO, ExtReal.exp_of(-1e6), ExtReal.exp_of(-47335.0 * math.log(10.0)),
-            ExtReal.exp_of(0.0), ExtReal.exp_of(500.0)]
+    # two zero flags with different log_value are one value; zero is below e^0
+    vals = [EXT_ZERO, ExtReal(-3.0, is_zero=True), ExtReal.exp_of(-1e6),
+            ExtReal.exp_of(-47335.0 * math.log(10.0)), ExtReal.exp_of(0.0), ExtReal.exp_of(500.0)]
     assert sorted(vals[::-1]) == vals
     assert sorted(vals, reverse=True)[-1] == EXT_ZERO
     for a in vals:
         for b in vals:
             assert (a < b) + (a == b) + (a > b) == 1
+            assert (a != b) is (not a == b)
+            assert a != b or hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("v", [ExtReal(1.0), EXT_ZERO, ExtReal(-3.0, is_zero=True)])
+def test_never_equals_a_tuple(v):
+    as_tuple = (v.log_value, v.is_zero)
+    assert v != as_tuple and as_tuple != v
+    assert not v == as_tuple and not as_tuple == v
+    with pytest.raises(TypeError):
+        3 * v
 
 
 def test_round_trip_identity_on_positives():

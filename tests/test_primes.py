@@ -129,12 +129,17 @@ def test_li_refuses_non_finite(x):
 
 
 def test_integral_i1(sieve_small):
-    v64 = integral_I1(sieve_small, intervals_per_segment=64)
-    v128 = integral_I1(sieve_small, intervals_per_segment=128)
-    assert abs(v64 - v128) < 1e-3
-    auto = integral_I1(sieve_small)
-    assert 0.0 < auto <= 5.43
-    assert auto == pytest.approx(v128, abs=1e-3)
+    # oracle: 30-digit quadrature on each prime gap, theta summed from trial-division primes
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        primes = [p for p in range(2, 600) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        theta, oracle = mpmath.mpf(0), mpmath.mpf(0)
+        for a, b in zip(primes[:-1], primes[1:]):  # 599 is prime, so the last gap ends there
+            theta += mpmath.log(a)
+            oracle += mpmath.quad(lambda t: abs(theta - t) / (t * mpmath.log(t) ** 2), [a, b])
+    got = integral_I1(sieve_small)
+    assert abs(got - float(oracle)) < 1e-12
+    assert 0.0 < got <= 5.43
 
 
 def test_verify_pointwise_passes_published_envelopes(sieve_small):

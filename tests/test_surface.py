@@ -1,7 +1,9 @@
-"""The public surface resolves, and no module carries an import it never uses."""
+"""The public surface resolves, no module carries an import it never uses, and
+every record the CLI loads is immutable."""
 
 import ast
 import importlib
+import pickle
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,40 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("modname", ["__init__", *MODULES])
 def test_no_unused_imports(modname):
     assert _unused_imports(PKG_DIR / f"{modname}.py") == []
+
+
+# one instance of each record type on the CLI's import path, built by the calls that serve it
+RECORDS = {
+    "ExtReal": lambda ctx: ctx["row"].eps0,
+    "Crossover": lambda ctx: pntbounds.envelope_crossovers()[0],
+    "DensityRow": lambda ctx: ctx["table"].rows[0],
+    "DensityTable": lambda ctx: ctx["table"],
+    "Bracket": lambda ctx: pntbounds.bracket_nu2(1e6),
+    "UnimodalReport": lambda ctx: pntbounds.verify_unimodal(pntbounds.bracket_nu2(1e6), 1e6),
+    "BoundConstants": lambda ctx: ctx["row"],
+    "RowParams": lambda ctx: pntbounds.DEFAULT_ROW_PARAMS[0],
+    "RegimeCrossings": lambda ctx: pntbounds.regime_compare(ctx["rows"], ctx["vk"]),
+    "CoverageSegment": lambda ctx: ctx["coverage"].segments[0],
+    "CoverageReport": lambda ctx: ctx["coverage"],
+    "ThetaConstants": lambda ctx: pntbounds.theta_constants(ctx["row"]),
+    "PiConstants": lambda ctx: pntbounds.pi_constants_classical(),
+}
+
+
+@pytest.fixture(scope="module")
+def record_ctx(density_table, default_rows, vk_row, sieve_small):
+    return {"table": density_table, "rows": default_rows, "row": default_rows[0], "vk": vk_row,
+            "coverage": pntbounds.piecewise_coverage(default_rows[0], sieve_small)}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_assignment_and_round_trip(record_ctx, name):
+    rec = RECORDS[name](record_ctx)
+    assert type(rec).__name__ == name
+    assert not hasattr(rec, "__dict__")  # no per-instance dict, and no dataclass
+    field = getattr(rec, "_fields", ("log_value",))[0]
+    with pytest.raises(AttributeError):
+        setattr(rec, field, getattr(rec, field))
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert repr(pickle.loads(pickle.dumps(rec))) == repr(rec)  # repr: a NaN margin is never ==
