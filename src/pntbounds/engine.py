@@ -15,7 +15,6 @@ monotonicity certificate.  Constants are rounded toward validity
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from typing import Callable, Literal, NamedTuple, Sequence
@@ -107,16 +106,16 @@ class EnvelopeTerm(NamedTuple):
         return EnvelopeTerm(self.coeff_log, self.power + dpower, self.decay + ddecay, self.quad, self.poly)
 
 
-def _log_sum(terms: Sequence[EnvelopeTerm], u):
-    """ln of the terms' sum at u, term by term in order (a stacked term row by row): as ExtReals
-    (numpy's ``logaddexp`` formula) for floats, by numpy lane by lane when u or a field is an ndarray."""
-    logs = [t.log_eval(u) for t in terms]
-    if all(isinstance(v, float) for v in logs):
-        return float(sum(map(ExtReal, logs), EXT_ZERO).log_value)
+def _log_sum(terms: Sequence[EnvelopeTerm], u: float, shape: tuple | None = None, rows: Sequence = ()):
+    """ln of the terms' sum at a float u, in order: as ExtReals (numpy's ``logaddexp`` formula), or, for a
+    (row x lane) ``shape``, by one ``np.logaddexp.reduce`` of a matrix the terms fill, by ``rows`` if set."""
+    if shape is None:
+        return float(sum((ExtReal(t.log_eval(u)) for t in terms), EXT_ZERO).log_value)
     import numpy as np
-    rows = [np.atleast_2d(v) for v in logs]
-    lanes = max(r.shape[1] for r in rows)
-    return np.logaddexp.reduce(np.concatenate([np.broadcast_to(r, (len(r), lanes)) for r in rows]), axis=0)
+    m = np.empty(shape)
+    for row, t in zip(rows or range(len(terms)), terms):
+        m[row] = t.log_eval(u)
+    return np.logaddexp.reduce(m, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,9 @@ def _round_up(v: float, decimals: int) -> float:
 
 
 def _round_down(v: float, decimals: int) -> float:
-    return math.floor(v * 10**decimals + 1e-9) / 10**decimals
+    """v's floor at ``decimals``, exact in integers; the division rounds correctly, so cannot pass v."""
+    num, den = v.as_integer_ratio()
+    return num * 10**decimals // den / 10**decimals
 
 
 class BoundConstants(NamedTuple):
@@ -202,7 +203,7 @@ class BoundConstants(NamedTuple):
     @property
     def raw_terms(self) -> tuple[EnvelopeTerm, ...]:
         """The summands the envelope was certified from (none for VK), by the regime's float fit."""
-        return REGIMES[self.regime].fit(self.anchor, self.sigma, self.K, self.table)[1]().raw_terms
+        return REGIMES[self.regime].fit(self.anchor, self.table)(self.sigma, self.K)[1]().raw_terms
 
     def log_rel_envelope(self, log_x: float, rounded: bool = True) -> float:
         """ln of the relative envelope A (log x)^B e^{-C u(x)}."""
@@ -239,8 +240,8 @@ class BoundConstants(NamedTuple):
 
 
 def ck(sigma: float, K: int, k: int) -> float:
-    """Decay rate of the k-th density term (in sqrt(log x / R0) units); lane by lane for ndarrays."""
-    if isinstance(K, int) and isinstance(k, int) and not 0 <= k <= K - 1:
+    """Decay rate of the k-th density term (in sqrt(log x / R0) units)."""
+    if not 0 <= k <= K - 1:
         raise ValueError(f"k={k} outside 0..{K - 1}")
     return (K + k) / K + K / (K + k) - (8.0 / 3.0) * (1.0 - sigma) * (1.0 + (k + 1) / K)
 
@@ -295,24 +296,26 @@ class _Envelope(NamedTuple):
     raw_terms: tuple[EnvelopeTerm, ...] = ()   # the summands before normalization (not VK)
 
 
-# A regime's fit at (log x0, sigma, K): ln of its unrounded envelope at the anchor, the
-# value ``optimize`` ranks by, and a builder of the envelope (to emit, or rebuild raw terms).
-# An ndarray sigma with an int K, or an aligned ndarray K, gives it lane by lane per (sigma, K)
-# pair from the float call's summand definitions, bit for bit (only the medium fit reads K);
-# only a float sigma's envelope is built.
-_Fit = tuple[float, Callable[[], _Envelope]]
+# A regime's fit binds (log x0, table), doing the per-anchor work once, and returns ``at(sigma, K)``: ln
+# of its unrounded envelope at the anchor (what ``optimize`` ranks) and an envelope builder (to emit, or
+# rebuild raw terms).  An ndarray sigma, with an int or aligned ndarray K, gives lanes, each bit for bit
+# its float call; only a float's envelope is built.
+_Fit = Callable[..., tuple[float, Callable[[], _Envelope]]]
 
 
-def _log_2c(sigma, table: DensityTable):
-    """(ln 2 C1, ln 2 C2) at sigma, each by ``math.log`` (numpy's log differs from it in
-    the last ulp on some inputs); lanes index the rows' logs by ``table.rows_at``."""
+def _log_2c(sigma, table: DensityTable, columns: list) -> tuple:
+    """(ln 2 C1, ln 2 C2) at sigma, each by ``math.log`` (numpy's log differs from it in the last ulp on
+    some inputs); lanes index the rows' logs by ``table.rows_at``, from ``columns``, a binding's list that
+    the first lane call fills with the grid and both log columns as ndarrays."""
     if isinstance(sigma, (int, float)):
         c1, c2 = table.coeffs(sigma)
         return math.log(2.0 * c1), math.log(2.0 * c2)
-    import numpy as np
-    i1, i2 = table.rows_at(sigma)
-    logs = np.array([(math.log(2.0 * r.C1), math.log(2.0 * r.C2)) for r in table.rows])
-    return logs[i1, 0], logs[i2, 1]
+    if not columns:
+        import numpy as np
+        logs = [(math.log(2.0 * r.C1), math.log(2.0 * r.C2)) for r in table.rows]
+        columns[:] = np.array(table.sigma_grid), *np.array(logs).T
+    i1, i2 = table.rows_at(sigma, columns[0])
+    return columns[1][i1], columns[2][i2]
 
 
 def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
@@ -326,7 +329,7 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
     rec = _check_request(regime, log_x0, claim_X, K)
     if not (0.98 <= sigma < 1.0):
         raise ValueError(f"sigma={sigma} outside [0.98, 1)")
-    f = rec.fit(log_x0, sigma, K, table)[1]()
+    f = rec.fit(log_x0, table)(sigma, K)[1]()
     if not f.certify():
         k_note = f", K={K}" if len(rec.Ks) > 1 else ""
         raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
@@ -351,36 +354,23 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _log_ratios(K: int, k_max: int) -> tuple[float, ...]:
-    """ln(1 + (k+1)/K) by ``math.log`` for k < k_max, with ln 0 = -inf for k >= K (a lane's padding)."""
-    return tuple(math.log(1.0 + (k + 1) / K) if k < K else -math.inf for k in range(k_max))
+def _k_pieces(K: int, k: int) -> tuple[float, float, float]:
+    """ln(1 + (k+1)/K) (ln 0 = -inf for k >= K, a lane's padding), (K+k)/K + K/(K+k), 1 + (k+1)/K."""
+    return math.log(1.0 + (k + 1) / K) if k < K else -math.inf, (K + k) / K + K / (K + k), 1.0 + (k + 1) / K
 
 
-def _medium_raw_terms(sigma: float, K: int, table: DensityTable) -> dict[str, list[EnvelopeTerm]]:
+def _medium_raw_terms(sigma, K, log_2c: tuple, pieces=None) -> dict[str, list[EnvelopeTerm]]:
     """Raw s1/s2/s3 summands as functions of u = sqrt(log x / R0).
 
-    s2 runs a_0 b_0 a_1 b_1 ...; for lanes it is one term padded to the largest K with
-    ln 0 = -inf rows, which numpy's logaddexp adds exactly, so a lane sums its float call's terms.
+    s2 runs a_0 b_0 a_1 b_1 ...; lanes pass ``pieces``, each ``_k_pieces`` field as a (k, lane) array
+    padded to the largest K with ln 0 = -inf, which numpy's logaddexp adds exactly, and get s2 = [a, b].
     """
-    log_2c1, log_2c2 = _log_2c(sigma, table)
-    p = 5.0 - 2.0 * sigma
+    (log_2c1, log_2c2), p = log_2c, 5.0 - 2.0 * sigma
 
-    def s2(k, lr):  # (coeff_log, power, decay) of a_k and b_k, lr = ln(1 + (k+1)/K)
-        return (log_2c1 + p * lr, p, ck(sigma, K, k)), (log_2c2 + 2.0 * lr, 2.0, (K + k) / K + K / (K + k))
+    def s2(lr, r, g):  # a_k decays at ck = r - (8/3)(1 - sigma) g, b_k at r
+        return [EnvelopeTerm(log_2c1 + p * lr, p, r - (8.0 / 3.0) * (1.0 - sigma) * g),
+                EnvelopeTerm(log_2c2 + 2.0 * lr, 2.0, r)]
 
-    if isinstance(sigma, (int, float)):
-        s2_terms = [EnvelopeTerm(*f) for k, lr in enumerate(_log_ratios(K, K)) for f in s2(k, lr)]
-    else:  # the fields of a_k and b_k are (k, lane) arrays, interleaved into (2 k_max, lane)
-        import numpy as np
-        k_max = int(np.max(K))
-        lr = np.array([_log_ratios(j, k_max) for j in range(k_max + 1)]).T[:, np.reshape(K, -1)]
-        K = np.asarray(K, dtype=float)  # s2 reads it; float ops are exact on these small integers
-        a, b = s2(np.arange(k_max, dtype=float)[:, None], lr)
-        fields = np.empty((3, k_max, 2, sigma.size))  # field, k, (a_k, b_k), lane
-        for i in range(3):
-            fields[i, :, 0], fields[i, :, 1] = a[i], b[i]
-        s2_terms = [EnvelopeTerm(*fields.reshape(3, 2 * k_max, -1))]
     s1 = [
         EnvelopeTerm(math.log(_CH), 0.0, 0.0, quad=R0 / 2.0),
         EnvelopeTerm(0.0, 0.0, 0.0, quad=(1.0 - sigma) * R0,
@@ -388,6 +378,7 @@ def _medium_raw_terms(sigma: float, K: int, table: DensityTable) -> dict[str, li
                            _LOG_2PI**2 / (2.0 * math.pi) - _CH + _RECIP2)),
     ]
     s3 = [EnvelopeTerm(math.log(RVM_COEF) + RVM_LOG_POW * math.log(R0), 1.2, 2.0)]
+    s2_terms = s2(*pieces) if pieces is not None else [t for k in range(K) for t in s2(*_k_pieces(K, k))]
     return {"s1": s1, "s2": s2_terms, "s3": s3}
 
 
@@ -401,28 +392,43 @@ def medium_terms(log_x: float, sigma: float, K: int, table: DensityTable) -> dic
     if not check_rvm_precondition(log_x, 2.0 * math.sqrt(log_x / R0)):
         raise ValueError(f"zero-sum formula precondition fails at log x = {log_x:g}")
     u = math.sqrt(log_x / R0)
-    groups = _medium_raw_terms(sigma, K, table)
+    groups = _medium_raw_terms(sigma, K, _log_2c(sigma, table, []))
     return {name: ExtReal.exp_of(_log_sum(terms, u)) for name, terms in groups.items()}
 
 
-def _medium_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
+def _medium_fit(log_x0: float, table: DensityTable) -> _Fit:
     """Ranks by the raw sum at u0 = sqrt(log x0 / R0), which is the envelope
     there; the sum normalized by u^p e^{-C' u} is built only at emission."""
     if not check_rvm_precondition(log_x0, 2.0 * math.sqrt(log_x0 / R0)):
         raise ValueError("zero-sum formula precondition fails at the anchor")
-    if isinstance(K, int) and K < 1:
-        raise ValueError("K >= 1 required")
-    raw = [t for group in _medium_raw_terms(sigma, K, table).values() for t in group]
-    u0 = math.sqrt(log_x0 / R0)
+    u0, columns = math.sqrt(log_x0 / R0), []  # ``_log_2c``'s lane columns
+    pieces = {}  # largest K -> ``_k_pieces`` as a contiguous (field, k, K - 1) ndarray, built at first use
 
-    def envelope() -> _Envelope:
-        p = 5.0 - 2.0 * sigma
-        cp = cprime(sigma, K)
-        norm = [t.shifted(-p, -cp) for t in raw]
-        return _Envelope(_log_sum(norm, u0) - p / 2.0 * math.log(R0), p / 2.0, cp / math.sqrt(R0),
-                         lambda: certify_monotone(norm, u0), raw_terms=tuple(raw))
+    def at(sigma, K):
+        if (K.min() if hasattr(K, "min") else K) < 1:  # an int K, or every lane's
+            raise ValueError("K >= 1 required")
+        log_2c = _log_2c(sigma, table, columns)
+        if isinstance(sigma, (int, float)):
+            raw = [t for group in _medium_raw_terms(sigma, K, log_2c).values() for t in group]
 
-    return _log_sum(raw, u0), envelope
+            def envelope() -> _Envelope:
+                p = 5.0 - 2.0 * sigma
+                cp = cprime(sigma, K)
+                norm = [t.shifted(-p, -cp) for t in raw]
+                return _Envelope(_log_sum(norm, u0) - p / 2.0 * math.log(R0), p / 2.0, cp / math.sqrt(R0),
+                                 lambda: certify_monotone(norm, u0), raw_terms=tuple(raw))
+
+            return _log_sum(raw, u0), envelope
+        import numpy as np
+        k_max = int(np.max(K))
+        if k_max not in pieces:
+            pieces[k_max] = np.array([[_k_pieces(j, k) for j in range(1, k_max + 1)]
+                                      for k in range(k_max)]).transpose(2, 0, 1).copy()
+        groups = _medium_raw_terms(sigma, K, log_2c, pieces[k_max][:, :, np.reshape(K, -1) - 1])
+        rows = (0, 1, np.s_[2:-1:2], np.s_[3:-1:2], -1)  # the float call's: a_k and b_k interleave
+        return _log_sum([t for g in groups.values() for t in g], u0, (2 * k_max + 3, sigma.size), rows), None
+
+    return at
 
 
 def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
@@ -441,28 +447,33 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
 # ---------------------------------------------------------------------------
 
 
-def _large_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
+def _large_fit(log_x0: float, table: DensityTable) -> _Fit:
     """A is the normalized sum at v0 = sqrt(log x0); times v0^p e^{-C v0} it is the envelope."""
     br = bracket_nu2(log_x0)
-    log_2c1, log_2c2 = _log_2c(sigma, table)
-    p = 5.0 - 2.0 * sigma
-    c = br.B2 * (8.0 * sigma - 5.0) / 3.0
-    norm = [  # the summands in v = sqrt(log x), divided by v^p e^{-C v}
-        EnvelopeTerm(log_2c1 + p * math.log(br.B2), 0.0, 0.0),
-        EnvelopeTerm(log_2c2 + 2.0 * math.log(br.B2), 2.0 - p, br.B2 - c),
-        EnvelopeTerm(math.log(RVM_COEF), 1.2 - p, br.B2 - c),
-        EnvelopeTerm(math.log(_CH), -p, -c, quad=0.5),
-        EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma,
-                     poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2)),
-    ]
     v0 = math.sqrt(log_x0)
-    log_a = _log_sum(norm, v0)
+    log_b2, log_v0, columns = math.log(br.B2), math.log(v0), []  # ``_log_2c``'s lane columns
 
-    def envelope() -> _Envelope:
-        return _Envelope(log_a, p / 2.0, c, lambda: certify_monotone(norm, v0),
-                         br, tuple(t.shifted(p, c) for t in norm))
+    def at(sigma, K):
+        log_2c1, log_2c2 = _log_2c(sigma, table, columns)
+        p = 5.0 - 2.0 * sigma
+        c = br.B2 * (8.0 * sigma - 5.0) / 3.0
+        norm = [  # the summands in v = sqrt(log x), divided by v^p e^{-C v}
+            EnvelopeTerm(log_2c1 + p * log_b2, 0.0, 0.0),
+            EnvelopeTerm(log_2c2 + 2.0 * log_b2, 2.0 - p, br.B2 - c),
+            EnvelopeTerm(math.log(RVM_COEF), 1.2 - p, br.B2 - c),
+            EnvelopeTerm(math.log(_CH), -p, -c, quad=0.5),
+            EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma,
+                         poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2)),
+        ]
+        log_a = _log_sum(norm, v0, None if isinstance(sigma, (int, float)) else (len(norm), sigma.size))
 
-    return log_a + p * math.log(v0) - c * v0, envelope
+        def envelope() -> _Envelope:
+            return _Envelope(log_a, p / 2.0, c, lambda: certify_monotone(norm, v0),
+                             br, tuple(t.shifted(p, c) for t in norm))
+
+        return log_a + p * log_v0 - c * v0, envelope
+
+    return at
 
 
 def large_bound(log_x0: float, sigma: float, table: DensityTable,
@@ -480,10 +491,10 @@ def large_bound(log_x0: float, sigma: float, table: DensityTable,
 # ---------------------------------------------------------------------------
 
 
-def _vk_logs(log_x: float, sigma, br: Bracket, table: DensityTable) -> tuple:
-    """ln of the five summands (two in s1, two in s2, s3) with the VK decay
-    argument w = r(x); lane by lane for an ndarray sigma."""
-    log_2c1, log_2c2 = _log_2c(sigma, table)
+def _vk_logs(log_x: float, sigma, br: Bracket, log_2c: tuple) -> tuple:
+    """ln of the five summands (two in s1, two in s2, s3) with the VK decay argument
+    w = r(x), from (ln 2 C1, ln 2 C2) at sigma; lane by lane for an ndarray sigma."""
+    log_2c1, log_2c2 = log_2c
     w = vk_decay_arg(log_x)
     p = 5.0 - 2.0 * sigma
     s2a = log_2c1 + (br.B2 * (5.0 - 8.0 * sigma) / 3.0) * w + p * math.log(br.B2 * w)
@@ -502,7 +513,7 @@ def _vk_groups(logs: Sequence[float]) -> dict[str, ExtReal]:
 
 def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> dict[str, ExtReal]:
     """The three error groups with the VK decay argument w = r(x)."""
-    return _vk_groups(_vk_logs(log_x, sigma, br, table))
+    return _vk_groups(_vk_logs(log_x, sigma, br, _log_2c(sigma, table, [])))
 
 
 def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
@@ -534,28 +545,31 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
     return True
 
 
-def _vk_fit(log_x0: float, sigma: float, K: int, table: DensityTable) -> _Fit:
+def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
     """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in."""
-    br = bracket_nu3(log_x0)
-    logs = _vk_logs(log_x0, sigma, br, table)
-    if isinstance(sigma, (int, float)):
-        log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
-    else:  # the ExtReal sum's association, (s1 + s2) + s3
-        import numpy as np
-        s1a, s1b, s2a, s2b, s3 = logs
-        log_total = np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
+    br, w0, columns = bracket_nu3(log_x0), vk_decay_arg(log_x0), []  # ``_log_2c``'s lane columns
 
-    def envelope() -> _Envelope:
-        p = 5.0 - 2.0 * sigma
-        c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
-        w0 = vk_decay_arg(log_x0)
-        # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
-        log_a = (log_total - p * math.log(br.B2 * w0) + c_exact * w0
-                 + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
-        return _Envelope(log_a, 3.0 * p / 5.0, c_exact,
-                         lambda: _certify_vk_monotone(log_x0, sigma, br), br)
+    def at(sigma, K):
+        logs = _vk_logs(log_x0, sigma, br, _log_2c(sigma, table, columns))
+        if isinstance(sigma, (int, float)):
+            log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
+        else:  # the ExtReal sum's association, (s1 + s2) + s3
+            import numpy as np
+            s1a, s1b, s2a, s2b, s3 = logs
+            log_total = np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
 
-    return log_total, envelope
+        def envelope() -> _Envelope:
+            p = 5.0 - 2.0 * sigma
+            c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
+            # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
+            log_a = (log_total - p * math.log(br.B2 * w0) + c_exact * w0
+                     + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
+            return _Envelope(log_a, 3.0 * p / 5.0, c_exact,
+                             lambda: _certify_vk_monotone(log_x0, sigma, br), br)
+
+        return log_total, envelope
+
+    return at
 
 
 def vk_bound(log_x0: float, sigma: float, table: DensityTable,
@@ -678,11 +692,11 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     K = 1 otherwise) the candidates are the density grid's sigmas below 1
     and, in each grid cell, the end of a ternary search (the off-grid
     interpolation rule applies there).  One lockstep runs every search;
-    its lanes are the (K, cell) pairs.  Each step makes one fit call for
-    the two probes of every lane still wider than 1e-6, and a last call
-    ranks the grid points and the midpoints for every K at once.  The
-    medium fit sums all its lanes as one term x lane matrix.  A fit's
-    lanes equal its float calls bit for bit, so the picks are those of
+    its lanes are the (K, cell) pairs.  The fit is bound to the anchor once
+    (precondition, bracket, u0, table columns); each step makes one call
+    of the binding for the two probes of every lane still wider than 1e-6,
+    and a last call ranks the grid points and the midpoints for every K at
+    once.  Lanes equal float calls bit for bit, so the picks are those of
     searching each (K, cell) on its own.  Ties break deterministically
     toward smaller sigma, then smaller K.  The first candidate that
     certifies is emitted; if none does, the error carries the best-ranked
@@ -692,19 +706,19 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     rec = _check_request(regime, log_x0, claim_X)
     cells = np.array(table.sigma_grid)
     grid = cells[cells < 1.0]
-    ks = np.array(rec.Ks)
+    ks, at = np.array(rec.Ks), rec.fit(log_x0, table)
     a = np.tile(cells[:-1] + 1e-9, ks.size)
     b = np.tile(np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9), ks.size)
     lane_K = np.repeat(ks, cells.size - 1)
-    while (live := np.flatnonzero(b - a > 1e-6)).size:
+    while (live := (b - a > 1e-6).nonzero()[0]).size:
         al, bl = a[live], b[live]
         m1, m2 = al + (bl - al) / 3.0, bl - (bl - al) / 3.0
-        v = rec.fit(log_x0, np.concatenate([m1, m2]), np.tile(lane_K[live], 2), table)[0]
+        v = at(np.concatenate([m1, m2]), np.concatenate([lane_K[live]] * 2))[0]
         left = v[:live.size] <= v[live.size:]
         a[live], b[live] = np.where(left, al, m1), np.where(left, m2, bl)
     sigmas = np.concatenate([np.tile(grid, ks.size), 0.5 * (a + b)])
     Ks = np.concatenate([np.repeat(ks, grid.size), lane_K])
-    candidates = sorted(zip(rec.fit(log_x0, sigmas, Ks, table)[0].tolist(), sigmas.tolist(), Ks.tolist()))
+    candidates = sorted(zip(at(sigmas, Ks)[0].tolist(), sigmas.tolist(), Ks.tolist()))
     best_reason = None
     for _value, s, K in candidates:
         try:

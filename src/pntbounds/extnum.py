@@ -106,17 +106,17 @@ class ExtReal:
     def _key(self) -> float:
         return -math.inf if self.is_zero else self.log_value
 
-    def __lt__(self, other: "ExtReal") -> bool:
-        return self._key() < other._key()
+    def __lt__(self, other: object) -> bool:
+        return self._key() < other._key() if isinstance(other, ExtReal) else NotImplemented
 
-    def __le__(self, other: "ExtReal") -> bool:
-        return self._key() <= other._key()
+    def __le__(self, other: object) -> bool:
+        return self._key() <= other._key() if isinstance(other, ExtReal) else NotImplemented
 
-    def __gt__(self, other: "ExtReal") -> bool:
-        return self._key() > other._key()
+    def __gt__(self, other: object) -> bool:
+        return self._key() > other._key() if isinstance(other, ExtReal) else NotImplemented
 
-    def __ge__(self, other: "ExtReal") -> bool:
-        return self._key() >= other._key()
+    def __ge__(self, other: object) -> bool:
+        return self._key() >= other._key() if isinstance(other, ExtReal) else NotImplemented
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtReal):

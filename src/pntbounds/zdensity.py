@@ -63,16 +63,16 @@ class DensityTable(NamedTuple):
         i1, i2 = self.rows_at(sigma)
         return self.rows[i1].C1, self.rows[i2].C2
 
-    def rows_at(self, sigma):
-        """Indices of the rows giving (C1, C2) at sigma, lane by lane for a 1-D ndarray.
+    def rows_at(self, sigma, g=None):
+        """Indices of the rows giving (C1, C2) at sigma, lane by lane for a 1-D ndarray and ``g``, its grid.
 
         A sigma within 1e-12 of a grid point takes that row; any other
         takes C1 from the row above and C2 from the row below, the
         conservative rule above.  Lanes take it in one pass: ``np.rint`` rounds
         half to even as ``round`` does, ``searchsorted(side="left")`` is ``bisect_left``.
         """
-        grid = self.sigma_grid
         if isinstance(sigma, (int, float)):
+            grid = self.sigma_grid
             if not grid[0] <= sigma <= grid[-1]:  # a row at or above, and one at or below
                 raise ValueError(f"sigma={sigma} outside table range [{grid[0]}, {grid[-1]}]")
             i = min(max(round((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1)
@@ -81,10 +81,9 @@ class DensityTable(NamedTuple):
             hi = bisect.bisect_left(grid, sigma)
             return hi, hi - 1
         import numpy as np
-        g = np.array(grid)
         for s in sigma[~((g[0] <= sigma) & (sigma <= g[-1]))][:1].tolist():
             self.rows_at(s)  # raises the float call's error
-        i = np.minimum(np.maximum(np.rint((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1).astype(int)
+        i = np.minimum(np.maximum(np.rint((sigma - _GRID_LO) / _GRID_STEP), 0), g.size - 1).astype(int)
         on = np.abs(g[i] - sigma) < 1e-12
         hi = np.searchsorted(g, sigma, side="left")
         return np.where(on, i, hi), np.where(on, i, hi - 1)

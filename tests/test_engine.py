@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,6 +63,33 @@ def test_cprime_attained_at_first_index(density_table):
 def test_ck_index_guard():
     with pytest.raises(ValueError):
         ck(0.99, 4, 4)
+
+
+# -- rounding toward validity -------------------------------------------------
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=-1e6, max_value=1e6), st.integers(0, 6))
+@example(0.82739999999995, 4)
+@example(0.8274, 4)
+@example(0.1 + 0.2, 1)
+@example(-0.82739999999995, 4)
+@example(0.99, 2)
+@example(5e-324, 6)
+def test_round_down_is_exact(v, d):
+    # a rounded-down C must never exceed its unrounded value, neither as the
+    # float nor as the decimal it prints as, and that decimal is v's floor at
+    # d decimals (the float 0.99 is below 0.99, so its floor at 2 is 0.98)
+    got = engine._round_down(v, d)
+    printed = Fraction(repr(got))
+    assert Fraction(got) <= Fraction(v) and printed <= Fraction(v)
+    assert Fraction(v) - printed < Fraction(1, 10**d) and printed * 10**d == int(printed * 10**d)
+
+
+def test_round_down_pins_the_boundary_case():
+    # 0.82739999999995 used to round to 0.8274, above its input
+    assert engine._round_down(0.82739999999995, 4) == 0.8273
+    assert engine._round_down(0.8274, 4) == 0.8274
 
 
 # -- truncated zero-sum formula precondition --------------------------------
@@ -373,7 +401,7 @@ def test_optimize_ranks_and_emits_with_the_pipeline_code(density_table, monkeypa
     for regime, log_x0 in (("medium", 6000.0), ("large", 1e6), ("vk", 3e10)):
         row = optimize(log_x0, regime, density_table)
         # the ranked value is the emitted row's unrounded envelope at its anchor
-        value, _ = engine.REGIMES[regime].fit(log_x0, row.sigma, row.K, density_table)
+        value, _ = engine.REGIMES[regime].fit(log_x0, density_table)(row.sigma, row.K)
         assert value == pytest.approx(row.log_rel_envelope(log_x0, rounded=False), abs=1e-9)
     assert calls["compute_row"] == 0
     assert all(calls[f"{regime}_bound"] >= 1 for regime in ("medium", "large", "vk"))
@@ -420,10 +448,10 @@ def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, 
     # padded to the largest K
     sigmas = _sigma_probes(density_table)
     Ks = [1 + i % 10 if K == "mixed" else K for i in range(len(sigmas))]
-    fit = engine.REGIMES[regime].fit
-    lanes = fit(log_x0, np.array(sigmas), np.array(Ks) if K == "mixed" else K, density_table)[0]
+    at = engine.REGIMES[regime].fit(log_x0, density_table)
+    lanes = at(np.array(sigmas), np.array(Ks) if K == "mixed" else K)[0]
     assert isinstance(lanes, np.ndarray) and lanes.shape == (len(sigmas),)
-    assert lanes.tolist() == [fit(log_x0, s, k, density_table)[0] for s, k in zip(sigmas, Ks)]
+    assert lanes.tolist() == [at(s, k)[0] for s, k in zip(sigmas, Ks)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -435,13 +463,13 @@ def test_vk_lanes_sum_in_the_float_calls_association(density_table, values):
     sigmas = np.linspace(0.985, 0.995, len(values))
     by_sigma = dict(zip(sigmas.tolist(), values))
 
-    def logs(log_x, sigma, br, table):
+    def logs(log_x, sigma, br, log_2c):
         return by_sigma[sigma] if isinstance(sigma, float) else tuple(np.array(values).T)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_vk_logs", logs)
-        lanes = engine._vk_fit(3e10, sigmas, 1, density_table)[0]
-        assert lanes.tolist() == [engine._vk_fit(3e10, s, 1, density_table)[0] for s in sigmas.tolist()]
+        at = engine._vk_fit(3e10, density_table)
+        assert at(sigmas, 1)[0].tolist() == [at(s, 1)[0] for s in sigmas.tolist()]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -470,15 +498,24 @@ def test_medium_lanes_equal_their_float_calls_by_hex(density_table, log_x0, lane
     grid = density_table.sigma_grid
     sigmas = [grid[s] if isinstance(s, int) else s for s, _ in lanes]
     Ks = [K for _, K in lanes]
-    got = engine._medium_fit(log_x0, np.array(sigmas), np.array(Ks), density_table)[0]
-    want = [engine._medium_fit(log_x0, s, K, density_table)[0] for s, K in zip(sigmas, Ks)]
+    got = engine._medium_fit(log_x0, density_table)(np.array(sigmas), np.array(Ks))[0]
+    want = [engine._medium_fit(log_x0, density_table)(s, K)[0] for s, K in zip(sigmas, Ks)]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def test_a_medium_fit_refuses_k_below_one_in_any_lane(density_table):
+    # a lane's K indexes the fit's (k, K) pieces, so a K of 0 must not wrap to the largest K
+    at = engine._medium_fit(5000.0, density_table)
+    for sigma, K in ((0.99, 0), (np.array([0.99, 0.99]), np.array([0, 4])), (np.array([0.99]), 0)):
+        with pytest.raises(ValueError, match="K >= 1 required"):
+            at(sigma, K)
 
 
 @pytest.mark.parametrize("K", [1, 4, 10, "mixed"])
 def test_a_medium_lane_fit_builds_at_most_five_terms(density_table, monkeypatch, K):
-    # a speed guard that holds on any host: a lane fit's s2 is one stacked term, so
-    # it builds s1 (2 terms), s2 (1) and s3 (1) whatever K is; a float fit builds 2K + 3
+    # a speed guard that holds on any host: a lane fit's s2 is a_k and b_k as two
+    # (k, lane) terms, so it builds s1 (2 terms), s2 (2) and s3 (1) whatever K is; a
+    # float fit builds 2K + 3
     built = []
 
     def counting(*args, **kwargs):
@@ -488,11 +525,12 @@ def test_a_medium_lane_fit_builds_at_most_five_terms(density_table, monkeypatch,
     monkeypatch.setattr(engine, "EnvelopeTerm", counting)
     sigmas = np.array(_sigma_probes(density_table))
     Ks = np.array([1 + i % 10 for i in range(sigmas.size)]) if K == "mixed" else K
-    engine._medium_fit(5000.0, sigmas, Ks, density_table)
+    at = engine._medium_fit(5000.0, density_table)
+    at(sigmas, Ks)
     assert 0 < len(built) <= 5
     if K != "mixed":
         built.clear()
-        engine._medium_fit(5000.0, 0.99, K, density_table)
+        at(0.99, K)
         assert len(built) == 2 * K + 3
 
 
@@ -550,32 +588,63 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     table = DensityTable(tuple(r._replace(C1=c1, C2=c2)
                                for r, c1, c2 in zip(density_table.rows, pick, pick[::-1])))
     sigmas = _sigma_probes(table)
-    i1, i2 = table.rows_at(np.array(sigmas))
+    i1, i2 = table.rows_at(np.array(sigmas), np.array(table.sigma_grid))
     lanes = [(table.rows[a].C1, table.rows[b].C2) for a, b in zip(i1.tolist(), i2.tolist())]
     assert lanes == [table.coeffs(s) for s in sigmas]
-    c1_lanes, c2_lanes = engine._log_2c(np.array(sigmas), table)
-    assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table) for s in sigmas]
+    columns = []
+    c1_lanes, c2_lanes = engine._log_2c(np.array(sigmas), table, columns)
+    assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table, columns) for s in sigmas]
     for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1), ("vk", 3e10, 1)):
-        fit = engine.REGIMES[regime].fit
-        lanes = fit(log_x0, np.array(sigmas), K, table)[0]
-        assert lanes.tolist() == [fit(log_x0, s, K, table)[0] for s in sigmas]
+        at = engine.REGIMES[regime].fit(log_x0, table)
+        lanes = at(np.array(sigmas), K)[0]
+        assert lanes.tolist() == [at(s, K)[0] for s in sigmas]
+
+
+@pytest.mark.parametrize("regime, log_x0", [("medium", 2488.0), ("medium", 7000.0), ("large", 1e5),
+                                            ("large", 3e8), ("vk", 2.8e10), ("vk", 5e11)])
+def test_a_binding_gives_a_fresh_bindings_values_on_reuse(density_table, regime, log_x0):
+    # optimize calls one binding about 20 times with shrinking lane sets, and
+    # emission binds again for a float call; whatever a binding built at its
+    # first lane call must not leak into a later call with other lanes or K
+    fit = engine.REGIMES[regime].fit
+    at = fit(log_x0, density_table)
+    grid = [s for s in density_table.sigma_grid if s < 1.0]
+    mixed = [1 + i % 10 for i in range(len(grid))] if regime == "medium" else [1] * len(grid)
+    one = [4 if regime == "medium" else 1] * len(grid)
+    calls = [
+        (np.array(grid), np.array(mixed)),                                  # grid sigmas, mixed K
+        (np.array(grid[3:9]) + 1e-12, np.array(one[3:9])),                  # off-grid by 1e-12, one K
+        (np.array([grid[5] - 1e-12]), np.array(mixed[7:8])),                # one lane
+        (np.array(_sigma_probes(density_table)), np.array([1 + i % 3 if regime == "medium" else 1
+                                                          for i in range(len(_sigma_probes(density_table)))])),
+        (np.array(grid[:4]), 3 if regime == "medium" else 1),               # an int K
+    ]
+    for sigmas, Ks in calls:
+        got = at(sigmas, Ks)[0].tolist()
+        want = fit(log_x0, density_table)(sigmas, Ks)[0].tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    for s, K in ((grid[2], one[0]), (grid[2] + 1e-12, mixed[5]), (0.9999932, 1)):
+        value, envelope = at(s, K)
+        fresh_value, fresh_envelope = fit(log_x0, density_table)(s, K)
+        assert type(value) is float and value.hex() == fresh_value.hex()
+        assert [v.hex() for v in envelope()[:3]] == [v.hex() for v in fresh_envelope()[:3]]
 
 
 def _per_candidate_optimize(log_x0, regime, table):
     """The search one cell and one candidate at a time, with float fit calls."""
-    fit = engine.REGIMES[regime].fit
+    fit = engine.REGIMES[regime].fit(log_x0, table)
     candidates = []
     for K in range(1, 11) if regime == "medium" else [1]:
-        candidates += [(fit(log_x0, s, K, table)[0], s, K) for s in table.sigma_grid if s < 1.0]
+        candidates += [(fit(s, K)[0], s, K) for s in table.sigma_grid if s < 1.0]
         for lo, hi in zip(table.sigma_grid[:-1], table.sigma_grid[1:]):
             a, b = lo + 1e-9, min(hi - 1e-9, 1.0 - 1e-9)
             while b - a > 1e-6:
                 m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
-                if fit(log_x0, m1, K, table)[0] <= fit(log_x0, m2, K, table)[0]:
+                if fit(m1, K)[0] <= fit(m2, K)[0]:
                     b = m2
                 else:
                     a = m1
-            candidates.append((fit(log_x0, 0.5 * (a + b), K, table)[0], 0.5 * (a + b), K))
+            candidates.append((fit(0.5 * (a + b), K)[0], 0.5 * (a + b), K))
     for _value, s, K in sorted(candidates):
         try:
             return engine._bound(regime, log_x0, s, K, table, None, None)
@@ -600,9 +669,13 @@ def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeyp
                                                           quantum):
     if quantum:  # values floored to a coarse step tie often, so tie-breaking must agree too
         for name, rec in list(engine.REGIMES.items()):
-            def coarse(*args, _real=rec.fit):
-                value, envelope = _real(*args)
-                return np.floor(value / quantum) * quantum, envelope
+            def coarse(log_x0, table, _real=rec.fit):
+                at = _real(log_x0, table)
+
+                def floored(sigma, K):
+                    value, envelope = at(sigma, K)
+                    return np.floor(value / quantum) * quantum, envelope
+                return floored
             monkeypatch.setitem(engine.REGIMES, name, rec._replace(fit=coarse))
     row = optimize(log_x0, regime, density_table)
     ref = _per_candidate_optimize(log_x0, regime, density_table)
@@ -612,12 +685,17 @@ def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeyp
 
 
 def _count_calls(monkeypatch):
-    """Wrap the three fits and engine's bracket bindings with call counters."""
-    calls = {"fit": 0, "bracket": 0}
+    """Wrap the three fits, the ``at`` each binding returns and engine's bracket bindings with call counters."""
+    calls = {"fit": 0, "at": 0, "bracket": 0}
     for regime, rec in list(engine.REGIMES.items()):
         def fit(*args, _fn=rec.fit):
             calls["fit"] += 1
-            return _fn(*args)
+            at = _fn(*args)
+
+            def counted(*lanes):
+                calls["at"] += 1
+                return at(*lanes)
+            return counted
         monkeypatch.setitem(engine.REGIMES, regime, rec._replace(fit=fit))
     for name in ("bracket_nu2", "bracket_nu3"):
         def bracket(*args, _fn=getattr(engine, name)):
@@ -627,18 +705,23 @@ def _count_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("regime, log_x0, max_fits", [
+@pytest.mark.parametrize("regime, log_x0, max_calls", [
     ("medium", 6000.0, 30), ("large", 1e6, 25), ("vk", 3e10, 25),
 ])
-def test_optimize_work_count(density_table, monkeypatch, regime, log_x0, max_fits):
+def test_optimize_work_count(density_table, monkeypatch, regime, log_x0, max_calls):
     # a speed guard that holds on any host: one lockstep over every (K, cell)
-    # makes one fit call per ternary step and one for the grid and midpoints
-    # (the per-candidate search made 7601 medium and 761 large/VK calls, and
-    # a lockstep per K made about 200 medium calls)
+    # makes one ``at`` call per ternary step and one for the grid and midpoints,
+    # all on one binding, and each emission attempt binds once and calls ``at``
+    # once (the per-candidate search made 7601 medium and 761 large/VK calls,
+    # and a lockstep per K made about 200 medium calls); the bracket is
+    # computed once per binding, not once per call
     calls = _count_calls(monkeypatch)
-    optimize(log_x0, regime, density_table)
-    assert 0 < calls["fit"] <= max_fits
-    assert calls["bracket"] <= (0 if regime == "medium" else 25)
+    row = optimize(log_x0, regime, density_table)
+    assert 0 < calls["at"] <= max_calls
+    attempts = calls["fit"] - 1  # the search's one binding, then one per emission attempt
+    assert attempts >= 1 and calls["at"] - attempts <= 20
+    assert calls["bracket"] == (0 if regime == "medium" else calls["fit"])
+    assert row.monotone_certified
 
 
 @pytest.mark.parametrize("log_x0", [500.0, 1500.0, 2487.9])

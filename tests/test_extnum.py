@@ -48,6 +48,16 @@ def test_never_equals_a_tuple(v):
         3 * v
 
 
+@pytest.mark.parametrize("other", [2.0, 0, None, (1.0, False)])
+def test_ordering_against_a_non_extreal_is_a_type_error(other):
+    # each comparison returns NotImplemented, so Python raises TypeError
+    # (it used to be an AttributeError from the other side's missing _key)
+    for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b):
+        for a, b in ((ExtReal(1.0), other), (other, ExtReal(1.0)), (EXT_ZERO, other)):
+            with pytest.raises(TypeError):
+                compare(a, b)
+
+
 def test_round_trip_identity_on_positives():
     rng = np.random.default_rng(7)
     for _ in range(500):

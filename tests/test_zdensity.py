@@ -87,7 +87,7 @@ def _coeffs_oracle(table, sigma):
 
 def _lane_coeffs(table, sigmas):
     """(C1, C2) lane by lane from the rows ``rows_at`` picks, as the optimizer's fits read them."""
-    i1, i2 = table.rows_at(sigmas)
+    i1, i2 = table.rows_at(sigmas, np.array(table.sigma_grid))
     return np.array([r.C1 for r in table.rows])[i1], np.array([r.C2 for r in table.rows])[i2]
 
 
