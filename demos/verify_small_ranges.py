@@ -19,7 +19,7 @@ from pntbounds import (
     piecewise_coverage,
     verify_pointwise,
 )
-from pntbounds.cli import VERIFY_SMALL_LIMIT
+from pntbounds.cli import SIEVE_CHECKED_HI
 from pntbounds.regimes import abs_envelope
 
 
@@ -29,8 +29,9 @@ def main() -> None:
     first = rows[0]
 
     print("== sieve ==")
-    pt = build_sieve(VERIFY_SMALL_LIMIT)
-    print(f"  primes up to {VERIFY_SMALL_LIMIT}: {len(pt.primes)}")
+    limit = int(max(SIEVE_CHECKED_HI.values()))
+    pt = build_sieve(limit)
+    print(f"  primes up to {limit}: {len(pt.primes)}")
     print(f"  theta(10) = {pt.theta(10):.6f}   psi(100) = {pt.psi(100):.6f}")
     print(f"  li(2) = {li(2.0):.8f}   li(10^6) = {li(1e6):.4f}")
 

@@ -27,7 +27,6 @@ ENV_TABLE = "PNT_DENSITY_TABLE"
 # `verify-small` sieve-checks each quantity on [2, hi] and sieves no further;
 # `eval` is gated above these ranges, where the analytic bounds take over
 SIEVE_CHECKED_HI = {"psi": 59.0, "theta": 599.0, "pi": 2657.0}
-VERIFY_SMALL_LIMIT = int(max(SIEVE_CHECKED_HI.values()))
 EVAL_MIN_LOG_X = {q: math.log(hi) for q, hi in SIEVE_CHECKED_HI.items()}
 
 CSV_HEADER = "X,sigma,K,A,B,C,eps0_mantissa,eps0_exp10"
@@ -48,19 +47,6 @@ def finite_float(text: str) -> float:
     v = float(text)
     if not math.isfinite(v):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return v
-
-
-def _sieve_limit(text: str) -> int:
-    """argparse type of ``--limit``: an integer in [2, the sieve's memory budget]."""
-    from . import primes
-    try:
-        v = int(text)
-    except ValueError:
-        v = None
-    if v is None or not 2 <= v <= primes._MAX_SIEVE_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in [2, {primes._MAX_SIEVE_LIMIT}], got {text!r}")
     return v
 
 
@@ -94,12 +80,7 @@ def _rows_json(rows: Sequence[BoundConstants]) -> str:
 
 
 def _emit_rows(rows: Sequence[BoundConstants], fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(_rows_json(rows))
-    elif fmt == "csv":
-        sys.stdout.write(_rows_csv(rows))
-    else:
-        sys.stdout.write(_rows_text(rows))
+    sys.stdout.write({"json": _rows_json, "csv": _rows_csv}.get(fmt, _rows_text)(rows))
 
 
 def _table1_unused_flag(args: argparse.Namespace) -> str | None:
@@ -198,8 +179,8 @@ def cmd_crossovers(args: argparse.Namespace) -> int:
 def cmd_verify_small(args: argparse.Namespace) -> int:
     from . import primes
     table = _resolve_table(args)
-    pt = primes.build_sieve(args.limit)
-    first = engine.compute_default_rows(table)[0]
+    pt = primes.build_sieve(int(max(SIEVE_CHECKED_HI.values())))
+    first = engine.compute_row(engine.DEFAULT_ROW_PARAMS[0], table)
     pi_c = derived.pi_constants_classical()
     theta_a1 = derived.theta_constants(first).A1
     bounds = {"psi": regimes.abs_envelope(first.u_kind, first.A, first.B, first.C),
@@ -208,16 +189,12 @@ def cmd_verify_small(args: argparse.Namespace) -> int:
     checks = [primes.verify_pointwise(pt, bounds[q], q, 2.0, hi)
               for q, hi in SIEVE_CHECKED_HI.items()]
     coverage = engine.piecewise_coverage(first, pt)
-    failed = False
     for rep in checks:
-        status = "pass" if rep.passed else "FAIL"
-        failed = failed or not rep.passed
-        print(f"{rep.quantity:>6} on [{rep.lo:g}, {rep.hi:g}]: {status} "
+        print(f"{rep.quantity:>6} on [{rep.lo:g}, {rep.hi:g}]: {'pass' if rep.passed else 'FAIL'} "
               f"({rep.n_points} points, worst margin {rep.worst_margin:.6g} at x = {rep.worst_x:g})")
     for seg in coverage.segments:
         print(f"segment {seg.span}: {seg.status.upper()} - {seg.detail}")
-    failed = failed or not coverage.hard_pass
-    return 1 if failed else 0
+    return 0 if coverage.hard_pass and all(rep.passed for rep in checks) else 1
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -298,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crossovers)
 
     p = sub.add_parser("verify-small", help="sieve-check the small-range claims")
-    p.add_argument("--limit", type=_sieve_limit, default=VERIFY_SMALL_LIMIT)
     p.set_defaults(func=cmd_verify_small)
 
     p = sub.add_parser("eval", help="best certified envelope at a given log x")

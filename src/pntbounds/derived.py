@@ -4,7 +4,8 @@ A psi envelope transfers to theta by absorbing the prime-power gap
 psi(x) - theta(x) < a1 sqrt(x) + a2 x^(1/3) into a small additive bump
 of the leading constant, and to pi by partial summation, which costs a
 factor 1/log x plus three explicit integrals over |theta(t) - t|.  Its
-h' condition on log t >= 58 is proved in closed form at 58 alone.
+h' condition on log t >= 58 is proved in closed form at 58 alone.  Both
+certificates list ``engine.Premise`` records and refuse by ``engine.refusal``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .engine import _COVERAGE_TOL, BoundConstants, CertificationError, _round_up
-from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime_falls
+from .engine import _COVERAGE_TOL, BoundConstants, CertificationError, Premise, _round_up, refusal
+from .regimes import (_R_PRIME_FALLS, DecayKind, decay_arg_prime, log_envelope, vk_decay_arg,
+                      vk_decay_arg_prime_falls)
 
 __all__ = [
     "GAP_A1",
@@ -47,7 +49,7 @@ def theta_constants(psi: BoundConstants, extra: float = 0.01) -> ThetaConstants:
     Requires extra * (log x)^B e^{-C u(x)} >= a1 x^(-1/2) + a2 x^(-2/3)
     for all x >= max(x0, exp(58)).  The right side is below
     (a1 + a2) e^{-log x / 2}, and the ratio of the left side to that
-    majorant is increasing in x, so the left endpoint decides.
+    majorant increases in x if C u' < 1/2 at the left end (u' falls), so the left end decides.
     """
     if not 0.0 < extra < math.inf:
         raise ValueError(f"extra must be finite and > 0, got {extra}")
@@ -56,11 +58,10 @@ def theta_constants(psi: BoundConstants, extra: float = 0.01) -> ThetaConstants:
     log_x = max(psi.X, GAP_MIN_LOG_X)
     lhs = log_envelope(psi.u_kind, math.log(extra), psi.B, psi.C, log_x)
     rhs = math.log(GAP_A1 + GAP_A2) - log_x / 2.0
-    if lhs < rhs:
-        raise CertificationError(f"gap absorption fails at log x = {log_x:g}")
-    # ratio increasing needs C u'(x) <= 1/2; u' is decreasing, check left end
-    if psi.C * decay_arg_prime(psi.u_kind, log_x) >= 0.5:
-        raise CertificationError("gap ratio not increasing")
+    slope = psi.C * decay_arg_prime(psi.u_kind, log_x)
+    if refused := refusal([Premise("extra L^B e^(-C u) >= (a1 + a2) x^(-1/2)", lhs >= rhs, lhs - rhs, log_x),
+                           Premise("C u' < 1/2", slope < 0.5, 0.5 - slope, log_x)]):
+        raise CertificationError(f"gap absorption {refused} at log x = {log_x:g}")
     return ThetaConstants(A1=psi.A + extra, source_label=psi.label)
 
 
@@ -76,7 +77,7 @@ class PiConstants(NamedTuple):
     i2_recomputed: float
 
 
-def _check_h_condition(B: float, C: float, alpha: float, u_kind: DecayKind) -> None:
+def _check_h_condition(B: float, C: float, alpha: float, u_kind: DecayKind) -> list[Premise]:
     """Certify h(L) = L - alpha - C L u'(L) - L^(B+alpha-1) >= 0 for all L >= 58.
 
     L = log t and u' = du/dL.  h(L)/L = 1 - alpha/L - C u'(L) - L^(B+alpha-2),
@@ -90,13 +91,15 @@ def _check_h_condition(B: float, C: float, alpha: float, u_kind: DecayKind) -> N
     """
     lo = GAP_MIN_LOG_X
     u_ok = u_kind == "sqrt_log" or (u_kind == "vk_r" and vk_decay_arg_prime_falls(lo))
+    u_margin = {"sqrt_log": math.inf, "vk_r": math.log(lo) - _R_PRIME_FALLS}.get(u_kind, math.nan)
     h0 = lo - alpha - C * lo * decay_arg_prime(u_kind, lo) - lo ** (B + alpha - 1.0) if u_ok else math.nan
-    premises = {"alpha >= 0": alpha >= 0.0, "C >= 0": C >= 0.0, "B + alpha <= 2": B + alpha <= 2.0,
-                "u' nonincreasing": u_ok, "h(58) >= 0": h0 >= _COVERAGE_TOL}
-    unproved = [name for name, ok in premises.items() if not ok]
-    if unproved:
-        raise CertificationError(f"h' condition not proved ({', '.join(unproved)} fails), "
-                                 f"h(58) = {h0:.4g}")
+    premises = [Premise("alpha >= 0", alpha >= 0.0, alpha, lo), Premise("C >= 0", C >= 0.0, C, lo),
+                Premise("B + alpha <= 2", B + alpha <= 2.0, 2.0 - (B + alpha), lo),
+                Premise("u' nonincreasing", u_ok, u_margin, lo),
+                Premise("h(58) >= 0", h0 >= _COVERAGE_TOL, h0 - _COVERAGE_TOL, lo)]
+    if refused := refusal(premises):
+        raise CertificationError(f"h' condition {refused}, h(58) = {h0:.4g}")
+    return premises
 
 
 def _pi_constants(a1: float, b: float, c: float, alpha: float, u_kind: DecayKind,

@@ -9,8 +9,8 @@ zero-sum formula), then factors the sum through a decaying envelope
 
 A is pinned at x0; this is only valid if the normalized sum is
 nonincreasing beyond x0, so every emitted constant set carries a
-monotonicity certificate.  Constants are rounded toward validity
-(A and B up, C down).
+monotonicity certificate.  Every certificate returns its ``Premise`` list,
+decided by ``refusal``.  Constants are rounded toward validity (A and B up, C down).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import sys
 from typing import Callable, Literal, NamedTuple, Sequence
 
 from .extnum import EXT_ZERO, ExtReal
-from .regimes import (MIN_LOG_X0_NU2, MIN_LOG_X0_NU3, Bracket, DecayKind, abs_envelope, bracket_nu2,
-                      bracket_nu3, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime,
-                      vk_decay_arg_prime_falls)
+from .regimes import (_R_PRIME_FALLS, MIN_LOG_X0_NU2, MIN_LOG_X0_NU3, Bracket, DecayKind, abs_envelope,
+                      bracket_nu2, bracket_nu3, decay_arg_prime, log_envelope, vk_decay_arg,
+                      vk_decay_arg_prime, vk_decay_arg_prime_falls)
 from .zfr import PntBoundsError, R0, _bisect
 from .zdensity import DensityTable, LOG_RIEMANN_HEIGHT, recip_sum_bounds
 
@@ -31,6 +31,8 @@ __all__ = [
     "EnvelopeTerm",
     "BoundConstants",
     "CertificationError",
+    "Premise",
+    "refusal",
     "ck",
     "cprime",
     "check_rvm_precondition",
@@ -56,6 +58,7 @@ __all__ = [
 RVM_COEF = 4.3128        # truncation coefficient of the zero-sum formula
 RVM_LOG_POW = 0.6
 _LOG_2PI = math.log(2.0 * math.pi)
+_MAX_K = 1000            # a row's largest K: a medium row's cost is linear in K, about 20 ms at 1000
 _MAX_LOG_A = math.log(sys.float_info.max / 1e3)  # A and A * 10^3 stay finite floats
 # zeros below the verified height H sit on the critical line; their reciprocal
 # sum enters s1 as twice the upper bound at H, and the below-sigma tail as
@@ -66,6 +69,21 @@ _CH, _RECIP2 = 2.0 * _RECIP_HI, 2.0 * (_RECIP_HI - _RECIP_LO)
 
 class CertificationError(PntBoundsError):
     """A bound could not be certified and is refused."""
+
+
+class Premise(NamedTuple):
+    """A certificate's premise at ``at``: ``holds`` by its own comparison, ``margin`` its signed slack."""
+
+    name: str
+    holds: bool
+    margin: float
+    at: float
+
+
+def refusal(premises: Sequence[Premise]) -> str:
+    """The empty string if every premise holds, else "not proved (a, b fails)", naming each failed one."""
+    failed = ", ".join(p.name for p in premises if not p.holds)
+    return f"not proved ({failed} fails)" if failed else ""
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +166,10 @@ def _phi_sup(term: EnvelopeTerm, u0: float) -> float:
     return phi if math.isfinite(phi) else math.inf
 
 
-def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float) -> bool:
-    """True iff a closed-form bound proves every term nonincreasing on [u0, inf)."""
-    return all(_phi_sup(t, u0) <= 0.0 for t in terms)
+def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float) -> list[Premise]:
+    """Per term, by index, the premise that a closed form proves it nonincreasing on [u0, inf)."""
+    return [Premise(f"term {i} nonincreasing", phi <= 0.0, -phi, u0)
+            for i, phi in enumerate(_phi_sup(t, u0) for t in terms)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +310,7 @@ class _Envelope(NamedTuple):
     log_a: float
     B: float
     C: float
-    certify: Callable[[], bool]
+    certify: Callable[[], list[Premise]]
     bracket: Bracket | None = None             # large/vk only
     raw_terms: tuple[EnvelopeTerm, ...] = ()   # the summands before normalization (not VK)
 
@@ -330,9 +349,9 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
     if not (0.98 <= sigma < 1.0):
         raise ValueError(f"sigma={sigma} outside [0.98, 1)")
     f = rec.fit(log_x0, table)(sigma, K)[1]()
-    if not f.certify():
+    if refused := refusal(f.certify()):
         k_note = f", K={K}" if len(rec.Ks) > 1 else ""
-        raise CertificationError(f"monotonicity fails at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
+        raise CertificationError(f"monotonicity {refused} at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
     if not f.log_a < _MAX_LOG_A:
         raise CertificationError(f"A = e^{f.log_a:g} at log x0 = {log_x0:g} is too large to emit")
     x_claim = log_x0 if claim_X is None else claim_X
@@ -516,33 +535,26 @@ def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> di
     return _vk_groups(_vk_logs(log_x, sigma, br, _log_2c(sigma, table, [])))
 
 
-def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> bool:
-    """Closed-form decrease checks for the VK normalized sum.
+def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premise]:
+    """The closed-form decrease premises of the VK normalized sum, all at the anchor.
 
     Uses that w' = r'(log x) decreases from the anchor on (exactly when loglog x
     > (sqrt(145) - 1)/12 = 0.920133..., ``vk_decay_arg_prime_falls``), so each
     derivative condition only needs checking at the anchor.
     """
-    c = br.B2 * (8.0 * sigma - 5.0) / 3.0
-    w0 = vk_decay_arg(log_x0)
-    wp0 = vk_decay_arg_prime(log_x0)
-    ll0 = math.log(log_x0)
-    if not vk_decay_arg_prime_falls(log_x0):
-        return False
-    if c >= br.B2:                                   # density C2 term
-        return False
-    if c * wp0 >= 0.5:                               # x^(-1/2) term
-        return False
-    q2 = br.B3**2 / (2.0 * math.pi)
-    q0 = -_CH + _RECIP2
-    if q2 * w0 * w0 < 2.0 * abs(q0):                 # x^(sigma-1) term, quadratic positive
-        return False
-    slack = 1.0 / (1.0 - abs(q0) / (q2 * w0 * w0))
-    if c * wp0 + 2.0 * wp0 / w0 * slack >= (1.0 - sigma):
-        return False
-    if (br.B2 - c) * w0 * (3.0 * ll0 - 1.0) / (5.0 * ll0) < RVM_LOG_POW:  # truncation term
-        return False
-    return True
+    c, ll0, q0 = br.B2 * (8.0 * sigma - 5.0) / 3.0, math.log(log_x0), -_CH + _RECIP2
+    w0, wp0 = vk_decay_arg(log_x0), vk_decay_arg_prime(log_x0)
+    qw, trunc = br.B3**2 / (2.0 * math.pi) * w0 * w0, (br.B2 - c) * w0 * (3.0 * ll0 - 1.0) / (5.0 * ll0)
+    premises = [Premise("w' nonincreasing", vk_decay_arg_prime_falls(log_x0), ll0 - _R_PRIME_FALLS, log_x0),
+                Premise("C < B2", c < br.B2, br.B2 - c, log_x0),                    # density C2 term
+                Premise("C w' < 1/2", c * wp0 < 0.5, 0.5 - c * wp0, log_x0),        # x^(-1/2) term
+                Premise("q2 w0^2 >= 2|q0|", qw >= 2.0 * abs(q0), qw - 2.0 * abs(q0), log_x0)]  # x^(sigma-1)
+    if premises[-1].holds:  # the x^(sigma-1) slope's slack divides by q2 w0^2 - |q0|
+        slope = c * wp0 + 2.0 * wp0 / w0 * (1.0 / (1.0 - abs(q0) / qw))
+        premises.append(Premise("C w' + 2 w'/w0 slack < 1 - sigma", slope < 1.0 - sigma,
+                                1.0 - sigma - slope, log_x0))
+    return premises + [Premise("(B2 - C) w0 (3 ll - 1)/(5 ll) >= 0.6", trunc >= RVM_LOG_POW,  # truncation
+                               trunc - RVM_LOG_POW, log_x0)]
 
 
 def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
@@ -611,7 +623,7 @@ REGIMES: dict[str, Regime] = {
 def _check_request(regime: str, log_x0: float, claim_X: float | None, K: int | None = None) -> Regime:
     """The regime's record, for a known regime, an anchor at or above its floor, no claim other
     than the anchor unless the regime allows one, no claim below the anchor but row ``log2``'s
-    (the only span below an anchor with a coverage record), and no K other than a single-K regime's."""
+    (the only span below an anchor with a coverage record), and a K in 1..``_MAX_K``, a single-K regime's own."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}, expected one of {', '.join(REGIMES)}")
     rec = REGIMES[regime]
@@ -624,6 +636,8 @@ def _check_request(regime: str, log_x0: float, claim_X: float | None, K: int | N
         raise ValueError(f"nothing covers log x in [{claim_X:g}, {log_x0:g}), below the {regime} anchor")
     if K is not None and len(rec.Ks) == 1 and K != rec.Ks[0]:
         raise ValueError(f"the {regime} pipeline takes K = {rec.Ks[0]}, not {K}")
+    if K is not None and not 1 <= K <= _MAX_K:
+        raise ValueError(f"K = {K} outside 1..{_MAX_K}")
     return rec
 
 
@@ -797,7 +811,7 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
     decreases, so its minimum is at 2488, when C >= 0 and
     C sqrt(2000) >= 2B (for B, C > 0: (2B/C)^2 <= 2000); this is checked
     on the rounded and the unrounded constants, which give the two printed
-    margins.  A premise that does not hold fails its segment.  B and C
+    margins.  A premise that does not hold fails its segment and is named.  B and C
     are compared exactly; the computed f'(log 59), f(log 59) and
     C sqrt(2000) - 2B must clear ``_COVERAGE_TOL`` (1e-12), far above
     their float error (about 1e-15), instead of a bare 0.
@@ -824,14 +838,15 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
     lo = math.log(59.0)
     worst = row.log_rel_envelope(lo) - (2.0 * math.log(lo) - math.log(8.0 * math.pi) - lo / 2.0)
     slope = (row.B - 2.0) / lo - row.C / (2.0 * math.sqrt(lo)) + 0.5
-    premises = {"B < 2": row.B < 2.0, "C >= 0": row.C >= 0.0,
-                "f'(log 59) > 0": slope > _COVERAGE_TOL, "f(log 59) >= 0": worst >= _COVERAGE_TOL}
-    unproved = [name for name, ok in premises.items() if not ok]
+    refused = refusal([Premise("B < 2", row.B < 2.0, 2.0 - row.B, lo),
+                       Premise("C >= 0", row.C >= 0.0, row.C, lo),
+                       Premise("f'(log 59) > 0", slope > _COVERAGE_TOL, slope - _COVERAGE_TOL, lo),
+                       Premise("f(log 59) >= 0", worst >= _COVERAGE_TOL, worst - _COVERAGE_TOL, lo)])
     detail = f"on a 10^4 log grid, worst log-margin {worst:.4g}"
-    if unproved:
-        detail = f"not proved ({', '.join(unproved)} fails), log-margin at 59 {worst:.4g}"
+    if refused:
+        detail = f"{refused}, log-margin at 59 {worst:.4g}"
     segs.append(CoverageSegment(
-        "(59, exp(58.336)]", "fail" if unproved else "pass",
+        "(59, exp(58.336)]", "fail" if refused else "pass",
         f"envelope vs sqrt(x) log^2 x/(8 pi) {detail}", worst))
 
     segs.append(CoverageSegment(
@@ -842,13 +857,17 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
     uniform = math.log(1.570e-12)
     m_rounded = row.log_rel_envelope(2488.0, rounded=True) - uniform
     m_unrounded = row.log_rel_envelope(2488.0, rounded=False) - uniform
-    decreasing = all(c >= 0.0 and c * math.sqrt(2000.0) - 2.0 * b >= _COVERAGE_TOL
-                     for b, c in ((row.B, row.C), (row.B_unrounded, row.C_unrounded)))
-    status = "fail" if not decreasing else "pass" if m_rounded >= 0.0 else "margin"
+    decreasing = []
+    for kind, b, c in (("", row.B, row.C), ("unrounded ", row.B_unrounded, row.C_unrounded)):
+        fall = c * math.sqrt(2000.0) - 2.0 * b
+        decreasing += [Premise(f"{kind}C >= 0", c >= 0.0, c, 2000.0), Premise(
+            f"{kind}C sqrt(2000) >= 2B", fall >= _COVERAGE_TOL, fall - _COVERAGE_TOL, 2000.0)]
+    refused = refusal(decreasing)
+    status = "fail" if refused else "pass" if m_rounded >= 0.0 else "margin"
     detail = (f"uniform 1.570e-12 vs envelope at 2488: log-margin {m_rounded:.4g} rounded, "
               f"{m_unrounded:.4g} unrounded (deficit {-(math.expm1(m_unrounded)):.2%})")
-    if not decreasing:
-        detail += "; not proved (envelope not decreasing past log x = 2000)"
+    if refused:
+        detail += f"; decrease past log x = 2000 {refused}"
     segs.append(CoverageSegment("(exp(2000), exp(2488)]", status, detail, m_rounded))
 
     return CoverageReport(segments=tuple(segs))

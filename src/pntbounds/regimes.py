@@ -37,6 +37,7 @@ __all__ = [
 
 MIN_LOG_X0_NU2 = 1e5
 MIN_LOG_X0_NU3 = 2.8e10
+_R_PRIME_FALLS = 0.9202  # the loglog x above which r' falls, with float allowance
 
 
 class ConvergenceError(zfr.PntBoundsError):
@@ -70,8 +71,8 @@ def vk_decay_arg_prime(log_x: float) -> float:
 
 def vk_decay_arg_prime_falls(log_x: float) -> bool:
     """r' decreases on [log x, inf): its log derivative is negative exactly when y = loglog x >
-    (sqrt(145) - 1)/12 = 0.920133..., the root of 6y^2 + y - 6; 0.9202 clears y's float error."""
-    return math.log(log_x) > 0.9202
+    (sqrt(145) - 1)/12 = 0.920133..., the root of 6y^2 + y - 6; ``_R_PRIME_FALLS`` clears y's float error."""
+    return math.log(log_x) > _R_PRIME_FALLS
 
 
 def _unknown(kind: str) -> NoReturn:

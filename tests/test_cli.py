@@ -85,6 +85,12 @@ def test_table1_override_out_of_hypothesis_fails(capsys):
     assert "error" in err
 
 
+def test_table1_refuses_a_K_that_would_exhaust_memory(capsys):
+    # refused before any work: a medium row's cost is linear in K
+    rc, out, err = run(capsys, "table1", "--log-x0", "3000", "--K", "100000000")
+    assert (rc, out, err) == (1, "", "error: K = 100000000 outside 1..1000\n")
+
+
 @pytest.mark.parametrize("argv, reason", [
     ("table1 --sigma 0.5", "--sigma applies only to a --log-x0 row"),
     ("table1 --K 7", "--K applies only to a --log-x0 row"),
@@ -305,8 +311,6 @@ def test_usage_error_exit_code():
     ("eval --log-x nan --quantity psi", "--log-x"),
     ("eval --log-x inf --quantity theta", "--log-x"),
     ("table1 --log-x0 6000 --sigma nan", "--sigma"),
-    ("verify-small --limit 3000000000", "--limit"),
-    ("verify-small --limit 1", "--limit"),
 ])
 def test_non_finite_numbers_are_usage_errors(argv, flag):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -394,7 +398,7 @@ def test_cli_fuzz_exits_cleanly(argv):
 
 
 def test_verify_small_passes(capsys):
-    rc, out, _ = run(capsys, "verify-small", "--limit", "100000")
+    rc, out, _ = run(capsys, "verify-small")
     assert rc == 0
     assert out.count("pass") >= 3
     assert "MARGIN" in out and "ASSUMED" in out
@@ -407,11 +411,19 @@ def test_eps0_sci_format():
     assert cli.eps0_sci(ExtReal.from_real(23.1447)) == "2.32e+01"
 
 
-def test_verify_small_sieves_only_its_ranges(capsys):
-    assert cli.build_parser().parse_args(["verify-small"]).limit == 2657
-    rc, default_out, _ = run(capsys, "verify-small")
-    rc_wide, wide_out, _ = run(capsys, "verify-small", "--limit", "100000")
-    assert rc == rc_wide == 0
-    assert default_out == wide_out
-    rc, _, err = run(capsys, "verify-small", "--limit", "2000")
-    assert rc == 1 and "sieve up to 2000" in err
+def test_verify_small_sieves_only_its_ranges(capsys, monkeypatch):
+    # it sieves to the top of its checked ranges and builds row log2 alone; a wider sieve printed
+    # the same bytes, so it takes no --limit
+    from pntbounds import engine, primes
+
+    limits, rows = [], []
+    build_sieve, compute_row = primes.build_sieve, engine.compute_row
+    monkeypatch.setattr(primes, "build_sieve", lambda limit: limits.append(limit) or build_sieve(limit))
+    monkeypatch.setattr(engine, "compute_row", lambda p, table: rows.append(p.label) or compute_row(p, table))
+    monkeypatch.setattr(engine, "compute_default_rows", None)
+    rc, out, _ = run(capsys, "verify-small")
+    assert (rc, limits, rows) == (0, [2657], ["log2"])
+    assert out == (Path(__file__).resolve().parents[1] / "perfbench/reference/verify_small.txt").read_text()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-small", "--limit", "100000"])
+    assert exc.value.code == 2

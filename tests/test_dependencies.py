@@ -29,7 +29,7 @@ import pntbounds  # noqa: E402
 from pntbounds import cli  # noqa: E402
 
 for argv in (["table1", "--rows", "6000"], ["brackets"], ["crossovers"],
-             ["verify-small", "--limit", "100000"], ["eval", "--log-x", "100", "--quantity", "pi"]):
+             ["verify-small"], ["eval", "--log-x", "100", "--quantity", "pi"]):
     if cli.main(argv) != 0:
         sys.exit(f"pntbounds {' '.join(argv)} failed")
 for demo in sys.argv[1:]:

@@ -45,6 +45,18 @@ def test_theta_constants_refuse_uncertified(default_rows):
         theta_constants(broken)
 
 
+@pytest.mark.parametrize("base_extra, changes, extra, premise", [
+    (0.01, {}, 1e-30, "extra L^B e^(-C u) >= (a1 + a2) x^(-1/2)"),
+    # a huge bump still covers the gap, but C u'(58) = 8/(2 sqrt 58) > 1/2 lets the ratio fall
+    (1e30, {"C": 8.0}, 1e30, "C u' < 1/2"),
+], ids=["absorbed", "ratio_increasing"])
+def test_theta_constants_name_the_failed_gap_premise(default_rows, base_extra, changes, extra, premise):
+    theta_constants(default_rows[0], extra=base_extra)  # one input changed from a certified call
+    with pytest.raises(CertificationError) as refused:
+        theta_constants(default_rows[0]._replace(**changes), extra=extra)
+    assert str(refused.value) == f"gap absorption not proved ({premise} fails) at log x = 58"
+
+
 @pytest.mark.parametrize("extra", [math.nan, math.inf, -math.inf, 0.0, -0.01])
 def test_theta_constants_refuse_bad_extra(default_rows, extra):
     with pytest.raises(ValueError, match="extra must be finite and > 0"):
@@ -221,6 +233,14 @@ def test_h_condition_decided_at_58(delta, proved):
     h = _h_on_grid(1.0, C, 0.0, "sqrt_log")
     assert h[0] == pytest.approx(delta, abs=1e-9)
     assert _h_proved(1.0, C, 0.0, "sqrt_log") is proved
+
+
+def test_h_condition_returns_its_premises():
+    premises = derived._check_h_condition(1.515, 0.8274, 0.45, "sqrt_log")
+    assert [p.name for p in premises] == ["alpha >= 0", "C >= 0", "B + alpha <= 2", "u' nonincreasing",
+                                          "h(58) >= 0"]
+    assert all(p.holds and p.margin > 0.0 and p.at == 58.0 for p in premises)
+    assert premises[-1].margin == pytest.approx(4.08, abs=0.01)
 
 
 def test_h_condition_names_each_premise():

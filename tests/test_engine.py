@@ -13,6 +13,7 @@ from pntbounds import engine
 from pntbounds.engine import (
     CertificationError,
     EnvelopeTerm,
+    Premise,
     RowParams,
     certify_monotone,
     check_rvm_precondition,
@@ -25,6 +26,7 @@ from pntbounds.engine import (
     medium_terms,
     optimize,
     piecewise_coverage,
+    refusal,
     regime_compare,
     vk_terms,
 )
@@ -269,23 +271,44 @@ def test_epsilon0_anchored_when_maximizer_interior():
 # -- monotonicity certification ----------------------------------------------
 
 
+_TERM0_FAILS = "not proved (term 0 nonincreasing fails)"
+
+
 def test_certifier_accepts_peak_below_anchor():
     term = EnvelopeTerm(0.0, 3.0, 1.0)  # u^3 e^-u peaks at u = 3
-    assert certify_monotone([term], 50.0)
+    assert certify_monotone([term], 50.0) == [Premise("term 0 nonincreasing", True, 1.0 - 3.0 / 50.0, 50.0)]
 
 
 def test_certifier_rejects_peak_above_anchor():
     term = EnvelopeTerm(0.0, 3.0, 1.0)
-    assert not certify_monotone([term], 2.0)
+    assert certify_monotone([term], 2.0) == [Premise("term 0 nonincreasing", False, 1.0 - 3.0 / 2.0, 2.0)]
 
 
 def test_certifier_handles_gaussian_terms():
     # u^-3 e^(2u - u^2/2) decreases once u >= 2 + solves; at u0 = 25 it must pass
     term = EnvelopeTerm(0.0, -3.0, -2.0, quad=0.5)
-    assert certify_monotone([term], 25.0)
+    assert refusal(certify_monotone([term], 25.0)) == ""
     # and a genuinely increasing gaussian-coefficient term must fail
     bad = EnvelopeTerm(0.0, 0.0, -2.0, quad=0.001)
-    assert not certify_monotone([bad], 25.0)
+    assert refusal(certify_monotone([bad], 25.0)) == _TERM0_FAILS
+
+
+def test_certifier_names_each_failing_term_by_index():
+    good, bad = EnvelopeTerm(0.0, 3.0, 1.0), EnvelopeTerm(0.0, 0.0, -2.0, quad=0.001)
+    premises = certify_monotone([good, good, bad, good, bad], 25.0)
+    assert [p.name for p in premises] == [f"term {i} nonincreasing" for i in range(5)]
+    assert all(p.at == 25.0 and p.holds == (p.margin >= 0.0) for p in premises)
+    assert refusal(premises) == "not proved (term 2 nonincreasing, term 4 nonincreasing fails)"
+
+
+@pytest.mark.parametrize("regime, log_x0, sigma, K, term", [("medium", 3000.0, 0.995, 1, 1),
+                                                            ("large", 1e5, 0.999, 1, 4)])
+def test_an_uncertified_row_names_its_rising_term(density_table, regime, log_x0, sigma, K, term):
+    with pytest.raises(CertificationError) as refused:
+        compute_row(RowParams("y", log_x0, log_x0, regime, sigma, K), density_table)
+    k_note = f", K={K}" if regime == "medium" else ""
+    assert str(refused.value) == (f"monotonicity not proved (term {term} nonincreasing fails) "
+                                  f"at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
 
 
 @pytest.mark.parametrize("term, u0", [
@@ -303,7 +326,9 @@ def test_certifier_handles_gaussian_terms():
 def test_certifier_refuses_unproved_terms(term, u0):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not certify_monotone([term], u0)
+        premises = certify_monotone([term], u0)
+    assert refusal(premises) == _TERM0_FAILS
+    assert premises[0].margin == -math.inf  # an unbounded slope, not a finite miss
 
 
 def _scan_rises(term: EnvelopeTerm, u0: float) -> bool:
@@ -329,7 +354,7 @@ def _terms_at_anchor(draw):
 @given(_terms_at_anchor())
 def test_certified_terms_never_rise(term_u0):
     term, u0 = term_u0
-    if certify_monotone([term], u0):
+    if certify_monotone([term], u0)[0].holds:
         assert not _scan_rises(term, u0)
 
 
@@ -568,13 +593,38 @@ def test_vk_certificate_and_h_condition_read_the_one_vk_premise(monkeypatch):
     from pntbounds import derived
 
     br = bracket_nu3()
-    assert engine._certify_vk_monotone(2.8e10, 0.9999932, br)
+    assert refusal(engine._certify_vk_monotone(2.8e10, 0.9999932, br)) == ""
     derived.pi_constants_vk()
     monkeypatch.setattr(engine, "vk_decay_arg_prime_falls", lambda log_x: False)
     monkeypatch.setattr(derived, "vk_decay_arg_prime_falls", lambda log_x: False)
-    assert not engine._certify_vk_monotone(2.8e10, 0.9999932, br)
+    assert refusal(engine._certify_vk_monotone(2.8e10, 0.9999932, br)) == "not proved (w' nonincreasing fails)"
     with pytest.raises(CertificationError, match="u' nonincreasing"):
         derived.pi_constants_vk()
+
+
+_VK_PREMISES = ["w' nonincreasing", "C < B2", "C w' < 1/2", "q2 w0^2 >= 2|q0|",
+                "C w' + 2 w'/w0 slack < 1 - sigma", "(B2 - C) w0 (3 ll - 1)/(5 ll) >= 0.6"]
+
+
+@pytest.mark.parametrize("sigma, B2_scale, B3, failed", [
+    # C < B2 fails only for sigma >= 1 (or B2 <= 0), which breaks the slope and truncation premises too
+    (1.0, 1.0, None, [1, 4, 5]),
+    # C w' >= 1/2 > 1 - sigma: the slope premise fails with it
+    (0.9999932, 1e6, None, [2, 4]),
+    # the slope premise divides by q2 w0^2 - |q0|, so it is not listed when the quadratic fails
+    (0.9999932, 1.0, 1e-6, [3]),
+    (0.9999932, 3.0, None, [4]),
+    (0.9999932, 0.1, None, [5]),
+], ids=["C_below_B2", "C_w_half", "quadratic", "slope", "truncation"])
+def test_vk_certificate_names_each_failed_premise(sigma, B2_scale, B3, failed):
+    br = bracket_nu3()
+    br = br._replace(B2=br.B2 * B2_scale, B3=br.B3 if B3 is None else B3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        premises = engine._certify_vk_monotone(2.8e10, sigma, br)
+    assert [p.name for p in premises] == [n for i, n in enumerate(_VK_PREMISES) if B3 is None or i != 4]
+    assert refusal(premises) == f"not proved ({', '.join(_VK_PREMISES[i] for i in failed)} fails)"
+    assert all(p.at == 2.8e10 and p.holds == (p.margin > 0.0) for p in premises)
 
 
 def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
@@ -809,9 +859,19 @@ def test_large_and_vk_refuse_a_K_other_than_1(density_table, regime, log_x0, sig
 
 
 def test_medium_takes_a_K_beyond_the_optimizer_range(density_table):
-    # only the single-K regimes refuse a K; medium takes any K >= 1, not just optimize's 1..10
-    row = compute_row(RowParams("6000", 6000.0, 6000.0, "medium", 0.99, 12), density_table)
-    assert row.K == 12
+    # the single-K regimes refuse any other K; medium takes K in 1..1000, not just optimize's 1..10
+    for K in (12, 1000):
+        assert compute_row(RowParams("6000", 6000.0, 6000.0, "medium", 0.99, K), density_table).K == K
+
+
+@pytest.mark.parametrize("K", [0, -3, 1001, 10**8])
+def test_medium_refuses_a_K_outside_1_to_1000(density_table, monkeypatch, K):
+    # a row's cost is linear in K (K = 10^8 would take about 40 minutes), so the request is refused
+    # before the pipeline runs
+    monkeypatch.setattr(engine, "medium_bound", None)
+    with pytest.raises(ValueError) as refused:
+        compute_row(RowParams("6000", 6000.0, 6000.0, "medium", 0.99, K), density_table)
+    assert str(refused.value) == f"K = {K} outside 1..1000"
 
 
 def test_optimize_failure_names_the_best_ranked_reason(density_table, monkeypatch):
@@ -901,6 +961,8 @@ def test_coverage_tail_needs_a_decreasing_envelope(default_rows, sieve_small, ch
     report = piecewise_coverage(default_rows[0]._replace(**changes), sieve_small)
     assert _segment(report, _SEGMENT).status == "pass"
     assert _segment(report, _TAIL).status == "fail"
+    premise = ("unrounded " if "C_unrounded" in changes else "") + "C sqrt(2000) >= 2B"
+    assert _segment(report, _TAIL).detail.endswith(f"; decrease past log x = 2000 not proved ({premise} fails)")
     assert not report.hard_pass
 
 
@@ -932,6 +994,7 @@ def test_coverage_evaluates_the_envelope_o1_times(default_rows, sieve_small, mon
 
 
 def test_no_constants_without_certificate(density_table, monkeypatch):
-    monkeypatch.setattr(engine, "certify_monotone", lambda *a, **k: False)
-    with pytest.raises(CertificationError):
+    refused = [Premise("term 3 nonincreasing", False, -1.0, 0.0)]
+    monkeypatch.setattr(engine, "certify_monotone", lambda *a, **k: refused)
+    with pytest.raises(CertificationError, match=r"^monotonicity not proved \(term 3 nonincreasing fails\) at"):
         medium_bound(6000.0, 0.99, 4, density_table)

@@ -61,6 +61,7 @@ RECORDS = {
     "CoverageReport": lambda ctx: ctx["coverage"],
     "ThetaConstants": lambda ctx: pntbounds.theta_constants(ctx["row"]),
     "PiConstants": lambda ctx: pntbounds.pi_constants_classical(),
+    "Premise": lambda ctx: pntbounds.certify_monotone(ctx["row"].raw_terms, 10.0)[0],
 }
 
 
