@@ -35,7 +35,8 @@ CSV_HEADER = "X,sigma,K,A,B,C,eps0_mantissa,eps0_exp10"
 def eps0_sci(e: ExtReal) -> str:
     """Scientific notation, 3 significant digits, mantissa rounded up."""
     m, exp10 = e.log10_parts()
-    m = math.ceil(m * 100.0 - 1e-6) / 100.0
+    num, den = m.as_integer_ratio()
+    m = -(-num * 100 // den) / 100.0  # exact ceiling at 2 decimals, as engine._round_down floors
     if m >= 10.0:
         m /= 10.0
         exp10 += 1

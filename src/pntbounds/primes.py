@@ -9,7 +9,7 @@ left-sided limit.  Between jumps the distance to the main term is
 piecewise monotone, so these points carry the worst margin if the
 envelope's slope also beats the main term's on each gap (bound' >= 1 for
 psi and theta, bound' >= li' for pi).  That condition is not proved yet
-(ROADMAP item 4), so a pass is a check at these points, not
+(ROADMAP item 6), so a pass is a check at these points, not
 a proof over the whole range.
 """
 
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
-_MAX_SIEVE_LIMIT = 2_000_000_000  # ~2 GB of flags; refuse beyond
+_MAX_SIEVE_LIMIT = 2_000_000_000  # ~1 GB of odd-number flags; refuse beyond
 _EULER_GAMMA = 0.5772156649015329
 
 
@@ -44,8 +44,7 @@ class PrimeTable:
     primes: np.ndarray          # int64, ascending
     _cum_log: np.ndarray        # _cum_log[k] = sum of log p over first k primes
     _powers: np.ndarray         # float64 (exact), ascending p^m <= limit with m >= 2
-    _power_log: np.ndarray      # log p for each entry of _powers
-    _power_cum: np.ndarray      # _power_cum[k] = sum of the first k _power_log
+    _power_cum: np.ndarray      # _power_cum[k] = sum of log p over the first k _powers
 
     def _check_range(self, x: float) -> None:
         if not (2.0 <= x <= self.limit):
@@ -77,8 +76,8 @@ class PrimeTable:
         self._check_range(x)
         return float(self._values("psi", x))
 
-    def jumps(self, quantity: str, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """(x, jump size) arrays, ascending in x, for the jumps in [lo, hi]."""
+    def jumps(self, quantity: str, lo: float, hi: float) -> np.ndarray:
+        """The points in [lo, hi] where ``quantity`` jumps, ascending."""
         if quantity not in ("psi", "theta", "pi"):
             raise ValueError(f"unknown quantity {quantity!r}")
         if not (2.0 <= lo < hi <= self.limit):  # NaN fails too
@@ -86,29 +85,24 @@ class PrimeTable:
         first, last = math.ceil(lo), math.floor(hi)
         xs = self.primes[np.searchsorted(self.primes, first):
                          np.searchsorted(self.primes, last, side="right")].astype(np.float64)
-        if quantity == "pi":
-            return xs, np.ones(xs.size)
-        if quantity == "theta":
-            return xs, np.log(xs)
-        sl = slice(np.searchsorted(self._powers, first),
-                   np.searchsorted(self._powers, last, side="right"))
-        at = np.searchsorted(xs, self._powers[sl])  # merge: no power is a prime
-        return (np.insert(xs, at, self._powers[sl]),
-                np.insert(np.log(xs), at, self._power_log[sl]))
+        if quantity != "psi":
+            return xs
+        pw = self._powers[np.searchsorted(self._powers, first):
+                          np.searchsorted(self._powers, last, side="right")]
+        return np.insert(xs, np.searchsorted(xs, pw), pw)  # merge: no power is a prime
 
 
 def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeTable:
-    """Sieve of Eratosthenes up to and including ``limit``."""
+    """Sieve of Eratosthenes up to and including ``limit``, over the odd numbers."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
     if limit > _MAX_SIEVE_LIMIT:
         raise MemoryError(f"sieve limit {limit} exceeds the {_MAX_SIEVE_LIMIT} budget")
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    primes = np.nonzero(mask)[0].astype(np.int64)
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] flags 2i + 1; odd[0] (1) is unread
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if odd[p // 2]:
+            odd[p * p // 2 :: p] = False
+    primes = np.concatenate([[2], 2 * np.flatnonzero(odd[1:]) + 3]).astype(np.int64, copy=False)
     cum = np.concatenate([[0.0], np.cumsum(np.log(primes.astype(np.float64)))])
     powers = []
     for p in primes[: np.searchsorted(primes, math.isqrt(limit), side="right")].tolist():
@@ -118,31 +112,49 @@ def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeTable:
             pk *= p
     pw, pw_log = np.array(sorted(powers), dtype=np.float64).reshape(-1, 2).T.copy()
     return PrimeTable(limit=int(limit), primes=primes, _cum_log=cum, _powers=pw,
-                      _power_log=pw_log, _power_cum=np.concatenate([[0.0], np.cumsum(pw_log)]))
+                      _power_cum=np.concatenate([[0.0], np.cumsum(pw_log)]))
 
 
-def li(x: float) -> float:
-    """Principal-value logarithmic integral by Ramanujan's series.
+def li(x):
+    """Principal-value logarithmic integral by Ramanujan's series, of a float or a 1-D array.
 
     li(x) = gamma + ln ln x + sqrt(x) * sum_{n>=1} (-1)^(n-1) (ln x)^n
     / (n! 2^(n-1)) * sum_{k<=(n-1)/2} 1/(2k+1).  The series is well
     conditioned (its largest term is about sqrt(ln x / pi) times the sum)
     and is summed until the terms fall below double precision; it agrees
     with an arbitrary-precision li to within 1e-14 relative on [2, 2e9].
+
+    An array runs the same loop elementwise, with ln x and ln ln x from
+    ``math.log``, so each element equals its float call bit for bit.  The
+    loop ends once every point passes the stop test (n > ln x and |step| <
+    1e-17 |sum|).  A point that passed earlier keeps its sum: past n > ln x
+    each step scales |term| by ln x / (2n + 2) < 1/2 and the inner sum by at
+    most 3/2, so every later step is below 1e-17 |sum|, under half the
+    spacing of doubles there (>= 2^-54 |sum|), and rounds away.
     """
-    if not 2.0 <= x < math.inf:  # NaN and inf fail too; the series would never end
-        raise ValueError(f"li requires finite x >= 2, got {x}")
-    lx = math.log(x)
+    is_array = isinstance(x, np.ndarray)
+    for v in x.tolist() if is_array else (x,):
+        if not 2.0 <= v < math.inf:  # NaN and inf fail too; the series would never end
+            raise ValueError(f"li requires finite x >= 2, got {v}")
+    if is_array:
+        lx = np.array([math.log(v) for v in x.tolist()])
+        lnlx, root = np.array([math.log(v) for v in lx.tolist()]), np.sqrt(x)
+        lx_max, settled = max(lx.tolist(), default=0.0), np.ndarray.all
+    else:
+        lx = lx_max = math.log(x)
+        lnlx, root, settled = math.log(lx), math.sqrt(x), bool
+    half = -0.5 * lx  # exact, so half / n rounds as -ln x / (2n) does
     total, inner, n = 0.0, 0.0, 0
     term = -2.0  # (-1)^(n-1) (ln x)^n / (n! 2^(n-1)) = -2 (-ln x / 2)^n / n!
     while True:
         n += 1
-        term *= -lx / (2.0 * n)
+        term *= half / n
         if n % 2:
             inner += 1.0 / n
-        total += term * inner
-        if n > lx and abs(term * inner) < 1e-17 * abs(total):
-            return _EULER_GAMMA + math.log(lx) + math.sqrt(x) * total
+        step = term * inner
+        total += step
+        if n > lx_max and settled(abs(step) < 1e-17 * abs(total)):
+            return _EULER_GAMMA + lnlx + root * total
 
 
 def integral_I1(table: PrimeTable) -> float:
@@ -155,11 +167,13 @@ def integral_I1(table: PrimeTable) -> float:
     """
     if table.limit < 599:
         raise ValueError("sieve must cover [2, 599]")
-    pts = [2.0, *table.jumps("theta", 3.0, 599.0)[0].tolist(), 599.0]
+    pts = [2.0, *table.jumps("theta", 3.0, 599.0).tolist(), 599.0]
+    cs = table._values("theta", np.array(pts[:-1])).tolist()  # theta is c on [a, b)
+    ts = [(a, c, b) if a < c < b else (a, b) for a, b, c in zip(pts[:-1], pts[1:], cs)]
+    li_t = iter(li(np.array([t for gap in ts for t in gap])).tolist())
     total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        c = table.theta(a)  # theta is c on [a, b)
-        F = [li(t) - (t - c) / math.log(t) for t in ((a, c, b) if a < c < b else (a, b))]
+    for c, gap in zip(cs, ts):
+        F = [next(li_t) - (t - c) / math.log(t) for t in gap]
         total += sum(abs(hi - lo) for lo, hi in zip(F[:-1], F[1:]))
     return total
 
@@ -191,23 +205,18 @@ def verify_pointwise(
     |f - main| has no interior maximum on a gap.  The margin
     bound - |f - main| has no interior minimum there if, in addition,
     bound' >= 1 (psi, theta) or bound' >= li' (pi) on the gap; that is not
-    proved yet (ROADMAP item 4).  ``bound`` (and li) is called
-    once per jump and endpoint, the rest is one numpy pass over the
-    points.  A NaN margin fails the check and counts as the worst.
+    proved yet (ROADMAP item 6).  ``bound`` is called once per jump and
+    endpoint, li once on all of them, and the rest is one numpy pass over
+    the points.  A NaN margin fails the check and counts as the worst.
     """
-    xs, sizes = table.jumps(quantity, lo, hi)
+    xs = table.jumps(quantity, lo, hi)
     at = np.concatenate([xs, [lo, hi]])  # every distinct x: the jumps, then lo and hi
-    main = at if quantity != "pi" else np.array([li(x) for x in at.tolist()])
+    main = at if quantity != "pi" else li(at)
     env = np.array([bound(x) for x in at.tolist()], dtype=np.float64)
-
-    def per_point(v: np.ndarray) -> np.ndarray:
-        # per jump: the value at it, then the left-sided limit; then lo and hi
-        return np.concatenate([np.repeat(v[:-2], 2), v[-2:]])
-
-    vals = per_point(table._values(quantity, at))
-    vals[1:-2:2] -= sizes
-    margins = per_point(env) - np.abs(vals - per_point(main))
+    dist = np.abs(table._values(quantity, at) - main)
+    # f jumps only at integers, so its left limit at a jump x is f(x - 1)
+    dist[:-2] = np.maximum(dist[:-2], np.abs(table._values(quantity, xs - 1.0) - main[:-2]))
+    margins = env - dist
     i = int(np.argmin(margins))  # the first minimum, or the first NaN
     return VerifyReport(quantity=quantity, lo=lo, hi=hi, passed=bool(np.all(margins >= 0.0)),
-                        worst_margin=float(margins[i]), worst_x=float(per_point(at)[i]),
-                        n_points=int(margins.size))
+                        worst_margin=float(margins[i]), worst_x=float(at[i]), n_points=2 * xs.size + 2)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pntbounds import cli
+from pntbounds.extnum import ExtReal
 
 
 def run(capsys, *argv):
@@ -405,10 +407,28 @@ def test_verify_small_passes(capsys):
 
 
 def test_eps0_sci_format():
-    from pntbounds.extnum import ExtReal
-
-    assert cli.eps0_sci(ExtReal.exp_of(math.log(3.45) - 47335 * math.log(10.0))) == "3.45e-47335"
+    # the mantissa of e^(log 3.45 - 47335 log 10) comes out as 3.450000000050351, so its
+    # ceiling is 3.46; the old 1e-6 slack printed 3.45, below the value
+    assert cli.eps0_sci(ExtReal.exp_of(math.log(3.45) - 47335 * math.log(10.0))) == "3.46e-47335"
     assert cli.eps0_sci(ExtReal.from_real(23.1447)) == "2.32e+01"
+    assert cli.eps0_sci(ExtReal.from_real(2.310000005)) == "2.32e+00"
+    assert cli.eps0_sci(ExtReal.from_real(9.996)) == "1.00e+01"
+
+
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=1e-300, max_value=1e300))
+@example(2.310000005)
+@example(2.31)
+@example(9.999)
+@example(1.0)
+def test_eps0_sci_rounds_the_mantissa_up_exactly(v):
+    # the printed decimal is the ceiling of log10_parts' mantissa at 2 decimals
+    e = ExtReal.from_real(v)
+    m, exp10 = e.log10_parts()
+    mantissa, _, exponent = cli.eps0_sci(e).partition("e")
+    printed = Fraction(mantissa) * Fraction(10) ** (int(exponent) - exp10)
+    assert Fraction(m) <= printed < Fraction(m) + Fraction(1, 100)
+    assert printed * 100 == int(printed * 100)
 
 
 def test_verify_small_sieves_only_its_ranges(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from pntbounds import primes
 from pntbounds.primes import build_sieve, integral_I1, li, verify_pointwise
 
 
@@ -27,6 +28,17 @@ def test_sieve_matches_trial_division():
     table = build_sieve(3000)
     expected = [n for n in range(2, 3001) if _is_prime_trial(n)]
     assert list(table.primes) == expected
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 9, 25, 26, 3001])
+def test_odd_sieve_edges_match_trial_division(limit):
+    # one or two odd flags (2, 3, 4), odd squares and their successors (9, 25, 26), an odd limit
+    assert build_sieve(limit).primes.tolist() == [n for n in range(2, limit + 1)
+                                                  if _is_prime_trial(n)]
+
+
+def test_sieve_counts_the_primes_below_ten_million(sieve10m):
+    assert sieve10m.pi_count(10**7) == 664579
 
 
 def test_prime_counts_at_verification_endpoints(sieve_small):
@@ -108,6 +120,26 @@ def test_li_against_mpmath_on_log_grid():
         assert abs(li(float(x)) - ref) <= 1e-12 * abs(ref)
 
 
+def test_li_over_an_array_equals_its_float_calls(sieve_small):
+    # with numpy's log for ln x (at 4.663, 5.423, 10.024) or ln ln x (at 6.969, 13.604,
+    # 19.618) li's last bit differs (numpy 2.4, x86-64), so the array path uses math.log
+    xs = np.concatenate([sieve_small.primes.astype(np.float64), np.geomspace(2.0, 2e9, 401),
+                         [2.0, 2.5, 4.663, 5.423, 10.024, 6.969, 13.604, 19.618]])
+    got = li(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert [v.hex() for v in got.tolist()] == [li(x).hex() for x in xs.tolist()]
+    assert isinstance(li(2.5), float) and li(np.array([])).size == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5, -3.0])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_li_over_an_array_refuses_any_bad_point(bad, at):
+    xs = [10.0, 1e4, 1e6]
+    xs[at] = bad
+    with pytest.raises(ValueError, match=f"li requires finite x >= 2, got {bad}"):
+        li(np.array(xs))
+
+
 def test_li_additivity():
     # li(x) - li(2) equals the ordinary integral of 1/log t over [2, x]
     for x in (10.0, 1e4):
@@ -181,6 +213,29 @@ def test_verify_pointwise_checks_left_limits(sieve_small):
     assert not rep.passed
 
 
+def test_verify_pointwise_calls_li_once_and_bound_once_per_point(sieve_small, monkeypatch):
+    li_calls, bound_calls = [], []
+
+    def counting_li(x):
+        li_calls.append(x)
+        return li(x)
+
+    def bound(x):
+        bound_calls.append(x)
+        return x
+
+    monkeypatch.setattr(primes, "li", counting_li)
+    rep = verify_pointwise(sieve_small, bound, "pi", 2.0, 2657.0)
+    assert len(li_calls) == 1 and li_calls[0].size == 386  # 384 primes, then lo and hi
+    assert bound_calls == li_calls[0].tolist() and rep.n_points == 770
+    li_calls.clear()
+    bound_calls.clear()
+    verify_pointwise(sieve_small, bound, "psi", 2.0, 59.0)
+    # once at each jump and at lo and hi, never again at a left limit
+    assert li_calls == [] and bound_calls == [*sieve_small.jumps("psi", 2.0, 59.0).tolist(),
+                                              2.0, 59.0]
+
+
 def test_verify_pointwise_range_guard(sieve_small):
     with pytest.raises(ValueError):
         verify_pointwise(sieve_small, lambda x: 1.0, "psi", 2.0, 1e9)
@@ -231,31 +286,32 @@ def test_jumps_match_brute_force(sieve5000, lo, hi):
         "pi": [(n, 1.0) for n, _, _, _, _, prime in steps if prime],
     }
     for quantity, pairs in want.items():
-        xs, sizes = sieve5000.jumps(quantity, lo, hi)
+        xs = sieve5000.jumps(quantity, lo, hi)
         assert xs.tolist() == [float(n) for n, _ in pairs]
-        assert sizes == pytest.approx([j for _, j in pairs], rel=1e-15)
-    assert sieve5000.jumps("psi", 8, 32)[0].tolist() == [8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
-                                                         29, 31, 32]
-    assert sieve5000.jumps("psi", 9, 9.5)[0].tolist() == [9.0]
+        # the jump at x is f(x) - f(x - 1), since f is constant on [x - 1, x); both
+        # values are sums near 5000, where doubles lie 9.1e-13 apart
+        sizes = sieve5000._values(quantity, xs) - sieve5000._values(quantity, xs - 1.0)
+        assert sizes == pytest.approx([j for _, j in pairs], rel=0, abs=2e-12)
+    assert sieve5000.jumps("psi", 8, 32).tolist() == [8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                                                      29, 31, 32]
+    assert sieve5000.jumps("psi", 9, 9.5).tolist() == [9.0]
 
 
 def test_psi_independent_of_sieve_size(sieve_small, sieve10m):
-    xs, _ = sieve_small.jumps("psi", 2.0, 100_000.0)
+    xs = sieve_small.jumps("psi", 2.0, 100_000.0)
     for x in np.concatenate([xs, xs - 0.5, [100_000.0]]).tolist():
         if x >= 2.0:
             assert sieve10m.psi(x) == sieve_small.psi(x)
 
 
-def _reference_report(quantity, bound, hi):
+def _reference_report(quantity, bound, hi, lo=2.0):
     """verify_pointwise by one Python pass over brute-force steps, in its order."""
-    pts = []
+    pts, values = [], {}
     for n, _, theta_n, psi_n, jump, prime in _brute_steps(int(hi)):
-        after = psi_n if quantity == "psi" else theta_n
-        if jump and (prime or quantity == "psi"):
+        after = values[n] = psi_n if quantity == "psi" else theta_n
+        if n >= lo and jump and (prime or quantity == "psi"):
             pts += [(float(n), after), (float(n), after - jump)]
-    last = _brute_steps(int(hi))[-1]
-    value = last[3] if quantity == "psi" else last[2]
-    pts += [(2.0, math.log(2.0)), (hi, value)]
+    pts += [(lo, values[math.floor(lo)]), (hi, values[math.floor(hi)])]
     worst, worst_x, passed = math.inf, None, True
     for x, f in pts:
         m = bound(x) - abs(f - x)
@@ -275,6 +331,20 @@ def test_verify_pointwise_matches_pointwise_reference(sieve10m, quantity, hi, sc
 
     n, passed, worst_x, worst = _reference_report(quantity, bound, hi)
     rep = verify_pointwise(sieve10m, bound, quantity, 2.0, hi)
+    assert (rep.n_points, rep.passed, rep.worst_x) == (n, passed, worst_x)
+    assert rep.worst_margin == pytest.approx(worst, rel=1e-9)
+
+
+@pytest.mark.parametrize("quantity", ["psi", "theta"])
+@pytest.mark.parametrize("lo", [7.5, 8.0, 9.0])
+@pytest.mark.parametrize("scale, shift", [(0.3, 0.0), (0.4, 3.0)])
+def test_verify_pointwise_matches_reference_from_any_start(sieve10m, quantity, lo, scale, shift):
+    # lo off a jump (7.5), at a prime power (8 = 2^3, 9 = 3^2): psi jumps there, theta does not
+    def bound(x):
+        return scale * math.sqrt(x) * math.log(x) + shift
+
+    n, passed, worst_x, worst = _reference_report(quantity, bound, 2900.0, lo)
+    rep = verify_pointwise(sieve10m, bound, quantity, lo, 2900.0)
     assert (rep.n_points, rep.passed, rep.worst_x) == (n, passed, worst_x)
     assert rep.worst_margin == pytest.approx(worst, rel=1e-9)
 
