@@ -216,7 +216,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         candidates = [(r.log_rel_envelope(args.log_x), r.label) for r in applicable]
     elif q == "theta":
         for r in applicable:
-            a1 = derived.theta_constants(r, extra=10.0 ** -engine.REGIMES[r.regime].a_decimals).A1
+            a1 = derived.theta_constants(r).A1
             val = regimes.log_envelope(r.u_kind, math.log(a1), r.B, r.C, args.log_x)
             candidates.append((val, r.label))
     else:

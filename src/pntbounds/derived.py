@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .engine import _COVERAGE_TOL, BoundConstants, CertificationError, Premise, _round_up, refusal
+from .engine import _COVERAGE_TOL, REGIMES, BoundConstants, CertificationError, Premise, _round_up, refusal
 from .regimes import (_R_PRIME_FALLS, DecayKind, decay_arg_prime, log_envelope, vk_decay_arg,
                       vk_decay_arg_prime_falls)
 
@@ -43,14 +43,16 @@ class ThetaConstants(NamedTuple):
     source_label: str
 
 
-def theta_constants(psi: BoundConstants, extra: float = 0.01) -> ThetaConstants:
-    """A1 = A + extra, certified to absorb the prime-power gap.
+def theta_constants(psi: BoundConstants, extra: float | None = None) -> ThetaConstants:
+    """A1 = A + extra, certified to absorb the prime-power gap; ``extra`` defaults to one unit
+    in the last decimal of the row's A (``Regime.a_decimals``).
 
     Requires extra * (log x)^B e^{-C u(x)} >= a1 x^(-1/2) + a2 x^(-2/3)
     for all x >= max(x0, exp(58)).  The right side is below
     (a1 + a2) e^{-log x / 2}, and the ratio of the left side to that
     majorant increases in x if C u' < 1/2 at the left end (u' falls), so the left end decides.
     """
+    extra = 10.0 ** -REGIMES[psi.regime].a_decimals if extra is None else extra
     if not 0.0 < extra < math.inf:
         raise ValueError(f"extra must be finite and > 0, got {extra}")
     if not psi.monotone_certified:

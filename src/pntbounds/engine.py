@@ -106,11 +106,8 @@ class EnvelopeTerm(NamedTuple):
     quad: float = 0.0
     poly: tuple[float, float, float] | None = None
 
-    def log_eval(self, u):
-        """ln g(u) by ``math.log`` at a float u (fields may hold lanes), pointwise for an ndarray u."""
-        if not isinstance(u, (int, float)):
-            import numpy as np
-            return np.array([self.log_eval(v) for v in u.tolist()])
+    def log_eval(self, u: float):
+        """ln g(u) by ``math.log`` at a float u (fields may hold lanes)."""
         val = self.coeff_log + self.power * math.log(u) - self.decay * u - self.quad * u * u
         if self.poly is not None:
             q2, q1, q0 = self.poly
@@ -221,8 +218,8 @@ class BoundConstants(NamedTuple):
 
     @property
     def raw_terms(self) -> tuple[EnvelopeTerm, ...]:
-        """The summands the envelope was certified from (none for VK), by the regime's float fit."""
-        return REGIMES[self.regime].fit(self.anchor, self.table)(self.sigma, self.K)[1]().raw_terms
+        """The summands the envelope was certified from (none for VK), from the regime's float fit call."""
+        return REGIMES[self.regime].fit(self.anchor, self.table)(self.sigma, self.K).raw_terms
 
     def log_rel_envelope(self, log_x: float, rounded: bool = True) -> float:
         """ln of the relative envelope A (log x)^B e^{-C u(x)}."""
@@ -305,21 +302,21 @@ def epsilon0_at(log_A: float, B: float, C: float, X: float,
 
 
 class _Envelope(NamedTuple):
-    """A pipeline's unrounded envelope A (log x)^B e^{-C u(x)}, not yet certified."""
+    """A pipeline's unrounded envelope A (log x)^B e^{-C u(x)} with the premises that certify it."""
 
+    value: float                               # ln of the envelope at the anchor, what ``optimize`` ranks
     log_a: float
     B: float
     C: float
-    certify: Callable[[], list[Premise]]
+    premises: list[Premise]                    # the decrease premises at the anchor, not yet decided
     bracket: Bracket | None = None             # large/vk only
     raw_terms: tuple[EnvelopeTerm, ...] = ()   # the summands before normalization (not VK)
 
 
-# A regime's fit binds (log x0, table), doing the per-anchor work once, and returns ``at(sigma, K)``: ln
-# of its unrounded envelope at the anchor (what ``optimize`` ranks) and an envelope builder (to emit, or
-# rebuild raw terms).  An ndarray sigma, with an int or aligned ndarray K, gives lanes, each bit for bit
-# its float call; only a float's envelope is built.
-_Fit = Callable[..., tuple[float, Callable[[], _Envelope]]]
+# A regime's fit binds (log x0, table), doing the per-anchor work once, and returns ``at(sigma, K)``.  A
+# float sigma gives the ``_Envelope`` (to emit, or rebuild raw terms); an ndarray sigma, with an int or
+# aligned ndarray K, gives the lanes' values as an ndarray, each bit for bit its float call's ``value``.
+_Fit = Callable[..., "_Envelope | np.ndarray"]
 
 
 def _log_2c(sigma, table: DensityTable, columns: list) -> tuple:
@@ -342,14 +339,14 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
     """The one emission path of the three pipelines.
 
     Checks the request and sigma, builds the regime's envelope from its fit,
-    refuses it unless its certificate holds, takes eps0 over log x >= the
-    claimed threshold, and rounds toward validity (A and B up, C down).
+    refuses it unless its premises hold and A is finite, takes eps0 over log x
+    >= the claimed threshold, and rounds toward validity (A and B up, C down).
     """
     rec = _check_request(regime, log_x0, claim_X, K)
     if not (0.98 <= sigma < 1.0):
         raise ValueError(f"sigma={sigma} outside [0.98, 1)")
-    f = rec.fit(log_x0, table)(sigma, K)[1]()
-    if refused := refusal(f.certify()):
+    f = rec.fit(log_x0, table)(sigma, K)
+    if refused := refusal(f.premises):
         k_note = f", K={K}" if len(rec.Ks) > 1 else ""
         raise CertificationError(f"monotonicity {refused} at log x0 = {log_x0:g}, sigma={sigma}{k_note}")
     if not f.log_a < _MAX_LOG_A:
@@ -417,7 +414,7 @@ def medium_terms(log_x: float, sigma: float, K: int, table: DensityTable) -> dic
 
 def _medium_fit(log_x0: float, table: DensityTable) -> _Fit:
     """Ranks by the raw sum at u0 = sqrt(log x0 / R0), which is the envelope
-    there; the sum normalized by u^p e^{-C' u} is built only at emission."""
+    there; a float call also normalizes the sum by u^p e^{-C' u} and certifies it."""
     if not check_rvm_precondition(log_x0, 2.0 * math.sqrt(log_x0 / R0)):
         raise ValueError("zero-sum formula precondition fails at the anchor")
     u0, columns = math.sqrt(log_x0 / R0), []  # ``_log_2c``'s lane columns
@@ -429,15 +426,10 @@ def _medium_fit(log_x0: float, table: DensityTable) -> _Fit:
         log_2c = _log_2c(sigma, table, columns)
         if isinstance(sigma, (int, float)):
             raw = [t for group in _medium_raw_terms(sigma, K, log_2c).values() for t in group]
-
-            def envelope() -> _Envelope:
-                p = 5.0 - 2.0 * sigma
-                cp = cprime(sigma, K)
-                norm = [t.shifted(-p, -cp) for t in raw]
-                return _Envelope(_log_sum(norm, u0) - p / 2.0 * math.log(R0), p / 2.0, cp / math.sqrt(R0),
-                                 lambda: certify_monotone(norm, u0), raw_terms=tuple(raw))
-
-            return _log_sum(raw, u0), envelope
+            p, cp = 5.0 - 2.0 * sigma, cprime(sigma, K)
+            norm = [t.shifted(-p, -cp) for t in raw]
+            return _Envelope(_log_sum(raw, u0), _log_sum(norm, u0) - p / 2.0 * math.log(R0), p / 2.0,
+                             cp / math.sqrt(R0), certify_monotone(norm, u0), raw_terms=tuple(raw))
         import numpy as np
         k_max = int(np.max(K))
         if k_max not in pieces:
@@ -445,7 +437,7 @@ def _medium_fit(log_x0: float, table: DensityTable) -> _Fit:
                                       for k in range(k_max)]).transpose(2, 0, 1).copy()
         groups = _medium_raw_terms(sigma, K, log_2c, pieces[k_max][:, :, np.reshape(K, -1) - 1])
         rows = (0, 1, np.s_[2:-1:2], np.s_[3:-1:2], -1)  # the float call's: a_k and b_k interleave
-        return _log_sum([t for g in groups.values() for t in g], u0, (2 * k_max + 3, sigma.size), rows), None
+        return _log_sum([t for g in groups.values() for t in g], u0, (2 * k_max + 3, sigma.size), rows)
 
     return at
 
@@ -484,13 +476,11 @@ def _large_fit(log_x0: float, table: DensityTable) -> _Fit:
             EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma,
                          poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2)),
         ]
-        log_a = _log_sum(norm, v0, None if isinstance(sigma, (int, float)) else (len(norm), sigma.size))
-
-        def envelope() -> _Envelope:
-            return _Envelope(log_a, p / 2.0, c, lambda: certify_monotone(norm, v0),
-                             br, tuple(t.shifted(p, c) for t in norm))
-
-        return log_a + p * log_v0 - c * v0, envelope
+        if not isinstance(sigma, (int, float)):
+            return _log_sum(norm, v0, (len(norm), sigma.size)) + p * log_v0 - c * v0
+        log_a = _log_sum(norm, v0)
+        return _Envelope(log_a + p * log_v0 - c * v0, log_a, p / 2.0, c, certify_monotone(norm, v0),
+                         br, tuple(t.shifted(p, c) for t in norm))
 
     return at
 
@@ -563,23 +553,17 @@ def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
 
     def at(sigma, K):
         logs = _vk_logs(log_x0, sigma, br, _log_2c(sigma, table, columns))
-        if isinstance(sigma, (int, float)):
-            log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
-        else:  # the ExtReal sum's association, (s1 + s2) + s3
+        if not isinstance(sigma, (int, float)):  # the ExtReal sum's association, (s1 + s2) + s3
             import numpy as np
             s1a, s1b, s2a, s2b, s3 = logs
-            log_total = np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
-
-        def envelope() -> _Envelope:
-            p = 5.0 - 2.0 * sigma
-            c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
-            # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
-            log_a = (log_total - p * math.log(br.B2 * w0) + c_exact * w0
-                     + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
-            return _Envelope(log_a, 3.0 * p / 5.0, c_exact,
-                             lambda: _certify_vk_monotone(log_x0, sigma, br), br)
-
-        return log_total, envelope
+            return np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
+        log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
+        p = 5.0 - 2.0 * sigma
+        c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
+        # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
+        log_a = (log_total - p * math.log(br.B2 * w0) + c_exact * w0
+                 + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
+        return _Envelope(log_total, log_a, 3.0 * p / 5.0, c_exact, _certify_vk_monotone(log_x0, sigma, br), br)
 
     return at
 
@@ -604,7 +588,7 @@ class Regime(NamedTuple):
     """What a pipeline regime means (its fit, not its public entry, which ``_bound`` calls by name)."""
 
     kind: DecayKind                       # the envelope's decay argument u
-    fit: Callable[..., _Fit]
+    fit: Callable[..., _Fit]              # (log x0, table) -> at(sigma, K): an _Envelope, or lanes' values
     min_log_x0: float                     # the anchor floor
     Ks: tuple[int, ...]                   # the K values ``optimize`` searches; one value is the only K
     free_claim: bool                      # may claim a threshold other than the anchor (below it, row log2 only)
@@ -701,18 +685,19 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     """Search sigma (and K for the medium regime) minimizing the bound at x0.
 
     Candidates rank by the unrounded envelope at the anchor, the value
-    ``log_rel_envelope(anchor, rounded=False)`` reports, as summed by the
-    regime's fit that also emits the row.  For each K in 1..10 (medium;
-    K = 1 otherwise) the candidates are the density grid's sigmas below 1
-    and, in each grid cell, the end of a ternary search (the off-grid
-    interpolation rule applies there).  One lockstep runs every search;
-    its lanes are the (K, cell) pairs.  The fit is bound to the anchor once
-    (precondition, bracket, u0, table columns); each step makes one call
-    of the binding for the two probes of every lane still wider than 1e-6,
-    and a last call ranks the grid points and the midpoints for every K at
-    once.  Lanes equal float calls bit for bit, so the picks are those of
-    searching each (K, cell) on its own.  Ties break deterministically
-    toward smaller sigma, then smaller K.  The first candidate that
+    ``log_rel_envelope(anchor, rounded=False)`` reports: the ``value`` of
+    the regime's fit, whose float call builds the emitted envelope.  For
+    each K in 1..10 (medium; K = 1 otherwise) the candidates are the
+    density grid's sigmas below 1 and, in each grid cell, the end of a
+    ternary search (the off-grid interpolation rule applies there).  One
+    lockstep runs every search; its lanes are the (K, cell) pairs.  The
+    fit is bound to the anchor once (precondition, bracket, u0, table
+    columns); each step makes one call of the binding for the two probes
+    of every lane still wider than 1e-6, and a last call ranks the grid
+    points and the midpoints for every K at once.  Lanes equal the float
+    calls' ``value`` bit for bit, so the picks are those of searching each
+    (K, cell) on its own.  Ties break deterministically toward smaller
+    sigma, then smaller K.  The first candidate that
     certifies is emitted; if none does, the error carries the best-ranked
     candidate's reason.
     """
@@ -727,12 +712,12 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     while (live := (b - a > 1e-6).nonzero()[0]).size:
         al, bl = a[live], b[live]
         m1, m2 = al + (bl - al) / 3.0, bl - (bl - al) / 3.0
-        v = at(np.concatenate([m1, m2]), np.concatenate([lane_K[live]] * 2))[0]
+        v = at(np.concatenate([m1, m2]), np.concatenate([lane_K[live]] * 2))
         left = v[:live.size] <= v[live.size:]
         a[live], b[live] = np.where(left, al, m1), np.where(left, m2, bl)
     sigmas = np.concatenate([np.tile(grid, ks.size), 0.5 * (a + b)])
     Ks = np.concatenate([np.repeat(ks, grid.size), lane_K])
-    candidates = sorted(zip(at(sigmas, Ks)[0].tolist(), sigmas.tolist(), Ks.tolist()))
+    candidates = sorted(zip(at(sigmas, Ks).tolist(), sigmas.tolist(), Ks.tolist()))
     best_reason = None
     for _value, s, K in candidates:
         try:

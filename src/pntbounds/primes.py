@@ -200,22 +200,24 @@ def verify_pointwise(
 
     ``bound`` is the absolute envelope.  The main term is x for psi and
     theta, li(x) for pi.  Each jump is tested at the jump point and at
-    its left-sided limit; the interval endpoints are tested as well.
+    its left-sided limit; the interval endpoints are tested as well (one that
+    is a jump by the jump's entry, whose margin is no larger and comes first).
     Between jumps f is constant and the main term monotone, so
     |f - main| has no interior maximum on a gap.  The margin
     bound - |f - main| has no interior minimum there if, in addition,
     bound' >= 1 (psi, theta) or bound' >= li' (pi) on the gap; that is not
-    proved yet (ROADMAP item 6).  ``bound`` is called once per jump and
-    endpoint, li once on all of them, and the rest is one numpy pass over
-    the points.  A NaN margin fails the check and counts as the worst.
+    proved yet (ROADMAP item 6).  ``bound`` is called once per distinct
+    point, li once on all of them, and the rest is one numpy pass over the
+    points.  A NaN margin fails the check and counts as the worst.
     """
     xs = table.jumps(quantity, lo, hi)
-    at = np.concatenate([xs, [lo, hi]])  # every distinct x: the jumps, then lo and hi
+    ends = [x for x in (lo, hi) if not (xs.size and x in (xs[0], xs[-1]))]
+    at = np.concatenate([xs, ends])  # every distinct x: the jumps, then lo and hi unless they are jumps
     main = at if quantity != "pi" else li(at)
     env = np.array([bound(x) for x in at.tolist()], dtype=np.float64)
     dist = np.abs(table._values(quantity, at) - main)
     # f jumps only at integers, so its left limit at a jump x is f(x - 1)
-    dist[:-2] = np.maximum(dist[:-2], np.abs(table._values(quantity, xs - 1.0) - main[:-2]))
+    dist[:xs.size] = np.maximum(dist[:xs.size], np.abs(table._values(quantity, xs - 1.0) - main[:xs.size]))
     margins = env - dist
     i = int(np.argmin(margins))  # the first minimum, or the first NaN
     return VerifyReport(quantity=quantity, lo=lo, hi=hi, passed=bool(np.all(margins >= 0.0)),

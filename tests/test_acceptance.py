@@ -197,7 +197,7 @@ def test_criterion_9_property_suites(default_rows, vk_row, density_table):
     for row in default_rows:
         u0 = math.sqrt(row.anchor / R0) if row.regime == "medium" else math.sqrt(row.anchor)
         us = u0 * (1.0 + 3.0 * rng.random(1000))
-        total = np.logaddexp.reduce([t.log_eval(us) for t in row.raw_terms], axis=0)
+        total = np.logaddexp.reduce([[t.log_eval(u) for u in us.tolist()] for t in row.raw_terms], axis=0)
         log_x = (R0 if row.regime == "medium" else 1.0) * us * us
         env = np.array([row.log_rel_envelope(float(l)) for l in log_x])
         assert np.all(total <= env + 1e-12), f"dominance fails for row {row.label}"

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pntbounds import derived
+from pntbounds import cli, derived
 from pntbounds.derived import (
     CertificationError,
     GAP_A1,
@@ -16,13 +17,32 @@ from pntbounds.derived import (
     theta_constants,
 )
 from pntbounds.primes import verify_pointwise
-from pntbounds.regimes import decay_arg_prime, vk_decay_arg
+from pntbounds.extnum import ExtReal
+from pntbounds.regimes import decay_arg_prime, log_envelope, vk_decay_arg
 
 
 def test_theta_constants_all_rows(default_rows):
     for row in default_rows:
         tc = theta_constants(row)
         assert tc.A1 == pytest.approx(row.A + 0.01, rel=1e-15)
+
+
+def test_theta_default_extra_is_what_eval_serves(default_rows, vk_row, capsys):
+    # one unit in the last decimal of A: 0.01 on the 2-decimal medium and large
+    # rows, 0.001 on the 3-decimal VK row (a flat 0.01 default gave it 0.043)
+    rows = [*default_rows, vk_row]
+    a1 = {r.label: r.A + (0.001 if r.regime == "vk" else 0.01) for r in rows}
+    assert {r.label: theta_constants(r).A1 for r in rows} == a1
+    assert a1["vk"] == pytest.approx(0.034, abs=1e-12)
+    for row in rows:
+        log_x = max(row.X, 58.0)
+        assert cli.main(["eval", "--log-x", repr(log_x), "--quantity", "theta", "--format", "json"]) == 0
+        served = json.loads(capsys.readouterr().out)
+        want = min((log_envelope(r.u_kind, math.log(a1[r.label]), r.B, r.C, log_x), r.label)
+                   for r in rows if r.X <= log_x)
+        rel = served["relative_bound"]
+        assert (rel["mantissa"], rel["decimal_exponent"], served["source"]) == (
+            *ExtReal.exp_of(want[0]).log10_parts(), want[1])
 
 
 def test_theta_gap_absorption_is_generous(default_rows):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -334,7 +335,7 @@ def test_certifier_refuses_unproved_terms(term, u0):
 def _scan_rises(term: EnvelopeTerm, u0: float) -> bool:
     """The sampled check the closed form replaced, on [u0, 8 u0]: does ln g rise
     between two of 4097 points by more than float noise?"""
-    vals = term.log_eval(np.linspace(u0, 8.0 * u0, 4097))
+    vals = np.array([term.log_eval(u) for u in np.linspace(u0, 8.0 * u0, 4097).tolist()])
     tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     return bool(np.any(np.diff(vals) > tol))
 
@@ -372,7 +373,7 @@ def test_envelope_dominates_term_sum(default_rows, density_table):
         u0 = row.anchor / R0 if row.regime == "medium" else row.anchor
         u0 = math.sqrt(u0)
         us = u0 * (1.0 + 3.0 * rng.random(200))
-        total = np.logaddexp.reduce([t.log_eval(us) for t in row.raw_terms], axis=0)
+        total = np.logaddexp.reduce([[t.log_eval(u) for u in us.tolist()] for t in row.raw_terms], axis=0)
         if row.regime == "medium":
             log_x = R0 * us * us
         else:
@@ -426,7 +427,7 @@ def test_optimize_ranks_and_emits_with_the_pipeline_code(density_table, monkeypa
     for regime, log_x0 in (("medium", 6000.0), ("large", 1e6), ("vk", 3e10)):
         row = optimize(log_x0, regime, density_table)
         # the ranked value is the emitted row's unrounded envelope at its anchor
-        value, _ = engine.REGIMES[regime].fit(log_x0, density_table)(row.sigma, row.K)
+        value = engine.REGIMES[regime].fit(log_x0, density_table)(row.sigma, row.K).value
         assert value == pytest.approx(row.log_rel_envelope(log_x0, rounded=False), abs=1e-9)
     assert calls["compute_row"] == 0
     assert all(calls[f"{regime}_bound"] >= 1 for regime in ("medium", "large", "vk"))
@@ -474,9 +475,9 @@ def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, 
     sigmas = _sigma_probes(density_table)
     Ks = [1 + i % 10 if K == "mixed" else K for i in range(len(sigmas))]
     at = engine.REGIMES[regime].fit(log_x0, density_table)
-    lanes = at(np.array(sigmas), np.array(Ks) if K == "mixed" else K)[0]
+    lanes = at(np.array(sigmas), np.array(Ks) if K == "mixed" else K)
     assert isinstance(lanes, np.ndarray) and lanes.shape == (len(sigmas),)
-    assert lanes.tolist() == [at(s, k)[0] for s, k in zip(sigmas, Ks)]
+    assert lanes.tolist() == [at(s, k).value for s, k in zip(sigmas, Ks)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -494,7 +495,7 @@ def test_vk_lanes_sum_in_the_float_calls_association(density_table, values):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_vk_logs", logs)
         at = engine._vk_fit(3e10, density_table)
-        assert at(sigmas, 1)[0].tolist() == [at(s, 1)[0] for s in sigmas.tolist()]
+        assert at(sigmas, 1).tolist() == [at(s, 1).value for s in sigmas.tolist()]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -523,8 +524,8 @@ def test_medium_lanes_equal_their_float_calls_by_hex(density_table, log_x0, lane
     grid = density_table.sigma_grid
     sigmas = [grid[s] if isinstance(s, int) else s for s, _ in lanes]
     Ks = [K for _, K in lanes]
-    got = engine._medium_fit(log_x0, density_table)(np.array(sigmas), np.array(Ks))[0]
-    want = [engine._medium_fit(log_x0, density_table)(s, K)[0] for s, K in zip(sigmas, Ks)]
+    got = engine._medium_fit(log_x0, density_table)(np.array(sigmas), np.array(Ks))
+    want = [engine._medium_fit(log_x0, density_table)(s, K).value for s, K in zip(sigmas, Ks)]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
@@ -540,7 +541,7 @@ def test_a_medium_fit_refuses_k_below_one_in_any_lane(density_table):
 def test_a_medium_lane_fit_builds_at_most_five_terms(density_table, monkeypatch, K):
     # a speed guard that holds on any host: a lane fit's s2 is a_k and b_k as two
     # (k, lane) terms, so it builds s1 (2 terms), s2 (2) and s3 (1) whatever K is; a
-    # float fit builds 2K + 3
+    # float fit builds its 2K + 3 raw terms and then their 2K + 3 normalized shifts
     built = []
 
     def counting(*args, **kwargs):
@@ -556,7 +557,7 @@ def test_a_medium_lane_fit_builds_at_most_five_terms(density_table, monkeypatch,
     if K != "mixed":
         built.clear()
         at(0.99, K)
-        assert len(built) == 2 * K + 3
+        assert len(built) == 2 * (2 * K + 3)
 
 
 # sha256 over the 15 default rows' raw terms, as "label:<field hexes>;poly?" lines,
@@ -646,8 +647,8 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table, columns) for s in sigmas]
     for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1), ("vk", 3e10, 1)):
         at = engine.REGIMES[regime].fit(log_x0, table)
-        lanes = at(np.array(sigmas), K)[0]
-        assert lanes.tolist() == [at(s, K)[0] for s in sigmas]
+        lanes = at(np.array(sigmas), K)
+        assert lanes.tolist() == [at(s, K).value for s in sigmas]
 
 
 @pytest.mark.parametrize("regime, log_x0", [("medium", 2488.0), ("medium", 7000.0), ("large", 1e5),
@@ -670,14 +671,45 @@ def test_a_binding_gives_a_fresh_bindings_values_on_reuse(density_table, regime,
         (np.array(grid[:4]), 3 if regime == "medium" else 1),               # an int K
     ]
     for sigmas, Ks in calls:
-        got = at(sigmas, Ks)[0].tolist()
-        want = fit(log_x0, density_table)(sigmas, Ks)[0].tolist()
+        got = at(sigmas, Ks).tolist()
+        want = fit(log_x0, density_table)(sigmas, Ks).tolist()
         assert [v.hex() for v in got] == [v.hex() for v in want]
     for s, K in ((grid[2], one[0]), (grid[2] + 1e-12, mixed[5]), (0.9999932, 1)):
-        value, envelope = at(s, K)
-        fresh_value, fresh_envelope = fit(log_x0, density_table)(s, K)
-        assert type(value) is float and value.hex() == fresh_value.hex()
-        assert [v.hex() for v in envelope()[:3]] == [v.hex() for v in fresh_envelope()[:3]]
+        envelope, fresh = at(s, K), fit(log_x0, density_table)(s, K)
+        assert type(envelope.value) is float
+        assert [v.hex() for v in envelope[:4]] == [v.hex() for v in fresh[:4]]  # value, log_a, B, C
+        assert envelope[4:] == fresh[4:]
+
+
+@pytest.mark.parametrize("regime, log_x0, sigma, K", [("medium", 6000.0, 0.99, 4), ("large", 1e6, 0.998974, 1),
+                                                   ("vk", 2.8e10, 0.9999932, 1)])
+def test_emission_refuses_on_the_float_calls_premises(density_table, monkeypatch, regime, log_x0, sigma, K):
+    # the premises a float call builds with its envelope are the list _emit decides, and a
+    # failed one among them is what the refusal names
+    want = engine.REGIMES[regime].fit(log_x0, density_table)(sigma, K).premises
+    assert want and refusal(want) == ""
+    decided = []
+
+    def recording(premises):
+        decided.append(premises)
+        return refusal(premises)
+
+    monkeypatch.setattr(engine, "refusal", recording)
+    engine._bound(regime, log_x0, sigma, K, density_table, None, None)
+    assert decided == [want]
+    rec = engine.REGIMES[regime]
+
+    def failing_last(log_x0, table, _real=rec.fit):
+        at = _real(log_x0, table)
+
+        def last_fails(sigma, K):
+            f = at(sigma, K)
+            return f._replace(premises=[*f.premises[:-1], f.premises[-1]._replace(holds=False)])
+        return last_fails
+
+    monkeypatch.setitem(engine.REGIMES, regime, rec._replace(fit=failing_last))
+    with pytest.raises(CertificationError, match=rf"^monotonicity not proved \({re.escape(want[-1].name)} fails\)"):
+        engine._bound(regime, log_x0, sigma, K, density_table, None, None)
 
 
 def _per_candidate_optimize(log_x0, regime, table):
@@ -685,16 +717,16 @@ def _per_candidate_optimize(log_x0, regime, table):
     fit = engine.REGIMES[regime].fit(log_x0, table)
     candidates = []
     for K in range(1, 11) if regime == "medium" else [1]:
-        candidates += [(fit(s, K)[0], s, K) for s in table.sigma_grid if s < 1.0]
+        candidates += [(fit(s, K).value, s, K) for s in table.sigma_grid if s < 1.0]
         for lo, hi in zip(table.sigma_grid[:-1], table.sigma_grid[1:]):
             a, b = lo + 1e-9, min(hi - 1e-9, 1.0 - 1e-9)
             while b - a > 1e-6:
                 m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
-                if fit(m1, K)[0] <= fit(m2, K)[0]:
+                if fit(m1, K).value <= fit(m2, K).value:
                     b = m2
                 else:
                     a = m1
-            candidates.append((fit(0.5 * (a + b), K)[0], 0.5 * (a + b), K))
+            candidates.append((fit(0.5 * (a + b), K).value, 0.5 * (a + b), K))
     for _value, s, K in sorted(candidates):
         try:
             return engine._bound(regime, log_x0, s, K, table, None, None)
@@ -723,8 +755,10 @@ def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeyp
                 at = _real(log_x0, table)
 
                 def floored(sigma, K):
-                    value, envelope = at(sigma, K)
-                    return np.floor(value / quantum) * quantum, envelope
+                    got = at(sigma, K)
+                    if isinstance(got, np.ndarray):
+                        return np.floor(got / quantum) * quantum
+                    return got._replace(value=float(np.floor(got.value / quantum) * quantum))
                 return floored
             monkeypatch.setitem(engine.REGIMES, name, rec._replace(fit=coarse))
     row = optimize(log_x0, regime, density_table)

@@ -2,9 +2,11 @@
 
 Each case runs ``cli.main`` in-process and compares stdout (and stderr)
 with a file recorded from an earlier version of the program.  The seven
-benchmark references in ``perfbench/reference/`` are read, never written;
-the remaining captures live in ``tests/golden/``.  To record the goldens
-from the program as it stands:
+benchmark references in ``perfbench/reference/`` are read, never written,
+and perfbench's own capture, rerun into a scratch directory, must rewrite
+every file there (``api.json`` too) byte for byte; the remaining captures
+live in ``tests/golden/``.  To record the goldens from the program as it
+stands:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,6 +14,7 @@ from the program as it stands:
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import sys
 from importlib import resources
@@ -83,6 +86,20 @@ def test_golden_output(name):
     assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
     err_file = GOLDEN_DIR / f"{name}.err"
     assert err == (err_file.read_text(encoding="utf-8") if err_file.exists() else "")
+
+
+def test_benchmark_capture_rewrites_every_reference_file(tmp_path, monkeypatch):
+    # the benchmark compares api.json (the VK row, theta and pi sets, regime crossings,
+    # coverage) only to a relative 1e-9, so a drift in its last bits shows only here
+    spec = importlib.util.spec_from_file_location("perfbench_check", BENCH_REF_DIR.parent / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # capture prepends src/
+    check.capture(tmp_path)
+    names = sorted(p.name for p in BENCH_REF_DIR.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (BENCH_REF_DIR / name).read_bytes(), name
 
 
 def capture() -> None:

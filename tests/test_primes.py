@@ -226,14 +226,18 @@ def test_verify_pointwise_calls_li_once_and_bound_once_per_point(sieve_small, mo
 
     monkeypatch.setattr(primes, "li", counting_li)
     rep = verify_pointwise(sieve_small, bound, "pi", 2.0, 2657.0)
-    assert len(li_calls) == 1 and li_calls[0].size == 386  # 384 primes, then lo and hi
+    assert len(li_calls) == 1 and li_calls[0].size == 384  # 384 primes; lo = 2 and hi = 2657 are two
     assert bound_calls == li_calls[0].tolist() and rep.n_points == 770
     li_calls.clear()
     bound_calls.clear()
     verify_pointwise(sieve_small, bound, "psi", 2.0, 59.0)
-    # once at each jump and at lo and hi, never again at a left limit
-    assert li_calls == [] and bound_calls == [*sieve_small.jumps("psi", 2.0, 59.0).tolist(),
-                                              2.0, 59.0]
+    # once at each jump, lo = 2 and hi = 59 among them, never again at a left limit
+    assert li_calls == [] and bound_calls == sieve_small.jumps("psi", 2.0, 59.0).tolist()
+    bound_calls.clear()
+    rep = verify_pointwise(sieve_small, bound, "psi", 2.5, 60.5)
+    # endpoints that are not jumps are checked after the jumps
+    jumps = sieve_small.jumps("psi", 2.5, 60.5).tolist()
+    assert bound_calls == [*jumps, 2.5, 60.5] and rep.n_points == 2 * len(jumps) + 2
 
 
 def test_verify_pointwise_range_guard(sieve_small):
