@@ -14,8 +14,7 @@ import math
 from typing import NamedTuple
 
 from .engine import _COVERAGE_TOL, REGIMES, BoundConstants, CertificationError, Premise, _round_up, refusal
-from .regimes import (_R_PRIME_FALLS, DecayKind, decay_arg_prime, log_envelope, vk_decay_arg,
-                      vk_decay_arg_prime_falls)
+from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime_fall_margin
 
 __all__ = [
     "GAP_A1",
@@ -61,8 +60,8 @@ def theta_constants(psi: BoundConstants, extra: float | None = None) -> ThetaCon
     lhs = log_envelope(psi.u_kind, math.log(extra), psi.B, psi.C, log_x)
     rhs = math.log(GAP_A1 + GAP_A2) - log_x / 2.0
     slope = psi.C * decay_arg_prime(psi.u_kind, log_x)
-    if refused := refusal([Premise("extra L^B e^(-C u) >= (a1 + a2) x^(-1/2)", lhs >= rhs, lhs - rhs, log_x),
-                           Premise("C u' < 1/2", slope < 0.5, 0.5 - slope, log_x)]):
+    if refused := refusal([Premise("extra L^B e^(-C u) >= (a1 + a2) x^(-1/2)", lhs - rhs, log_x),
+                           Premise("C u' < 1/2", 0.5 - slope, log_x, strict=True)]):
         raise CertificationError(f"gap absorption {refused} at log x = {log_x:g}")
     return ThetaConstants(A1=psi.A + extra, source_label=psi.label)
 
@@ -86,32 +85,33 @@ def _check_h_condition(B: float, C: float, alpha: float, u_kind: DecayKind) -> l
     and each subtracted term is nonincreasing on [58, inf) when
     alpha >= 0, C >= 0, B + alpha <= 2 and u' is nonincreasing there.  u' is
     1/(2 sqrt L) for "sqrt_log"; for "vk_r" it falls exactly when log L > (sqrt(145) - 1)/12
-    = 0.920133... (``vk_decay_arg_prime_falls``).  Then h/L is nondecreasing, so h(58) >= 0
+    = 0.920133... (``vk_decay_arg_prime_fall_margin``).  Then h/L is nondecreasing, so h(58) >= 0
     proves h >= 0 on [58, inf).  The computed h(58) must clear ``_COVERAGE_TOL``
     (1e-12), far above its float error, so it also refuses a B + alpha just
-    above 2 whose float sum rounds to 2.  Every comparison fails on NaN.
+    above 2 whose float sum rounds to 2.  A NaN margin fails its premise.
     """
     lo = GAP_MIN_LOG_X
-    u_ok = u_kind == "sqrt_log" or (u_kind == "vk_r" and vk_decay_arg_prime_falls(lo))
-    u_margin = {"sqrt_log": math.inf, "vk_r": math.log(lo) - _R_PRIME_FALLS}.get(u_kind, math.nan)
-    h0 = lo - alpha - C * lo * decay_arg_prime(u_kind, lo) - lo ** (B + alpha - 1.0) if u_ok else math.nan
-    premises = [Premise("alpha >= 0", alpha >= 0.0, alpha, lo), Premise("C >= 0", C >= 0.0, C, lo),
-                Premise("B + alpha <= 2", B + alpha <= 2.0, 2.0 - (B + alpha), lo),
-                Premise("u' nonincreasing", u_ok, u_margin, lo),
-                Premise("h(58) >= 0", h0 >= _COVERAGE_TOL, h0 - _COVERAGE_TOL, lo)]
+    u_margin = {"sqrt_log": math.inf, "vk_r": vk_decay_arg_prime_fall_margin(lo)}.get(u_kind, math.nan)
+    u_falls = Premise("u' nonincreasing", u_margin, lo, strict=True)
+    h0 = (lo - alpha - C * lo * decay_arg_prime(u_kind, lo) - lo ** (B + alpha - 1.0)
+          if u_falls.holds else math.nan)
+    premises = [Premise("alpha >= 0", alpha, lo), Premise("C >= 0", C, lo),
+                Premise("B + alpha <= 2", 2.0 - (B + alpha), lo), u_falls,
+                Premise("h(58) >= 0", h0 - _COVERAGE_TOL, lo)]
     if refused := refusal(premises):
         raise CertificationError(f"h' condition {refused}, h(58) = {h0:.4g}")
     return premises
 
 
-def _pi_constants(a1: float, b: float, c: float, alpha: float, u_kind: DecayKind,
-                  digits: int, readings: tuple[float, ...]) -> PiConstants:
-    """A2 = A1 (1 + 58^(1-B-alpha) + third), rounded up at ``digits`` decimals.
+def _pi_constants(a1: float, b: float, c: float, alpha: float, regime: str,
+                  readings: tuple[float, ...]) -> PiConstants:
+    """A2 = A1 (1 + 58^(1-B-alpha) + third) with the ``regime``'s u, rounded up at its ``a_decimals``.
 
     third = (2/log 2 + I1 + I2) 58^(1-B) e^(-58) r / A1 for each reading r of
     e^(C u) at log x = 58.  A2 takes the largest; the readings must agree
     at the printed precision.  The loose I2 ceiling enters A2.
     """
+    u_kind, digits = REGIMES[regime].kind, REGIMES[regime].a_decimals
     _check_h_condition(b, c, alpha, u_kind)
     lo = GAP_MIN_LOG_X
     second = lo ** (1.0 - b - alpha)
@@ -135,7 +135,7 @@ def pi_constants_classical() -> PiConstants:
     B + alpha = 1.965.
     """
     a1, b, c, alpha = 9.40, 1.515, 0.8274, 0.45
-    return _pi_constants(a1, b, c, alpha, "sqrt_log", 2, (math.exp(c * math.sqrt(GAP_MIN_LOG_X)),))
+    return _pi_constants(a1, b, c, alpha, "medium", (math.exp(c * math.sqrt(GAP_MIN_LOG_X)),))
 
 
 def pi_constants_vk() -> PiConstants:
@@ -147,4 +147,4 @@ def pi_constants_vk() -> PiConstants:
     """
     a1, b, c, alpha = 0.027, 1.801, 0.1853, 0.19
     u0 = vk_decay_arg(GAP_MIN_LOG_X)
-    return _pi_constants(a1, b, c, alpha, "vk_r", 3, (u0**c, math.exp(c * u0)))
+    return _pi_constants(a1, b, c, alpha, "vk", (u0**c, math.exp(c * u0)))

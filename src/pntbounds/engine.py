@@ -20,9 +20,9 @@ import sys
 from typing import Callable, Literal, NamedTuple, Sequence
 
 from .extnum import EXT_ZERO, ExtReal
-from .regimes import (_R_PRIME_FALLS, MIN_LOG_X0_NU2, MIN_LOG_X0_NU3, Bracket, DecayKind, abs_envelope,
-                      bracket_nu2, bracket_nu3, decay_arg_prime, log_envelope, vk_decay_arg,
-                      vk_decay_arg_prime, vk_decay_arg_prime_falls)
+from .regimes import (MIN_LOG_X0_NU2, MIN_LOG_X0_NU3, Bracket, DecayKind, abs_envelope, bracket_nu2,
+                      bracket_nu3, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime,
+                      vk_decay_arg_prime_fall_margin)
 from .zfr import PntBoundsError, R0, _bisect
 from .zdensity import DensityTable, LOG_RIEMANN_HEIGHT, recip_sum_bounds
 
@@ -72,12 +72,16 @@ class CertificationError(PntBoundsError):
 
 
 class Premise(NamedTuple):
-    """A certificate's premise at ``at``: ``holds`` by its own comparison, ``margin`` its signed slack."""
+    """A premise at ``at``, decided by its signed slack: holds if margin > 0 (``strict``) or >= 0; NaN fails."""
 
     name: str
-    holds: bool
     margin: float
     at: float
+    strict: bool = False
+
+    @property
+    def holds(self) -> bool:
+        return self.margin > 0.0 if self.strict else self.margin >= 0.0
 
 
 def refusal(premises: Sequence[Premise]) -> str:
@@ -165,7 +169,7 @@ def _phi_sup(term: EnvelopeTerm, u0: float) -> float:
 
 def certify_monotone(terms: Sequence[EnvelopeTerm], u0: float) -> list[Premise]:
     """Per term, by index, the premise that a closed form proves it nonincreasing on [u0, inf)."""
-    return [Premise(f"term {i} nonincreasing", phi <= 0.0, -phi, u0)
+    return [Premise(f"term {i} nonincreasing", -phi, u0)
             for i, phi in enumerate(_phi_sup(t, u0) for t in terms)]
 
 
@@ -529,22 +533,20 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premi
     """The closed-form decrease premises of the VK normalized sum, all at the anchor.
 
     Uses that w' = r'(log x) decreases from the anchor on (exactly when loglog x
-    > (sqrt(145) - 1)/12 = 0.920133..., ``vk_decay_arg_prime_falls``), so each
+    > (sqrt(145) - 1)/12 = 0.920133..., ``vk_decay_arg_prime_fall_margin``), so each
     derivative condition only needs checking at the anchor.
     """
     c, ll0, q0 = br.B2 * (8.0 * sigma - 5.0) / 3.0, math.log(log_x0), -_CH + _RECIP2
     w0, wp0 = vk_decay_arg(log_x0), vk_decay_arg_prime(log_x0)
     qw, trunc = br.B3**2 / (2.0 * math.pi) * w0 * w0, (br.B2 - c) * w0 * (3.0 * ll0 - 1.0) / (5.0 * ll0)
-    premises = [Premise("w' nonincreasing", vk_decay_arg_prime_falls(log_x0), ll0 - _R_PRIME_FALLS, log_x0),
-                Premise("C < B2", c < br.B2, br.B2 - c, log_x0),                    # density C2 term
-                Premise("C w' < 1/2", c * wp0 < 0.5, 0.5 - c * wp0, log_x0),        # x^(-1/2) term
-                Premise("q2 w0^2 >= 2|q0|", qw >= 2.0 * abs(q0), qw - 2.0 * abs(q0), log_x0)]  # x^(sigma-1)
+    premises = [Premise("w' nonincreasing", vk_decay_arg_prime_fall_margin(log_x0), log_x0, strict=True),
+                Premise("C < B2", br.B2 - c, log_x0, strict=True),               # density C2 term
+                Premise("C w' < 1/2", 0.5 - c * wp0, log_x0, strict=True),       # x^(-1/2) term
+                Premise("q2 w0^2 >= 2|q0|", qw - 2.0 * abs(q0), log_x0)]         # x^(sigma-1) term
     if premises[-1].holds:  # the x^(sigma-1) slope's slack divides by q2 w0^2 - |q0|
-        slope = c * wp0 + 2.0 * wp0 / w0 * (1.0 / (1.0 - abs(q0) / qw))
-        premises.append(Premise("C w' + 2 w'/w0 slack < 1 - sigma", slope < 1.0 - sigma,
-                                1.0 - sigma - slope, log_x0))
-    return premises + [Premise("(B2 - C) w0 (3 ll - 1)/(5 ll) >= 0.6", trunc >= RVM_LOG_POW,  # truncation
-                               trunc - RVM_LOG_POW, log_x0)]
+        slack = 1.0 - sigma - (c * wp0 + 2.0 * wp0 / w0 * (1.0 / (1.0 - abs(q0) / qw)))
+        premises.append(Premise("C w' + 2 w'/w0 slack < 1 - sigma", slack, log_x0, strict=True))
+    return premises + [Premise("(B2 - C) w0 (3 ll - 1)/(5 ll) >= 0.6", trunc - RVM_LOG_POW, log_x0)]  # truncation
 
 
 def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
@@ -823,10 +825,9 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
     lo = math.log(59.0)
     worst = row.log_rel_envelope(lo) - (2.0 * math.log(lo) - math.log(8.0 * math.pi) - lo / 2.0)
     slope = (row.B - 2.0) / lo - row.C / (2.0 * math.sqrt(lo)) + 0.5
-    refused = refusal([Premise("B < 2", row.B < 2.0, 2.0 - row.B, lo),
-                       Premise("C >= 0", row.C >= 0.0, row.C, lo),
-                       Premise("f'(log 59) > 0", slope > _COVERAGE_TOL, slope - _COVERAGE_TOL, lo),
-                       Premise("f(log 59) >= 0", worst >= _COVERAGE_TOL, worst - _COVERAGE_TOL, lo)])
+    refused = refusal([Premise("B < 2", 2.0 - row.B, lo, strict=True), Premise("C >= 0", row.C, lo),
+                       Premise("f'(log 59) > 0", slope - _COVERAGE_TOL, lo, strict=True),
+                       Premise("f(log 59) >= 0", worst - _COVERAGE_TOL, lo)])
     detail = f"on a 10^4 log grid, worst log-margin {worst:.4g}"
     if refused:
         detail = f"{refused}, log-margin at 59 {worst:.4g}"
@@ -845,8 +846,8 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
     decreasing = []
     for kind, b, c in (("", row.B, row.C), ("unrounded ", row.B_unrounded, row.C_unrounded)):
         fall = c * math.sqrt(2000.0) - 2.0 * b
-        decreasing += [Premise(f"{kind}C >= 0", c >= 0.0, c, 2000.0), Premise(
-            f"{kind}C sqrt(2000) >= 2B", fall >= _COVERAGE_TOL, fall - _COVERAGE_TOL, 2000.0)]
+        decreasing += [Premise(f"{kind}C >= 0", c, 2000.0),
+                       Premise(f"{kind}C sqrt(2000) >= 2B", fall - _COVERAGE_TOL, 2000.0)]
     refused = refusal(decreasing)
     status = "fail" if refused else "pass" if m_rounded >= 0.0 else "margin"
     detail = (f"uniform 1.570e-12 vs envelope at 2488: log-margin {m_rounded:.4g} rounded, "

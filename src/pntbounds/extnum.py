@@ -13,6 +13,7 @@ import math
 __all__ = ["ExtReal", "EXT_ZERO"]
 
 _LN10 = math.log(10.0)
+_LN2 = math.log1p(1.0)  # numpy's logaddexp adds this for equal operands, infinite ones included
 _MANTISSA_DIGITS = 3  # significant digits a printed mantissa must carry
 
 
@@ -94,6 +95,8 @@ class ExtReal:
         hi, lo = self.log_value, other.log_value
         if lo > hi:
             hi, lo = lo, hi
+        if lo == hi:  # inf - inf would be NaN
+            return ExtReal(hi + _LN2)
         return ExtReal(hi + math.log1p(math.exp(lo - hi)))
 
     def __mul__(self, other: "ExtReal") -> "ExtReal":

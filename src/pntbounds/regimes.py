@@ -31,7 +31,7 @@ __all__ = [
     "log_envelope",
     "vk_decay_arg",
     "vk_decay_arg_prime",
-    "vk_decay_arg_prime_falls",
+    "vk_decay_arg_prime_fall_margin",
     "ConvergenceError",
 ]
 
@@ -69,10 +69,10 @@ def vk_decay_arg_prime(log_x: float) -> float:
     return (3.0 * ll - 1.0) / (5.0 * log_x**0.4 * ll**1.2)
 
 
-def vk_decay_arg_prime_falls(log_x: float) -> bool:
-    """r' decreases on [log x, inf): its log derivative is negative exactly when y = loglog x >
-    (sqrt(145) - 1)/12 = 0.920133..., the root of 6y^2 + y - 6; ``_R_PRIME_FALLS`` clears y's float error."""
-    return math.log(log_x) > _R_PRIME_FALLS
+def vk_decay_arg_prime_fall_margin(log_x: float) -> float:
+    """Positive exactly when r' decreases on [log x, inf), that is when y = loglog x > (sqrt(145) - 1)/12
+    = 0.920133..., the root of 6y^2 + y - 6; ``_R_PRIME_FALLS`` clears y's float error."""
+    return math.log(log_x) - _R_PRIME_FALLS
 
 
 def _unknown(kind: str) -> NoReturn:

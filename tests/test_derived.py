@@ -16,6 +16,7 @@ from pntbounds.derived import (
     pi_constants_vk,
     theta_constants,
 )
+from pntbounds.engine import REGIMES, _round_up
 from pntbounds.primes import verify_pointwise
 from pntbounds.extnum import ExtReal
 from pntbounds.regimes import decay_arg_prime, log_envelope, vk_decay_arg
@@ -272,6 +273,13 @@ def test_h_condition_names_each_premise():
             derived._check_h_condition(*args)
 
 
+def test_h_condition_holds_b_plus_alpha_at_two():
+    # B + alpha <= 2 is not strict: at exactly 2 it holds, and h(58) = -alpha alone refuses
+    assert 1.5 + 0.5 == 2.0
+    with pytest.raises(CertificationError, match=r"^h' condition not proved \(h\(58\) >= 0 fails\)"):
+        derived._check_h_condition(1.5, 0.0, 0.5, "sqrt_log")
+
+
 def test_h_condition_alpha_premise_is_load_bearing():
     # alpha < 0 with h(58) > 0: h = 4 - sqrt(L)/2 turns negative at L = 64
     h = _h_on_grid(6.0, 1.0, -4.0, "sqrt_log")
@@ -281,4 +289,11 @@ def test_h_condition_alpha_premise_is_load_bearing():
 
 def test_pi_builder_refuses_disagreeing_readings():
     with pytest.raises(CertificationError, match="readings disagree"):
-        derived._pi_constants(0.027, 1.801, 0.1853, 0.19, "vk_r", 3, (1.0, 1e12))
+        derived._pi_constants(0.027, 1.801, 0.1853, 0.19, "vk", (1.0, 1e12))
+
+
+@pytest.mark.parametrize("build, regime", [(pi_constants_classical, "medium"), (pi_constants_vk, "vk")])
+def test_pi_constants_take_their_regimes_decay_and_decimals(build, regime):
+    pi, rec = build(), REGIMES[regime]
+    assert pi.u_kind == rec.kind
+    assert [d for d in range(6) if _round_up(pi.A2_unrounded, d) == pi.A2] == [rec.a_decimals]

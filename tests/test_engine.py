@@ -277,12 +277,38 @@ _TERM0_FAILS = "not proved (term 0 nonincreasing fails)"
 
 def test_certifier_accepts_peak_below_anchor():
     term = EnvelopeTerm(0.0, 3.0, 1.0)  # u^3 e^-u peaks at u = 3
-    assert certify_monotone([term], 50.0) == [Premise("term 0 nonincreasing", True, 1.0 - 3.0 / 50.0, 50.0)]
+    assert certify_monotone([term], 50.0) == [Premise("term 0 nonincreasing", 1.0 - 3.0 / 50.0, 50.0)]
 
 
 def test_certifier_rejects_peak_above_anchor():
     term = EnvelopeTerm(0.0, 3.0, 1.0)
-    assert certify_monotone([term], 2.0) == [Premise("term 0 nonincreasing", False, 1.0 - 3.0 / 2.0, 2.0)]
+    assert certify_monotone([term], 2.0) == [Premise("term 0 nonincreasing", 1.0 - 3.0 / 2.0, 2.0)]
+
+
+def test_certifier_accepts_a_term_flat_at_the_anchor():
+    term = EnvelopeTerm(0.0, 3.0, 1.0)  # u^3 e^-u peaks at u = 3, where phi = 3/3 - 1 is exactly 0
+    assert engine._phi_sup(term, 3.0) == 0.0
+    assert refusal(certify_monotone([term], 3.0)) == ""
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_FINITE, _FINITE, st.booleans())
+@example(1.5, 1.5, True)
+@example(1.5, 1.5, False)
+@example(0.0, 5e-324, True)
+@example(-1.7976931348623157e308, 1.7976931348623157e308, True)  # b - a overflows to inf
+def test_premise_holds_by_the_sign_of_its_margin(a, b, strict):
+    assert Premise("b vs a", b - a, 0.0, strict).holds == (a < b if strict else a <= b)
+
+
+@pytest.mark.parametrize("margin, weak, strict", [(0.0, True, False), (-0.0, True, False), (math.inf, True, True),
+                                                  (-math.inf, False, False), (math.nan, False, False)])
+def test_premise_sign_rule_at_the_edges(margin, weak, strict):
+    assert Premise("p", margin, 0.0).holds is weak
+    assert Premise("p", margin, 0.0, strict=True).holds is strict
 
 
 def test_certifier_handles_gaussian_terms():
@@ -298,7 +324,7 @@ def test_certifier_names_each_failing_term_by_index():
     good, bad = EnvelopeTerm(0.0, 3.0, 1.0), EnvelopeTerm(0.0, 0.0, -2.0, quad=0.001)
     premises = certify_monotone([good, good, bad, good, bad], 25.0)
     assert [p.name for p in premises] == [f"term {i} nonincreasing" for i in range(5)]
-    assert all(p.at == 25.0 and p.holds == (p.margin >= 0.0) for p in premises)
+    assert all(p.at == 25.0 and not p.strict for p in premises)
     assert refusal(premises) == "not proved (term 2 nonincreasing, term 4 nonincreasing fails)"
 
 
@@ -451,6 +477,8 @@ _TERM_LOG = st.one_of(st.floats(min_value=-60.0, max_value=60.0),
 @example([1.5, 1.5, 1.5])
 @example([-1e308, 1e308, 0.0])
 @example([0.0, 5e-324, -5e-324])
+@example([math.inf, math.inf])
+@example([-math.inf, -math.inf])
 def test_float_log_sum_is_numpys_logaddexp_reduce(values):
     # a float fit sums its terms with math, an ndarray fit with numpy's reduce;
     # the optimizer's lanes equal its float calls only if the two agree exactly
@@ -596,15 +624,17 @@ def test_vk_certificate_and_h_condition_read_the_one_vk_premise(monkeypatch):
     br = bracket_nu3()
     assert refusal(engine._certify_vk_monotone(2.8e10, 0.9999932, br)) == ""
     derived.pi_constants_vk()
-    monkeypatch.setattr(engine, "vk_decay_arg_prime_falls", lambda log_x: False)
-    monkeypatch.setattr(derived, "vk_decay_arg_prime_falls", lambda log_x: False)
-    assert refusal(engine._certify_vk_monotone(2.8e10, 0.9999932, br)) == "not proved (w' nonincreasing fails)"
-    with pytest.raises(CertificationError, match="u' nonincreasing"):
-        derived.pi_constants_vk()
+    for margin in (-1.0, 0.0, math.nan):  # the r' premise is strict, and a NaN margin fails it
+        monkeypatch.setattr(engine, "vk_decay_arg_prime_fall_margin", lambda log_x: margin)
+        monkeypatch.setattr(derived, "vk_decay_arg_prime_fall_margin", lambda log_x: margin)
+        assert refusal(engine._certify_vk_monotone(2.8e10, 0.9999932, br)) == "not proved (w' nonincreasing fails)"
+        with pytest.raises(CertificationError, match="u' nonincreasing"):
+            derived.pi_constants_vk()
 
 
 _VK_PREMISES = ["w' nonincreasing", "C < B2", "C w' < 1/2", "q2 w0^2 >= 2|q0|",
                 "C w' + 2 w'/w0 slack < 1 - sigma", "(B2 - C) w0 (3 ll - 1)/(5 ll) >= 0.6"]
+_VK_STRICT = {0, 1, 2, 4}  # the premises whose comparison is < or >: a zero margin fails them
 
 
 @pytest.mark.parametrize("sigma, B2_scale, B3, failed", [
@@ -623,9 +653,9 @@ def test_vk_certificate_names_each_failed_premise(sigma, B2_scale, B3, failed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         premises = engine._certify_vk_monotone(2.8e10, sigma, br)
-    assert [p.name for p in premises] == [n for i, n in enumerate(_VK_PREMISES) if B3 is None or i != 4]
     assert refusal(premises) == f"not proved ({', '.join(_VK_PREMISES[i] for i in failed)} fails)"
-    assert all(p.at == 2.8e10 and p.holds == (p.margin > 0.0) for p in premises)
+    listed = [i for i in range(len(_VK_PREMISES)) if B3 is None or i != 4]
+    assert [(p.name, p.strict, p.at) for p in premises] == [(_VK_PREMISES[i], i in _VK_STRICT, 2.8e10) for i in listed]
 
 
 def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
@@ -704,7 +734,7 @@ def test_emission_refuses_on_the_float_calls_premises(density_table, monkeypatch
 
         def last_fails(sigma, K):
             f = at(sigma, K)
-            return f._replace(premises=[*f.premises[:-1], f.premises[-1]._replace(holds=False)])
+            return f._replace(premises=[*f.premises[:-1], f.premises[-1]._replace(margin=-1.0)])
         return last_fails
 
     monkeypatch.setitem(engine.REGIMES, regime, rec._replace(fit=failing_last))
@@ -989,6 +1019,11 @@ def test_coverage_segment_fails_closed(default_rows, sieve_small, changes, premi
     assert not report.hard_pass
 
 
+def test_coverage_segment_holds_at_c_zero(default_rows, sieve_small):
+    # C >= 0 is not strict: C = 0 leaves the closed-form segment proved
+    assert _segment(piecewise_coverage(default_rows[0]._replace(C=0.0), sieve_small), _SEGMENT).status == "pass"
+
+
 @pytest.mark.parametrize("changes", [{"C": 0.05}, {"C_unrounded": 0.05}])
 def test_coverage_tail_needs_a_decreasing_envelope(default_rows, sieve_small, changes):
     # (2B/C)^2 = 3672 > 2000: the envelope still rises at log x = 2000
@@ -1028,7 +1063,7 @@ def test_coverage_evaluates_the_envelope_o1_times(default_rows, sieve_small, mon
 
 
 def test_no_constants_without_certificate(density_table, monkeypatch):
-    refused = [Premise("term 3 nonincreasing", False, -1.0, 0.0)]
+    refused = [Premise("term 3 nonincreasing", -1.0, 0.0)]
     monkeypatch.setattr(engine, "certify_monotone", lambda *a, **k: refused)
     with pytest.raises(CertificationError, match=r"^monotonicity not proved \(term 3 nonincreasing fails\) at"):
         medium_bound(6000.0, 0.99, 4, density_table)

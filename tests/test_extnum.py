@@ -22,6 +22,13 @@ def test_add_log_sum_exp_far_below_underflow():
     assert s.log_value == pytest.approx(-100000.0 + math.log1p(math.exp(-1.0)), abs=1e-12)
 
 
+@pytest.mark.parametrize("v", [math.inf, -math.inf, 0.0, -7.25, 1e308])
+def test_add_equal_operands_is_numpys_logaddexp(v):
+    # two equal infinite logs sum to that infinity, not to NaN; finite pairs keep their bits
+    got = (ExtReal.exp_of(v) + ExtReal.exp_of(v)).log_value
+    assert got.hex() == float(np.logaddexp(v, v)).hex()
+
+
 def test_mul_adds_log_values_exactly():
     assert (ExtReal.exp_of(-20000.0) * ExtReal.exp_of(-30000.0)).log_value == -50000.0
 

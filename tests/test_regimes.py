@@ -12,7 +12,7 @@ from pntbounds.regimes import (
     log_envelope,
     verify_unimodal,
     vk_decay_arg,
-    vk_decay_arg_prime_falls,
+    vk_decay_arg_prime_fall_margin,
 )
 from pntbounds.zdensity import LOG_RIEMANN_HEIGHT
 from pntbounds.zfr import D_FORD, R1_FORD, nu2, nu3
@@ -183,9 +183,9 @@ def test_vk_prime_premise_sits_above_the_exact_root():
         assert log_derivative(root - mpmath.mpf("1e-4")) > 0
         assert log_derivative(root + mpmath.mpf("1e-4")) < 0
         assert log_derivative(mpmath.mpf("0.92")) > 0  # a bar at 0.92 would be unsound
-    assert not vk_decay_arg_prime_falls(math.exp(0.92))
-    assert not vk_decay_arg_prime_falls(math.exp(0.9201))
-    assert vk_decay_arg_prime_falls(math.exp(0.9203))
-    assert not vk_decay_arg_prime_falls(math.nan)
+    assert vk_decay_arg_prime_fall_margin(math.exp(0.92)) < 0.0
+    assert vk_decay_arg_prime_fall_margin(math.exp(0.9201)) < 0.0
+    assert vk_decay_arg_prime_fall_margin(math.exp(0.9203)) > 0.0
+    assert math.isnan(vk_decay_arg_prime_fall_margin(math.nan))  # and a NaN margin fails every premise
     # every caller sits far above the bar: the h' check at log x = 58, VK anchors from 2.8e10
-    assert vk_decay_arg_prime_falls(58.0) and vk_decay_arg_prime_falls(2.8e10)
+    assert vk_decay_arg_prime_fall_margin(58.0) > 0.0 and vk_decay_arg_prime_fall_margin(2.8e10) > 0.0

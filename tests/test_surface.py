@@ -1,5 +1,6 @@
-"""The public surface resolves, no module carries an import it never uses, and
-every record the CLI loads is immutable."""
+"""The public surface resolves, no module carries an import it never uses or
+reads a sibling's private name unless listed, and every record the CLI loads
+is immutable."""
 
 import ast
 import importlib
@@ -44,6 +45,35 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("modname", ["__init__", *MODULES])
 def test_no_unused_imports(modname):
     assert _unused_imports(PKG_DIR / f"{modname}.py") == []
+
+
+# the underscore names a module may read from a sibling, each with the reason it is shared
+PRIVATE_IMPORTS = {
+    ("engine", "zfr", "_bisect"): "regime_compare finds its crossings with the bisection zfr uses for its own",
+    ("derived", "engine", "_COVERAGE_TOL"): "the h' check clears the coverage float allowance, until "
+                                            "outward rounding replaces it",
+    ("derived", "engine", "_round_up"): "pi's A2 rounds up as a row's A does, until one exact rounding serves both",
+}
+
+
+def _private_imports(modname: str) -> set[tuple[str, str, str]]:
+    """(module, sibling, name) for each underscore name the module imports from a sibling or reads
+    as an attribute of a sibling it imported whole."""
+    tree = ast.parse((PKG_DIR / f"{modname}.py").read_text(encoding="utf-8"))
+    relative = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1]
+    whole = {alias.asname or alias.name: alias.name for node in relative if node.module is None
+             for alias in node.names}
+    found = {(modname, node.module, alias.name) for node in relative if node.module
+             for alias in node.names if alias.name.startswith("_")}
+    return found | {(modname, whole[node.value.id], node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in whole and node.attr.startswith("_")}
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # a new entry needs its reason above; an entry whose import is gone must leave the list
+    found = set().union(*(_private_imports(m) for m in ["__init__", *MODULES]))
+    assert found == set(PRIVATE_IMPORTS)
 
 
 # one instance of each record type on the CLI's import path, built by the calls that serve it
