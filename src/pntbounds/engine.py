@@ -535,13 +535,19 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premi
     Uses that w' = r'(log x) decreases from the anchor on (exactly when loglog x
     > (sqrt(145) - 1)/12 = 0.920133..., ``vk_decay_arg_prime_fall_margin``), so each
     derivative condition only needs checking at the anchor.
+
+    The x^(-1/2) term needs C w' < 1/2, which the slope premise implies:
+    C w' < 1 - sigma - 2 (w'/w0) / (1 - |q0|/(q2 w0^2)) < 1 - sigma < 1/2.  The
+    subtracted term is positive because w' > 0 (loglog x0 > 1/3, implied by the
+    first premise) and q2 w0^2 >= 2|q0|; the last step needs only sigma > 1/2, and
+    ``_emit`` admits sigma in [0.98, 1).  Where q2 w0^2 >= 2|q0| fails, the slope
+    premise is not listed, but that failure refuses the row.
     """
     c, ll0, q0 = br.B2 * (8.0 * sigma - 5.0) / 3.0, math.log(log_x0), -_CH + _RECIP2
     w0, wp0 = vk_decay_arg(log_x0), vk_decay_arg_prime(log_x0)
     qw, trunc = br.B3**2 / (2.0 * math.pi) * w0 * w0, (br.B2 - c) * w0 * (3.0 * ll0 - 1.0) / (5.0 * ll0)
     premises = [Premise("w' nonincreasing", vk_decay_arg_prime_fall_margin(log_x0), log_x0, strict=True),
                 Premise("C < B2", br.B2 - c, log_x0, strict=True),               # density C2 term
-                Premise("C w' < 1/2", 0.5 - c * wp0, log_x0, strict=True),       # x^(-1/2) term
                 Premise("q2 w0^2 >= 2|q0|", qw - 2.0 * abs(q0), log_x0)]         # x^(sigma-1) term
     if premises[-1].holds:  # the x^(sigma-1) slope's slack divides by q2 w0^2 - |q0|
         slack = 1.0 - sigma - (c * wp0 + 2.0 * wp0 / w0 * (1.0 / (1.0 - abs(q0) / qw)))
@@ -609,7 +615,8 @@ REGIMES: dict[str, Regime] = {
 def _check_request(regime: str, log_x0: float, claim_X: float | None, K: int | None = None) -> Regime:
     """The regime's record, for a known regime, an anchor at or above its floor, no claim other
     than the anchor unless the regime allows one, no claim below the anchor but row ``log2``'s
-    (the only span below an anchor with a coverage record), and a K in 1..``_MAX_K``, a single-K regime's own."""
+    (the only span below an anchor with a coverage record), a finite anchor and claim, and a K
+    in 1..``_MAX_K``, a single-K regime's own."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}, expected one of {', '.join(REGIMES)}")
     rec = REGIMES[regime]
@@ -620,6 +627,8 @@ def _check_request(regime: str, log_x0: float, claim_X: float | None, K: int | N
     first = DEFAULT_ROW_PARAMS[0]  # the one row with a coverage record below its anchor
     if claim_X is not None and not claim_X >= log_x0 and (claim_X, log_x0) != (first.X, first.anchor):
         raise ValueError(f"nothing covers log x in [{claim_X:g}, {log_x0:g}), below the {regime} anchor")
+    if math.inf in (log_x0, claim_X):  # NaN and -inf fail the checks above
+        raise ValueError(f"log x0 and claim_X must be finite, got {log_x0!r} and {claim_X!r}")
     if K is not None and len(rec.Ks) == 1 and K != rec.Ks[0]:
         raise ValueError(f"the {regime} pipeline takes K = {rec.Ks[0]}, not {K}")
     if K is not None and not 1 <= K <= _MAX_K:

@@ -9,8 +9,8 @@ left-sided limit.  Between jumps the distance to the main term is
 piecewise monotone, so these points carry the worst margin if the
 envelope's slope also beats the main term's on each gap (bound' >= 1 for
 psi and theta, bound' >= li' for pi).  That condition is not proved yet
-(ROADMAP item 6), so a pass is a check at these points, not
-a proof over the whole range.
+(ROADMAP, "Prove the sieve ranges by monotone blocks"), so a pass is a
+check at these points, not a proof over the whole range.
 """
 
 from __future__ import annotations
@@ -206,9 +206,10 @@ def verify_pointwise(
     |f - main| has no interior maximum on a gap.  The margin
     bound - |f - main| has no interior minimum there if, in addition,
     bound' >= 1 (psi, theta) or bound' >= li' (pi) on the gap; that is not
-    proved yet (ROADMAP item 6).  ``bound`` is called once per distinct
-    point, li once on all of them, and the rest is one numpy pass over the
-    points.  A NaN margin fails the check and counts as the worst.
+    proved yet (ROADMAP, "Prove the sieve ranges by monotone blocks").
+    ``bound`` is called once per distinct point, li once on all of them, and
+    the rest is one numpy pass over the points.  A NaN margin fails the
+    check and counts as the worst.
     """
     xs = table.jumps(quantity, lo, hi)
     ends = [x for x in (lo, hi) if not (xs.size and x in (xs[0], xs[-1]))]

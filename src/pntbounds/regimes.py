@@ -115,7 +115,7 @@ def bracket_nu2(log_x0: float) -> Bracket:
     iterated from B1 (empirically a contraction for log_x0 >= 1e5).
     Then B2 = 2 sqrt(alpha) and B3 = B1 + 1/(R1 B0).
     """
-    if log_x0 < MIN_LOG_X0_NU2:
+    if not MIN_LOG_X0_NU2 <= log_x0 < math.inf:  # NaN and +inf too
         raise ValueError(f"bracket_nu2 requires log x0 >= {MIN_LOG_X0_NU2:g}, got {log_x0:g}")
     r1, d = zfr.R1_FORD, zfr.D_FORD
     u = math.sqrt(log_x0)
@@ -146,7 +146,7 @@ def bracket_nu3(log_x0: float = MIN_LOG_X0_NU3) -> Bracket:
     exact chain constant kappa = (log B0 + (3/5) L - (1/5) log L)/L at
     L = loglog x0 instead of a hard-coded value, so other anchors work.
     """
-    if log_x0 < MIN_LOG_X0_NU3:
+    if not MIN_LOG_X0_NU3 <= log_x0 < math.inf:  # NaN and +inf too
         raise ValueError(f"bracket_nu3 requires log x0 >= {MIN_LOG_X0_NU3:g}, got {log_x0:g}")
     c = zfr.C_VK
     b0 = (2.0 / (3.0 * c)) ** 0.6 * (5.0 / 3.0) ** 0.2

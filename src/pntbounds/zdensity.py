@@ -38,9 +38,6 @@ _LOG_4PI_E = math.log(4.0 * math.pi) + 1.0
 
 class DensityRow(NamedTuple):
     sigma: float
-    d: float
-    alpha: float
-    delta: float
     C1: float
     C2: float
 
@@ -104,7 +101,7 @@ def load_table(path: str | Path | None = None) -> DensityTable:
     for i, vals in enumerate(values):
         if len(vals) != len(_HEADER) or not all(map(math.isfinite, vals)):
             raise ValueError(f"row {i}: expected {len(_HEADER)} finite numbers, got {vals}")
-    rows = [DensityRow(*vals) for vals in values]
+    rows = [DensityRow(sigma, c1, c2) for sigma, _, _, _, c1, c2 in values]  # d, alpha, delta: checked, not kept
     if len(rows) != _GRID_ROWS:
         raise ValueError(f"expected {_GRID_ROWS} rows, got {len(rows)}")
     for i, r in enumerate(rows):

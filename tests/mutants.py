@@ -1,0 +1,138 @@
+"""A standing mutation check for the certificate code.
+
+Each entry of ``MUTANTS`` breaks one piece of the program on purpose: it
+names the file, the exact old text (which must occur there exactly once),
+the new text, what the mutant breaks, and the tests expected to fail on it.
+Run as a program,
+
+    python tests/mutants.py [name ...]
+
+copies the repository into a temporary directory, checks that the named
+tests pass there unmutated, then applies each mutant in turn to a fresh
+copy and runs its tests.  It prints ``killed`` (a test failed), ``survived``
+(all passed) or ``error`` (pytest could not run them) per mutant, and exits
+1 unless every mutant is killed.  pytest does not collect this file; the
+tier-1 test ``tests/test_mutants.py`` checks that every old text still
+occurs exactly once, so the list cannot rot.  A certificate change adds
+its own mutants here.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                  # relative to the repository root
+    old: str                   # occurs exactly once in ``path``
+    new: str
+    breaks: str
+    killers: tuple[str, ...]   # pytest node ids, relative to the repository root
+
+
+_ENGINE, _DERIVED, _PRIMES = "src/pntbounds/engine.py", "src/pntbounds/derived.py", "src/pntbounds/primes.py"
+_T_ENGINE, _T_DERIVED = "tests/test_engine.py", "tests/test_derived.py"
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant("phi_sup_slope_halved", _ENGINE, "        phi += dq / q\n", "        phi += 0.5 * dq / q\n",
+           "a term's q'/q slope is halved, so a rising term can pass the decrease certificate",
+           (f"{_T_ENGINE}::test_certified_terms_never_rise",)),
+    Mutant("coverage_slope_quartered", _ENGINE, "row.C / (2.0 * math.sqrt(lo))", "row.C / (4.0 * math.sqrt(lo))",
+           "the coverage slope f'(log 59) takes C/(4 sqrt L) for C/(2 sqrt L)",
+           (f"{_T_ENGINE}::test_coverage_segment_fails_closed",)),
+    Mutant("h58_margin_plus_one", _DERIVED, 'Premise("h(58) >= 0", h0 - _COVERAGE_TOL, lo)',
+           'Premise("h(58) >= 0", h0 + 1.0 - _COVERAGE_TOL, lo)',
+           "the pi transfer's h(58) margin is raised by 1",
+           (f"{_T_DERIVED}::test_h_condition_holds_b_plus_alpha_at_two",)),
+    Mutant("vk_truncation_halved", _ENGINE, "trunc - RVM_LOG_POW, log_x0", "trunc - 0.5 * RVM_LOG_POW, log_x0",
+           "the VK truncation premise compares against half of RVM_LOG_POW",
+           (f"{_T_ENGINE}::test_vk_certificate_names_each_failed_premise",)),
+    Mutant("epsilon0_split_moved", _ENGINE, "    if B > C * X * decay_arg_prime(decay, X):\n",
+           "    if B > 1.01 * C * X * decay_arg_prime(decay, X):\n",
+           "epsilon0_at takes the supremum at X for an envelope that still rises just beyond X",
+           (f"{_T_ENGINE}::test_epsilon0_anchored_when_maximizer_interior",)),
+    Mutant("emit_drops_last_premise", _ENGINE, "refusal(f.premises)", "refusal(f.premises[:-1])",
+           "emission decides all but the last premise of the fit's certificate",
+           (f"{_T_ENGINE}::test_emission_refuses_on_the_float_calls_premises",)),
+    Mutant("theta_default_extra", _DERIVED, "extra = 10.0 ** -REGIMES[psi.regime].a_decimals if extra is None",
+           "extra = 0.01 if extra is None",
+           "theta's default extra ignores the regime's decimals of A",
+           (f"{_T_DERIVED}::test_theta_default_extra_is_what_eval_serves",)),
+    Mutant("verify_ends_repeated", _PRIMES,
+           "ends = [x for x in (lo, hi) if not (xs.size and x in (xs[0], xs[-1]))]", "ends = [lo, hi]",
+           "verify_pointwise evaluates lo and hi twice when they are jump points",
+           ("tests/test_primes.py::test_verify_pointwise_calls_li_once_and_bound_once_per_point",)),
+    Mutant("regime_compare_tolerance", _ENGINE, "tol=1e-9 * 60.0", "tol=1e-10 * 60.0",
+           "regime_compare bisects its lower crossing 10x tighter, moving api.json's last bits",
+           ("tests/test_golden.py::test_benchmark_capture_rewrites_every_reference_file",)),
+    Mutant("coverage_b_below_2_weak", _ENGINE, 'Premise("B < 2", 2.0 - row.B, lo, strict=True)',
+           'Premise("B < 2", 2.0 - row.B, lo)',
+           "the coverage premise B < 2 holds at B = 2",
+           (f"{_T_ENGINE}::test_coverage_segment_fails_closed",)),
+    Mutant("holds_ignores_strict", _ENGINE,
+           "return self.margin > 0.0 if self.strict else self.margin >= 0.0", "return self.margin >= 0.0",
+           "a strict premise holds at margin 0",
+           (f"{_T_ENGINE}::test_premise_sign_rule_at_the_edges",)),
+    Mutant("h_b_plus_alpha_strict", _DERIVED, 'Premise("B + alpha <= 2", 2.0 - (B + alpha), lo)',
+           'Premise("B + alpha <= 2", 2.0 - (B + alpha), lo, strict=True)',
+           "the h' premise B + alpha <= 2 fails at B + alpha = 2",
+           (f"{_T_DERIVED}::test_h_condition_holds_b_plus_alpha_at_two",)),
+    Mutant("derived_reads_regimes_private", _DERIVED, "from .regimes import DecayKind,",
+           "from .regimes import _R_PRIME_FALLS, DecayKind,",
+           "derived takes regimes' private r'-falls constant instead of its margin function",
+           ("tests/test_surface.py::test_private_names_cross_modules_only_where_listed",)),
+)
+
+
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".bench_out")
+
+
+def _copy(dest: Path) -> Path:
+    shutil.copytree(ROOT, dest, ignore=_SKIP)
+    return dest
+
+
+def _pytest(repo: Path, tests) -> int:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=repo, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutant: Mutant) -> str:
+    """``killed``, ``survived`` or ``error`` for one mutant, applied to a fresh copy."""
+    with tempfile.TemporaryDirectory() as tmp:
+        repo = _copy(Path(tmp) / "repo")
+        path = repo / mutant.path
+        path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
+        rc = _pytest(repo, mutant.killers)
+    return {0: "survived", 1: "killed"}.get(rc, f"error (pytest exit {rc})")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        raise SystemExit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = _pytest(_copy(Path(tmp) / "repo"), sorted({t for m in chosen for t in m.killers}))
+    if rc != 0:
+        print(f"the unmutated copy fails its mutants' tests (pytest exit {rc}); nothing to check")
+        return 1
+    survivors = 0
+    for m in chosen:
+        verdict = run(m)
+        survivors += verdict != "killed"
+        print(f"{verdict:>9}  {m.name}: {m.breaks}", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

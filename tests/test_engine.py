@@ -267,6 +267,11 @@ def test_epsilon0_anchored_when_maximizer_interior():
     eps, at = epsilon0_at(math.log(7.0), 1.51, 0.83, 6000.0)
     assert at == 6000.0
     assert eps.log_value == pytest.approx(math.log(7.0) + 1.51 * math.log(6000.0) - 0.83 * math.sqrt(6000.0))
+    # just past the edge B = C X u'(X) = C sqrt(X)/2, the envelope still rises at X and peaks at (2B/C)^2
+    x = (2.0 * 1.51 / (1.005 * 0.83)) ** 2
+    eps, at = epsilon0_at(math.log(7.0), 1.51, 0.83, x)
+    assert at == (2.0 * 1.51 / 0.83) ** 2
+    assert eps.log_value > math.log(7.0) + 1.51 * math.log(x) - 0.83 * math.sqrt(x)
 
 
 # -- monotonicity certification ----------------------------------------------
@@ -632,21 +637,23 @@ def test_vk_certificate_and_h_condition_read_the_one_vk_premise(monkeypatch):
             derived.pi_constants_vk()
 
 
-_VK_PREMISES = ["w' nonincreasing", "C < B2", "C w' < 1/2", "q2 w0^2 >= 2|q0|",
+_VK_PREMISES = ["w' nonincreasing", "C < B2", "q2 w0^2 >= 2|q0|",
                 "C w' + 2 w'/w0 slack < 1 - sigma", "(B2 - C) w0 (3 ll - 1)/(5 ll) >= 0.6"]
-_VK_STRICT = {0, 1, 2, 4}  # the premises whose comparison is < or >: a zero margin fails them
+_VK_STRICT = {0, 1, 3}  # the premises whose comparison is < or >: a zero margin fails them
 
 
 @pytest.mark.parametrize("sigma, B2_scale, B3, failed", [
     # C < B2 fails only for sigma >= 1 (or B2 <= 0), which breaks the slope and truncation premises too
-    (1.0, 1.0, None, [1, 4, 5]),
-    # C w' >= 1/2 > 1 - sigma: the slope premise fails with it
-    (0.9999932, 1e6, None, [2, 4]),
+    (1.0, 1.0, None, [1, 3, 4]),
+    # C w' >= 1/2 > 1 - sigma: the slope premise refuses it, so C w' < 1/2 is no premise of its own
+    (0.9999932, 1e6, None, [3]),
     # the slope premise divides by q2 w0^2 - |q0|, so it is not listed when the quadratic fails
-    (0.9999932, 1.0, 1e-6, [3]),
-    (0.9999932, 3.0, None, [4]),
-    (0.9999932, 0.1, None, [5]),
-], ids=["C_below_B2", "C_w_half", "quadratic", "slope", "truncation"])
+    (0.9999932, 1.0, 1e-6, [2]),
+    (0.9999932, 3.0, None, [3]),
+    (0.9999932, 0.1, None, [4]),
+    # truncation value 0.488, between half the 0.6 threshold and the threshold
+    (0.9999932, 0.25, None, [4]),
+], ids=["C_below_B2", "C_w_half", "quadratic", "slope", "truncation", "truncation_near_threshold"])
 def test_vk_certificate_names_each_failed_premise(sigma, B2_scale, B3, failed):
     br = bracket_nu3()
     br = br._replace(B2=br.B2 * B2_scale, B3=br.B3 if B3 is None else B3)
@@ -654,7 +661,7 @@ def test_vk_certificate_names_each_failed_premise(sigma, B2_scale, B3, failed):
         warnings.simplefilter("error")
         premises = engine._certify_vk_monotone(2.8e10, sigma, br)
     assert refusal(premises) == f"not proved ({', '.join(_VK_PREMISES[i] for i in failed)} fails)"
-    listed = [i for i in range(len(_VK_PREMISES)) if B3 is None or i != 4]
+    listed = [i for i in range(len(_VK_PREMISES)) if B3 is None or i != 3]
     assert [(p.name, p.strict, p.at) for p in premises] == [(_VK_PREMISES[i], i in _VK_STRICT, 2.8e10) for i in listed]
 
 
@@ -910,6 +917,21 @@ def test_optimize_refuses_an_anchor_below_the_floor_before_searching(density_tab
         optimize(log_x0, regime, density_table)
     floor = engine.REGIMES[regime].min_log_x0
     assert str(refused.value) == f"{regime} pipeline requires log x0 >= {floor:g}"
+    assert calls["fit"] == calls["bracket"] == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_entry_refuses_a_non_finite_anchor_or_claim(density_table, monkeypatch, bad):
+    # medium_bound(3000, ..., claim_X=inf) once returned a row with X = inf and eps0 = exp(nan)
+    calls = _count_calls(monkeypatch)
+    for call in (lambda: compute_row(RowParams("x", bad, bad, "large", 0.999, 1), density_table),
+                 lambda: compute_row(RowParams("x", bad, 3000.0, "medium", 0.99, 4), density_table),
+                 lambda: medium_bound(bad, 0.99, 4, density_table),
+                 lambda: medium_bound(3000.0, 0.99, 4, density_table, claim_X=bad),
+                 lambda: optimize(bad, "vk", density_table),
+                 lambda: optimize(3000.0, "medium", density_table, claim_X=bad)):
+        with pytest.raises(ValueError):
+            call()
     assert calls["fit"] == calls["bracket"] == 0
 
 

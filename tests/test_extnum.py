@@ -33,22 +33,25 @@ def test_mul_adds_log_values_exactly():
     assert (ExtReal.exp_of(-20000.0) * ExtReal.exp_of(-30000.0)).log_value == -50000.0
 
 
-def test_zero_is_minimum_and_ordering_total():
-    # two zero flags with different log_value are one value; zero is below e^0
-    vals = [EXT_ZERO, ExtReal(-3.0, is_zero=True), ExtReal.exp_of(-1e6),
+def test_extreal_is_one_log_compared_for_equality_only():
+    assert ExtReal.__slots__ == ("log_value",)
+    assert not {"__lt__", "__le__", "__gt__", "__ge__"} & set(vars(ExtReal))
+    with pytest.raises(TypeError):
+        EXT_ZERO < ExtReal(1.0)
+    assert EXT_ZERO.log_value == -math.inf and ExtReal.from_real(0.0) == EXT_ZERO
+    assert EXT_ZERO.to_real() == 0.0 and EXT_ZERO.log10_parts() == (0.0, 0)
+    vals = [EXT_ZERO, ExtReal(-math.inf), ExtReal.exp_of(-1e6),
             ExtReal.exp_of(-47335.0 * math.log(10.0)), ExtReal.exp_of(0.0), ExtReal.exp_of(500.0)]
-    assert sorted(vals[::-1]) == vals
-    assert sorted(vals, reverse=True)[-1] == EXT_ZERO
     for a in vals:
         for b in vals:
-            assert (a < b) + (a == b) + (a > b) == 1
+            assert (a == b) is (a.log_value == b.log_value)
             assert (a != b) is (not a == b)
             assert a != b or hash(a) == hash(b)
 
 
-@pytest.mark.parametrize("v", [ExtReal(1.0), EXT_ZERO, ExtReal(-3.0, is_zero=True)])
+@pytest.mark.parametrize("v", [ExtReal(1.0), EXT_ZERO, ExtReal(-3.0)])
 def test_never_equals_a_tuple(v):
-    as_tuple = (v.log_value, v.is_zero)
+    as_tuple = (v.log_value,)
     assert v != as_tuple and as_tuple != v
     assert not v == as_tuple and not as_tuple == v
     with pytest.raises(TypeError):
@@ -57,8 +60,7 @@ def test_never_equals_a_tuple(v):
 
 @pytest.mark.parametrize("other", [2.0, 0, None, (1.0, False)])
 def test_ordering_against_a_non_extreal_is_a_type_error(other):
-    # each comparison returns NotImplemented, so Python raises TypeError
-    # (it used to be an AttributeError from the other side's missing _key)
+    # ExtReal defines no ordering, so Python raises TypeError
     for compare in (lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b):
         for a, b in ((ExtReal(1.0), other), (other, ExtReal(1.0)), (EXT_ZERO, other)):
             with pytest.raises(TypeError):
@@ -101,6 +103,7 @@ def test_overflow_saturates_to_sentinel():
     inf = ExtReal.exp_of(math.inf)
     assert math.isinf(inf.log_value) and inf.log_value > 0
     assert math.isinf((inf * ExtReal.from_real(2.0)).log_value)
+    assert (inf * EXT_ZERO).log_value == (EXT_ZERO * inf).log_value == -math.inf  # not -inf + inf = NaN
 
 
 def test_log10_parts():

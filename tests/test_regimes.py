@@ -73,6 +73,14 @@ def test_bracket_nu3_hypothesis_guard():
         bracket_nu3(1e9)
 
 
+@pytest.mark.parametrize("bracket", [bracket_nu2, bracket_nu3])
+@pytest.mark.parametrize("log_x0", [math.nan, math.inf, -math.inf])
+def test_brackets_refuse_a_non_finite_anchor(bracket, log_x0):
+    # nu3 once returned B3 = NaN for these; nu2 ran 200 iterations into a ConvergenceError
+    with pytest.raises(ValueError, match="requires log x0 >="):
+        bracket(log_x0)
+
+
 def test_unimodal_nu2_at_1e6():
     br = bracket_nu2(1e6)
     rep = verify_unimodal(br, 1e6)

@@ -23,14 +23,13 @@ def test_table_loads_with_expected_grid(density_table):
     assert len(grid) == 21
     assert grid[0] == pytest.approx(0.980)
     assert grid[-1] == pytest.approx(1.000)
+    assert type(density_table.rows[0])._fields == ("sigma", "C1", "C2")  # the CSV's d, alpha, delta are not kept
 
 
-def test_monotonicity_enforced_at_load(density_table, tmp_path):
-    rows = density_table.rows
-    lines = ["sigma,d,alpha,delta,C1,C2"]
-    for r in rows:
-        c1 = 20.0 - r.sigma if abs(r.sigma - 0.985) < 1e-9 else r.C1  # break C1 order
-        lines.append(f"{r.sigma},{r.d},{r.alpha},{r.delta},{c1},{r.C2}")
+def test_monotonicity_enforced_at_load(tmp_path):
+    lines = resources.files("pntbounds").joinpath("data/zero_density.csv").read_text().splitlines()
+    *head, _, c2 = lines[6].split(",")  # sigma = 0.985
+    lines[6] = ",".join([*head, "19.015", c2])  # break C1 order
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="C1"):
