@@ -320,22 +320,37 @@ class _Envelope(NamedTuple):
 # A regime's fit binds (log x0, table), doing the per-anchor work once, and returns ``at(sigma, K)``.  A
 # float sigma gives the ``_Envelope`` (to emit, or rebuild raw terms); an ndarray sigma, with an int or
 # aligned ndarray K, gives the lanes' values as an ndarray, each bit for bit its float call's ``value``.
+# ``at.bind(rows, K)``, for lanes whose density rows (the C1 and C2 indices ``table.rows_at`` would pick)
+# and aligned ndarray K are fixed, returns ``lanes(sigma, live=all)``: the values at the live lanes'
+# sigmas, equal to ``at(sigma, K[live])`` whenever ``rows_at`` picks those rows.  VK binds the rows and
+# its sigma-free summands once; medium and large look their rows up again on every lane call.
 _Fit = Callable[..., "_Envelope | np.ndarray"]
 
 
-def _log_2c(sigma, table: DensityTable, columns: list) -> tuple:
-    """(ln 2 C1, ln 2 C2) at sigma, each by ``math.log`` (numpy's log differs from it in the last ulp on
-    some inputs); lanes index the rows' logs by ``table.rows_at``, from ``columns``, a binding's list that
-    the first lane call fills with the grid and both log columns as ndarrays."""
-    if isinstance(sigma, (int, float)):
-        c1, c2 = table.coeffs(sigma)
-        return math.log(2.0 * c1), math.log(2.0 * c2)
+def _log_2c_columns(table: DensityTable, columns: list) -> list:
+    """[grid, ln 2 C1, ln 2 C2] over the rows as ndarrays, each log by ``math.log`` (numpy's log differs
+    from it in the last ulp on some inputs), in ``columns``, a binding's list the first lane call fills."""
     if not columns:
         import numpy as np
         logs = [(math.log(2.0 * r.C1), math.log(2.0 * r.C2)) for r in table.rows]
         columns[:] = np.array(table.sigma_grid), *np.array(logs).T
-    i1, i2 = table.rows_at(sigma, columns[0])
-    return columns[1][i1], columns[2][i2]
+    return columns
+
+
+def _log_2c(sigma, table: DensityTable, columns: list) -> tuple:
+    """(ln 2 C1, ln 2 C2) at sigma; lanes index ``_log_2c_columns`` by ``table.rows_at``."""
+    if isinstance(sigma, (int, float)):
+        c1, c2 = table.coeffs(sigma)
+        return math.log(2.0 * c1), math.log(2.0 * c2)
+    grid, log_2c1, log_2c2 = _log_2c_columns(table, columns)
+    i1, i2 = table.rows_at(sigma, grid)
+    return log_2c1[i1], log_2c2[i2]
+
+
+def _rebinding(at: _Fit) -> _Fit:
+    """``at`` with a ``bind`` that keeps only K: each lane call looks its rows up again."""
+    at.bind = lambda rows, K: lambda sigma, live=slice(None): at(sigma, K[live])
+    return at
 
 
 def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
@@ -443,7 +458,7 @@ def _medium_fit(log_x0: float, table: DensityTable) -> _Fit:
         rows = (0, 1, np.s_[2:-1:2], np.s_[3:-1:2], -1)  # the float call's: a_k and b_k interleave
         return _log_sum([t for g in groups.values() for t in g], u0, (2 * k_max + 3, sigma.size), rows)
 
-    return at
+    return _rebinding(at)
 
 
 def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
@@ -486,7 +501,7 @@ def _large_fit(log_x0: float, table: DensityTable) -> _Fit:
         return _Envelope(log_a + p * log_v0 - c * v0, log_a, p / 2.0, c, certify_monotone(norm, v0),
                          br, tuple(t.shifted(p, c) for t in norm))
 
-    return at
+    return _rebinding(at)
 
 
 def large_bound(log_x0: float, sigma: float, table: DensityTable,
@@ -504,19 +519,41 @@ def large_bound(log_x0: float, sigma: float, table: DensityTable,
 # ---------------------------------------------------------------------------
 
 
-def _vk_logs(log_x: float, sigma, br: Bracket, log_2c: tuple) -> tuple:
-    """ln of the five summands (two in s1, two in s2, s3) with the VK decay argument
-    w = r(x), from (ln 2 C1, ln 2 C2) at sigma; lane by lane for an ndarray sigma."""
-    log_2c1, log_2c2 = log_2c
+class _VkAnchor(NamedTuple):
+    """The sigma-free pieces of the VK summands at log x, with the VK decay argument w = r(x)."""
+
+    log_x: float
+    B2: float
+    w: float
+    b2w: float        # B2 w
+    log_b2w: float    # ln(B2 w)
+    s1a: float        # ln of the zeros-below-H summand
+    s3: float         # ln of the truncation summand
+    log_q: float      # ln of the x^(sigma-1) summand's quadratic in w
+
+
+def _vk_anchor(log_x: float, br: Bracket) -> _VkAnchor:
     w = vk_decay_arg(log_x)
+    b2w = br.B2 * w
+    return _VkAnchor(log_x, br.B2, w, b2w, math.log(b2w), math.log(_CH) - log_x / 2.0,
+                     math.log(RVM_COEF) + RVM_LOG_POW * math.log(log_x) - b2w,
+                     math.log(br.B3**2 * w * w / (2.0 * math.pi) - _CH + _RECIP2))
+
+
+def _vk_row_logs(a: _VkAnchor, log_2c: tuple) -> tuple:
+    """(ln 2 C1, s2b) from (ln 2 C1, ln 2 C2): what a density row gives the summands, free of sigma."""
+    log_2c1, log_2c2 = log_2c
+    return log_2c1, log_2c2 - a.b2w + 2.0 * a.log_b2w
+
+
+def _vk_logs(a: _VkAnchor, sigma, row_logs: tuple) -> tuple:
+    """ln of the five summands (two in s1, two in s2, s3) at sigma, from ``_vk_row_logs``;
+    lane by lane for an ndarray sigma."""
+    log_2c1, s2b = row_logs
     p = 5.0 - 2.0 * sigma
-    s2a = log_2c1 + (br.B2 * (5.0 - 8.0 * sigma) / 3.0) * w + p * math.log(br.B2 * w)
-    s2b = log_2c2 - br.B2 * w + 2.0 * math.log(br.B2 * w)
-    s3 = math.log(RVM_COEF) + RVM_LOG_POW * math.log(log_x) - br.B2 * w
-    s1a = math.log(_CH) - log_x / 2.0
-    q = br.B3**2 * w * w / (2.0 * math.pi) - _CH + _RECIP2
-    s1b = math.log(q) - (1.0 - sigma) * log_x
-    return s1a, s1b, s2a, s2b, s3
+    s2a = log_2c1 + (a.B2 * (5.0 - 8.0 * sigma) / 3.0) * a.w + p * a.log_b2w
+    s1b = a.log_q - (1.0 - sigma) * a.log_x
+    return a.s1a, s1b, s2a, s2b, a.s3
 
 
 def _vk_groups(logs: Sequence[float]) -> dict[str, ExtReal]:
@@ -526,7 +563,8 @@ def _vk_groups(logs: Sequence[float]) -> dict[str, ExtReal]:
 
 def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> dict[str, ExtReal]:
     """The three error groups with the VK decay argument w = r(x)."""
-    return _vk_groups(_vk_logs(log_x, sigma, br, _log_2c(sigma, table, [])))
+    a = _vk_anchor(log_x, br)
+    return _vk_groups(_vk_logs(a, sigma, _vk_row_logs(a, _log_2c(sigma, table, []))))
 
 
 def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premise]:
@@ -556,23 +594,34 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premi
 
 
 def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
-    """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in."""
-    br, w0, columns = bracket_nu3(log_x0), vk_decay_arg(log_x0), []  # ``_log_2c``'s lane columns
+    """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in.
+    Lanes bind their rows' (ln 2 C1, s2b) once, so each lane call computes only s1b and s2a."""
+    br, columns = bracket_nu3(log_x0), []  # ``_log_2c_columns``
+    anchor = _vk_anchor(log_x0, br)
+
+    def bind(rows, K):
+        import numpy as np
+        _grid, log_2c1, log_2c2 = _log_2c_columns(table, columns)
+        row_logs = _vk_row_logs(anchor, (log_2c1[rows[0]], log_2c2[rows[1]]))
+
+        def lanes(sigma, live=slice(None)):  # the ExtReal sum's association, (s1 + s2) + s3
+            s1a, s1b, s2a, s2b, s3 = _vk_logs(anchor, sigma, [v[live] for v in row_logs])
+            return np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
+        return lanes
 
     def at(sigma, K):
-        logs = _vk_logs(log_x0, sigma, br, _log_2c(sigma, table, columns))
-        if not isinstance(sigma, (int, float)):  # the ExtReal sum's association, (s1 + s2) + s3
-            import numpy as np
-            s1a, s1b, s2a, s2b, s3 = logs
-            return np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
+        if not isinstance(sigma, (int, float)):
+            return bind(table.rows_at(sigma, _log_2c_columns(table, columns)[0]), K)(sigma)
+        logs = _vk_logs(anchor, sigma, _vk_row_logs(anchor, _log_2c(sigma, table, columns)))
         log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
         p = 5.0 - 2.0 * sigma
         c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
         # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
-        log_a = (log_total - p * math.log(br.B2 * w0) + c_exact * w0
+        log_a = (log_total - p * anchor.log_b2w + c_exact * anchor.w
                  + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
         return _Envelope(log_total, log_a, 3.0 * p / 5.0, c_exact, _certify_vk_monotone(log_x0, sigma, br), br)
 
+    at.bind = bind
     return at
 
 
@@ -701,16 +750,19 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     each K in 1..10 (medium; K = 1 otherwise) the candidates are the
     density grid's sigmas below 1 and, in each grid cell, the end of a
     ternary search (the off-grid interpolation rule applies there).  One
-    lockstep runs every search; its lanes are the (K, cell) pairs.  The
-    fit is bound to the anchor once (precondition, bracket, u0, table
-    columns); each step makes one call of the binding for the two probes
-    of every lane still wider than 1e-6, and a last call ranks the grid
-    points and the midpoints for every K at once.  Lanes equal the float
-    calls' ``value`` bit for bit, so the picks are those of searching each
-    (K, cell) on its own.  Ties break deterministically toward smaller
-    sigma, then smaller K.  The first candidate that
-    certifies is emitted; if none does, the error carries the best-ranked
-    candidate's reason.
+    lockstep runs every search; its lanes are the (K, cell) pairs, then the
+    (K, grid point) pairs.  The fit is bound to the anchor once
+    (precondition, bracket, u0, table columns), and its lanes to their
+    density rows once: every probe and midpoint lies at least 1e-9 inside
+    its cell c, where ``rows_at`` gives C1 from row c + 1 and C2 from row c,
+    and grid point i reads row i for both.  Each step makes one lane call
+    for the two probes of every cell lane still wider than 1e-6, and a last
+    call ranks the midpoints and the grid points for every K at once.
+    Lanes equal the float calls' ``value`` bit for bit, so the picks are
+    those of searching each (K, cell) on its own.  Ties break
+    deterministically toward smaller sigma, then smaller K.  The first
+    candidate that certifies is emitted; if none does, the error carries
+    the best-ranked candidate's reason.
     """
     import numpy as np
     rec = _check_request(regime, log_x0, claim_X)
@@ -719,16 +771,17 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     ks, at = np.array(rec.Ks), rec.fit(log_x0, table)
     a = np.tile(cells[:-1] + 1e-9, ks.size)
     b = np.tile(np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9), ks.size)
-    lane_K = np.repeat(ks, cells.size - 1)
+    cell, point = np.tile(np.arange(cells.size - 1), ks.size), np.tile(np.arange(grid.size), ks.size)
+    Ks = np.concatenate([np.repeat(ks, cells.size - 1), np.repeat(ks, grid.size)])
+    lanes = at.bind((np.concatenate([cell + 1, point]), np.concatenate([cell, point])), Ks)
     while (live := (b - a > 1e-6).nonzero()[0]).size:
         al, bl = a[live], b[live]
         m1, m2 = al + (bl - al) / 3.0, bl - (bl - al) / 3.0
-        v = at(np.concatenate([m1, m2]), np.concatenate([lane_K[live]] * 2))
+        v = lanes(np.concatenate([m1, m2]), np.concatenate([live, live]))
         left = v[:live.size] <= v[live.size:]
         a[live], b[live] = np.where(left, al, m1), np.where(left, m2, bl)
-    sigmas = np.concatenate([np.tile(grid, ks.size), 0.5 * (a + b)])
-    Ks = np.concatenate([np.repeat(ks, grid.size), lane_K])
-    candidates = sorted(zip(at(sigmas, Ks).tolist(), sigmas.tolist(), Ks.tolist()))
+    sigmas = np.concatenate([0.5 * (a + b), np.tile(grid, ks.size)])
+    candidates = sorted(zip(lanes(sigmas).tolist(), sigmas.tolist(), Ks.tolist()))
     best_reason = None
     for _value, s, K in candidates:
         try:

@@ -43,7 +43,7 @@ class ExtReal:
 
     @staticmethod
     def from_real(v: float) -> "ExtReal":
-        if v < 0.0:
+        if not v >= 0.0:  # NaN too
             raise ValueError(f"ExtReal is nonnegative, got {v}")
         return ExtReal(math.log(v) if v else -math.inf)
 

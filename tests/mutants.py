@@ -1,4 +1,4 @@
-"""A standing mutation check for the certificate code.
+"""A standing mutation check for the certificate and lane-binding code.
 
 Each entry of ``MUTANTS`` breaks one piece of the program on purpose: it
 names the file, the exact old text (which must occur there exactly once),
@@ -13,8 +13,8 @@ copy and runs its tests.  It prints ``killed`` (a test failed), ``survived``
 (all passed) or ``error`` (pytest could not run them) per mutant, and exits
 1 unless every mutant is killed.  pytest does not collect this file; the
 tier-1 test ``tests/test_mutants.py`` checks that every old text still
-occurs exactly once, so the list cannot rot.  A certificate change adds
-its own mutants here.
+occurs exactly once, so the list cannot rot.  A certificate or lane-binding
+change adds its own mutants here.
 """
 
 from __future__ import annotations
@@ -89,6 +89,16 @@ MUTANTS: tuple[Mutant, ...] = (
            "from .regimes import _R_PRIME_FALLS, DecayKind,",
            "derived takes regimes' private r'-falls constant instead of its margin function",
            ("tests/test_surface.py::test_private_names_cross_modules_only_where_listed",)),
+    Mutant("bound_c1_from_row_c", _ENGINE, "np.concatenate([cell + 1, point])", "np.concatenate([cell, point])",
+           "optimize binds each cell lane's C1 to row c, the C2 row, instead of row c + 1 above it",
+           (f"{_T_ENGINE}::test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to",)),
+    Mutant("bound_s2b_from_ln_2c1", _ENGINE, "(log_2c1[rows[0]], log_2c2[rows[1]])",
+           "(log_2c1[rows[0]], log_2c1[rows[1]])",
+           "the VK binder builds each lane's s2b from ln 2 C1 instead of ln 2 C2",
+           (f"{_T_ENGINE}::test_medium_lanes_equal_their_float_calls_by_hex",)),
+    Mutant("bound_lanes_ignore_live", _ENGINE, "[v[live] for v in row_logs]", "[v[:len(sigma)] for v in row_logs]",
+           "bound VK lanes read the first rows bound, not the live lanes' rows, once a search's lanes shrink",
+           (f"{_T_ENGINE}::test_medium_lanes_equal_their_float_calls_by_hex",)),
 )
 
 

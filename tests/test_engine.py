@@ -522,7 +522,7 @@ def test_vk_lanes_sum_in_the_float_calls_association(density_table, values):
     sigmas = np.linspace(0.985, 0.995, len(values))
     by_sigma = dict(zip(sigmas.tolist(), values))
 
-    def logs(log_x, sigma, br, log_2c):
+    def logs(anchor, sigma, row_logs):
         return by_sigma[sigma] if isinstance(sigma, float) else tuple(np.array(values).T)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -549,17 +549,24 @@ _SIGMA_ANYWHERE = st.one_of(st.integers(0, 20), st.floats(0.98, 1.0))  # a grid 
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.floats(2488.0, 1e6),
+@given(st.floats(2488.0, 1e6), st.floats(2.8e10, 1e13),
        st.lists(st.tuples(_SIGMA_ANYWHERE, st.integers(1, 10)), min_size=1, max_size=16))
-def test_medium_lanes_equal_their_float_calls_by_hex(density_table, log_x0, lanes):
-    # the lanes sum one (term, lane) matrix, each padded to the largest K; the
-    # float call sums its own 2K + 3 terms as ExtReals
+def test_medium_lanes_equal_their_float_calls_by_hex(density_table, log_x0, vk_log_x0, lanes):
+    # medium lanes sum one (term, lane) matrix, each padded to the largest K; the
+    # float call sums its own 2K + 3 terms as ExtReals.  VK lanes bound to the rows
+    # ``rows_at`` picks keep (ln 2 C1, s2b) per lane and compute only s1b and s2a per
+    # call; all lanes, and a subset in another order as a search's later steps, must
+    # equal the float calls
     grid = density_table.sigma_grid
-    sigmas = [grid[s] if isinstance(s, int) else s for s, _ in lanes]
-    Ks = [K for _, K in lanes]
-    got = engine._medium_fit(log_x0, density_table)(np.array(sigmas), np.array(Ks))
-    want = [engine._medium_fit(log_x0, density_table)(s, K).value for s, K in zip(sigmas, Ks)]
-    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    sigmas = np.array([grid[s] if isinstance(s, int) else s for s, _ in lanes])
+    live = np.arange(sigmas.size)[::-2]
+    for fit, x, Ks in ((engine._medium_fit, log_x0, np.array([K for _, K in lanes])),
+                       (engine._vk_fit, vk_log_x0, np.ones(sigmas.size, dtype=int))):
+        want = [fit(x, density_table)(s, K).value.hex() for s, K in zip(sigmas.tolist(), Ks.tolist())]
+        assert [v.hex() for v in fit(x, density_table)(sigmas, Ks).tolist()] == want
+        lanes_of = fit(x, density_table).bind(density_table.rows_at(sigmas, np.array(grid)), Ks)
+        assert [v.hex() for v in lanes_of(sigmas).tolist()] == want
+        assert [v.hex() for v in lanes_of(sigmas[live], live).tolist()] == [want[i] for i in live]
 
 
 def test_a_medium_fit_refuses_k_below_one_in_any_lane(density_table):
@@ -796,6 +803,11 @@ def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeyp
                     if isinstance(got, np.ndarray):
                         return np.floor(got / quantum) * quantum
                     return got._replace(value=float(np.floor(got.value / quantum) * quantum))
+
+                def floored_bind(rows, K):  # optimize ranks through the bound lanes, so they are floored too
+                    lanes = at.bind(rows, K)
+                    return lambda *args: np.floor(lanes(*args) / quantum) * quantum
+                floored.bind = floored_bind
                 return floored
             monkeypatch.setitem(engine.REGIMES, name, rec._replace(fit=coarse))
     row = optimize(log_x0, regime, density_table)
@@ -806,8 +818,9 @@ def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeyp
 
 
 def _count_calls(monkeypatch):
-    """Wrap the three fits, the ``at`` each binding returns and engine's bracket bindings with call counters."""
-    calls = {"fit": 0, "at": 0, "bracket": 0}
+    """Wrap the three fits, the ``at`` each binding returns, its ``bind`` and engine's bracket bindings
+    with call counters; a call of a bound ``lanes`` counts as an ``at`` call."""
+    calls = {"fit": 0, "at": 0, "bind": 0, "bracket": 0}
     for regime, rec in list(engine.REGIMES.items()):
         def fit(*args, _fn=rec.fit):
             calls["fit"] += 1
@@ -816,6 +829,16 @@ def _count_calls(monkeypatch):
             def counted(*lanes):
                 calls["at"] += 1
                 return at(*lanes)
+
+            def bind(*rows_K):
+                calls["bind"] += 1
+                lanes = at.bind(*rows_K)
+
+                def counted_lanes(*args):
+                    calls["at"] += 1
+                    return lanes(*args)
+                return counted_lanes
+            counted.bind = bind
             return counted
         monkeypatch.setitem(engine.REGIMES, regime, rec._replace(fit=fit))
     for name in ("bracket_nu2", "bracket_nu3"):
@@ -824,6 +847,41 @@ def _count_calls(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(engine, name, bracket)
     return calls
+
+
+@pytest.mark.parametrize("regime, log_x0", [("medium", 2488.0), ("large", 1e5), ("vk", 2.8e10), ("vk", 1e13),
+                                            *_seeded_anchors()])
+def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density_table, regime, log_x0):
+    # optimize binds each lane's density rows once (cell c: C1 from row c + 1, C2
+    # from row c; grid point i: row i), which is exact only if ``rows_at`` picks
+    # those rows at every sigma the search evaluates: ternary probes, midpoints
+    # and grid points
+    grid, seen = np.array(density_table.sigma_grid), []
+    rec = engine.REGIMES[regime]
+
+    def fit(*args):
+        at = rec.fit(*args)
+        bind = at.bind
+
+        def checked_bind(rows, K):
+            lanes = bind(rows, K)
+
+            def checked(sigma, live=slice(None)):
+                i1, i2 = density_table.rows_at(sigma, grid)
+                assert i1.tolist() == rows[0][live].tolist() and i2.tolist() == rows[1][live].tolist()
+                seen.append(sigma.size)
+                return lanes(sigma, live)
+            return checked
+        at.bind = checked_bind
+        return at
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(engine.REGIMES, regime, rec._replace(fit=fit))
+        row = optimize(log_x0, regime, density_table)
+    assert row == optimize(log_x0, regime, density_table)
+    # per K, 20 cells and 20 grid points below 1: the first step's two probes per cell and the last
+    # call's midpoints and grid points are 40 lanes each
+    assert len(seen) > 10 and seen[0] == seen[-1] == 40 * len(rec.Ks)
 
 
 @pytest.mark.parametrize("regime, log_x0, max_calls", [
@@ -835,12 +893,24 @@ def test_optimize_work_count(density_table, monkeypatch, regime, log_x0, max_cal
     # all on one binding, and each emission attempt binds once and calls ``at``
     # once (the per-candidate search made 7601 medium and 761 large/VK calls,
     # and a lockstep per K made about 200 medium calls); the bracket is
-    # computed once per binding, not once per call
+    # computed once per binding, not once per call.  The search binds its lanes
+    # once, and VK lanes keep their density rows, so a VK search makes no lane
+    # lookup of ``DensityTable.rows_at`` (it made one per ``at`` call, about 20)
     calls = _count_calls(monkeypatch)
+    lookups = []
+
+    def rows_at(self, sigma, g=None, _real=DensityTable.rows_at):
+        if not isinstance(sigma, (int, float)):
+            lookups.append(sigma.size)
+        return _real(self, sigma, g)
+
+    monkeypatch.setattr(DensityTable, "rows_at", rows_at)
     row = optimize(log_x0, regime, density_table)
+    if regime == "vk":
+        assert lookups == []
     assert 0 < calls["at"] <= max_calls
     attempts = calls["fit"] - 1  # the search's one binding, then one per emission attempt
-    assert attempts >= 1 and calls["at"] - attempts <= 20
+    assert attempts >= 1 and calls["at"] - attempts <= 20 and calls["bind"] == 1
     assert calls["bracket"] == (0 if regime == "medium" else calls["fit"])
     assert row.monotone_certified
 

@@ -95,8 +95,10 @@ def test_mul_commutes_and_is_exact():
 
 
 def test_from_real_rejects_negative():
-    with pytest.raises(ValueError):
-        ExtReal.from_real(-1.0)
+    # NaN is refused too: ``nan < 0.0`` is false, so it once came back as ExtReal(nan)
+    for v in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            ExtReal.from_real(v)
 
 
 def test_overflow_saturates_to_sentinel():
