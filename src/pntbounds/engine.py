@@ -192,7 +192,7 @@ class BoundConstants(NamedTuple):
     """A certified constant set: |psi(x) - x| <= A x (log x)^B e^{-C u(x)}
     and |psi(x) - x| <= eps0 * x, for all log x >= X.  ``raw_terms`` is rebuilt on
     each read from ``table``, the density table certified against (shared, not copied,
-    and left out of the repr)."""
+    and left out of the repr), and ``bracket`` from the anchor."""
 
     label: str
     regime: Literal["medium", "large", "vk"]
@@ -210,7 +210,6 @@ class BoundConstants(NamedTuple):
     eps0_max_at: float          # log x of the envelope supremum
     monotone_certified: bool
     log_A_unrounded: float
-    bracket: Bracket | None = None        # large/vk only
     table: DensityTable | None = None
 
     def __repr__(self) -> str:
@@ -219,6 +218,12 @@ class BoundConstants(NamedTuple):
     @property
     def u_kind(self) -> DecayKind:
         return REGIMES[self.regime].kind
+
+    @property
+    def bracket(self) -> Bracket | None:
+        """The turning-point bracket the envelope was built with: nu2 for large rows, nu3 for VK, none for medium."""
+        by_regime = {"large": bracket_nu2, "vk": bracket_nu3}
+        return by_regime[self.regime](self.anchor) if self.regime in by_regime else None
 
     @property
     def raw_terms(self) -> tuple[EnvelopeTerm, ...]:
@@ -313,44 +318,30 @@ class _Envelope(NamedTuple):
     B: float
     C: float
     premises: list[Premise]                    # the decrease premises at the anchor, not yet decided
-    bracket: Bracket | None = None             # large/vk only
     raw_terms: tuple[EnvelopeTerm, ...] = ()   # the summands before normalization (not VK)
 
 
-# A regime's fit binds (log x0, table), doing the per-anchor work once, and returns ``at(sigma, K)``.  A
-# float sigma gives the ``_Envelope`` (to emit, or rebuild raw terms); an ndarray sigma, with an int or
-# aligned ndarray K, gives the lanes' values as an ndarray, each bit for bit its float call's ``value``.
-# ``at.bind(rows, K)``, for lanes whose density rows (the C1 and C2 indices ``table.rows_at`` would pick)
-# and aligned ndarray K are fixed, returns ``lanes(sigma, live=all)``: the values at the live lanes'
-# sigmas, equal to ``at(sigma, K[live])`` whenever ``rows_at`` picks those rows.  VK binds the rows and
-# its sigma-free summands once; medium and large look their rows up again on every lane call.
-_Fit = Callable[..., "_Envelope | np.ndarray"]
+# A regime's fit binds (log x0, table), doing the per-anchor work once, and returns ``at(sigma, K)``, the
+# ``_Envelope`` at a float sigma and int K (to emit, or rebuild raw terms).  ``at.bind(rows, K)``, for lanes
+# whose density rows (the C1 and C2 indices ``table.rows_at`` picks at each lane's sigma) and K are aligned
+# ndarrays, reads the lanes' (ln 2 C1, ln 2 C2) once and returns ``lanes(sigma)``: the values at an ndarray
+# of the lanes' sigmas, each bit for bit its float call's ``value`` wherever ``rows_at`` picks the bound rows.
+_Fit = Callable[[float, int], "_Envelope"]
 
 
-def _log_2c_columns(table: DensityTable, columns: list) -> list:
-    """[grid, ln 2 C1, ln 2 C2] over the rows as ndarrays, each log by ``math.log`` (numpy's log differs
-    from it in the last ulp on some inputs), in ``columns``, a binding's list the first lane call fills."""
-    if not columns:
-        import numpy as np
-        logs = [(math.log(2.0 * r.C1), math.log(2.0 * r.C2)) for r in table.rows]
-        columns[:] = np.array(table.sigma_grid), *np.array(logs).T
-    return columns
+def _log_2c(sigma: float, table: DensityTable) -> tuple[float, float]:
+    """(ln 2 C1, ln 2 C2) at sigma."""
+    c1, c2 = table.coeffs(sigma)
+    return math.log(2.0 * c1), math.log(2.0 * c2)
 
 
-def _log_2c(sigma, table: DensityTable, columns: list) -> tuple:
-    """(ln 2 C1, ln 2 C2) at sigma; lanes index ``_log_2c_columns`` by ``table.rows_at``."""
-    if isinstance(sigma, (int, float)):
-        c1, c2 = table.coeffs(sigma)
-        return math.log(2.0 * c1), math.log(2.0 * c2)
-    grid, log_2c1, log_2c2 = _log_2c_columns(table, columns)
-    i1, i2 = table.rows_at(sigma, grid)
-    return log_2c1[i1], log_2c2[i2]
-
-
-def _rebinding(at: _Fit) -> _Fit:
-    """``at`` with a ``bind`` that keeps only K: each lane call looks its rows up again."""
-    at.bind = lambda rows, K: lambda sigma, live=slice(None): at(sigma, K[live])
-    return at
+def _bound_log_2c(table: DensityTable, rows: tuple) -> tuple:
+    """(ln 2 C1, ln 2 C2) lane by lane, C1 from the rows ``rows[0]`` and C2 from ``rows[1]``: one ``math.log``
+    per table row, as ``_log_2c`` takes it (numpy's log differs from it in the last ulp on some inputs)."""
+    import numpy as np
+    log_2c1 = np.array([math.log(2.0 * r.C1) for r in table.rows])
+    log_2c2 = np.array([math.log(2.0 * r.C2) for r in table.rows])
+    return log_2c1[rows[0]], log_2c2[rows[1]]
 
 
 def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float, K: int,
@@ -380,7 +371,7 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
         B_unrounded=f.B, B=_round_up(f.B, 3),
         C_unrounded=f.C, C=_round_down(f.C, 4),
         eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
-        log_A_unrounded=f.log_a, bracket=f.bracket, table=table,
+        log_A_unrounded=f.log_a, table=table,
     )
 
 
@@ -427,7 +418,7 @@ def medium_terms(log_x: float, sigma: float, K: int, table: DensityTable) -> dic
     if not check_rvm_precondition(log_x, 2.0 * math.sqrt(log_x / R0)):
         raise ValueError(f"zero-sum formula precondition fails at log x = {log_x:g}")
     u = math.sqrt(log_x / R0)
-    groups = _medium_raw_terms(sigma, K, _log_2c(sigma, table, []))
+    groups = _medium_raw_terms(sigma, K, _log_2c(sigma, table))
     return {name: ExtReal.exp_of(_log_sum(terms, u)) for name, terms in groups.items()}
 
 
@@ -436,29 +427,33 @@ def _medium_fit(log_x0: float, table: DensityTable) -> _Fit:
     there; a float call also normalizes the sum by u^p e^{-C' u} and certifies it."""
     if not check_rvm_precondition(log_x0, 2.0 * math.sqrt(log_x0 / R0)):
         raise ValueError("zero-sum formula precondition fails at the anchor")
-    u0, columns = math.sqrt(log_x0 / R0), []  # ``_log_2c``'s lane columns
-    pieces = {}  # largest K -> ``_k_pieces`` as a contiguous (field, k, K - 1) ndarray, built at first use
+    u0 = math.sqrt(log_x0 / R0)
 
-    def at(sigma, K):
-        if (K.min() if hasattr(K, "min") else K) < 1:  # an int K, or every lane's
+    def at(sigma: float, K: int) -> _Envelope:
+        if K < 1:
             raise ValueError("K >= 1 required")
-        log_2c = _log_2c(sigma, table, columns)
-        if isinstance(sigma, (int, float)):
-            raw = [t for group in _medium_raw_terms(sigma, K, log_2c).values() for t in group]
-            p, cp = 5.0 - 2.0 * sigma, cprime(sigma, K)
-            norm = [t.shifted(-p, -cp) for t in raw]
-            return _Envelope(_log_sum(raw, u0), _log_sum(norm, u0) - p / 2.0 * math.log(R0), p / 2.0,
-                             cp / math.sqrt(R0), certify_monotone(norm, u0), raw_terms=tuple(raw))
-        import numpy as np
-        k_max = int(np.max(K))
-        if k_max not in pieces:
-            pieces[k_max] = np.array([[_k_pieces(j, k) for j in range(1, k_max + 1)]
-                                      for k in range(k_max)]).transpose(2, 0, 1).copy()
-        groups = _medium_raw_terms(sigma, K, log_2c, pieces[k_max][:, :, np.reshape(K, -1) - 1])
-        rows = (0, 1, np.s_[2:-1:2], np.s_[3:-1:2], -1)  # the float call's: a_k and b_k interleave
-        return _log_sum([t for g in groups.values() for t in g], u0, (2 * k_max + 3, sigma.size), rows)
+        raw = [t for group in _medium_raw_terms(sigma, K, _log_2c(sigma, table)).values() for t in group]
+        p, cp = 5.0 - 2.0 * sigma, cprime(sigma, K)
+        norm = [t.shifted(-p, -cp) for t in raw]
+        return _Envelope(_log_sum(raw, u0), _log_sum(norm, u0) - p / 2.0 * math.log(R0), p / 2.0,
+                         cp / math.sqrt(R0), certify_monotone(norm, u0), raw_terms=tuple(raw))
 
-    return _rebinding(at)
+    def bind(rows, K):
+        import numpy as np
+        if K.min() < 1:  # a lane's K indexes the pieces, so a K of 0 must not wrap to the largest K
+            raise ValueError("K >= 1 required")
+        log_2c, k_max = _bound_log_2c(table, rows), int(K.max())
+        pieces = np.array([[_k_pieces(j, k) for j in range(1, k_max + 1)]  # contiguous (field, k, K - 1)
+                           for k in range(k_max)]).transpose(2, 0, 1).copy()
+        rows_of = (0, 1, np.s_[2:-1:2], np.s_[3:-1:2], -1)  # the float call's order: a_k and b_k interleave
+
+        def lanes(sigma):
+            groups = _medium_raw_terms(sigma, K, log_2c, pieces[:, :, K - 1])
+            return _log_sum([t for g in groups.values() for t in g], u0, (2 * k_max + 3, K.size), rows_of)
+        return lanes
+
+    at.bind = bind
+    return at
 
 
 def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
@@ -481,13 +476,11 @@ def _large_fit(log_x0: float, table: DensityTable) -> _Fit:
     """A is the normalized sum at v0 = sqrt(log x0); times v0^p e^{-C v0} it is the envelope."""
     br = bracket_nu2(log_x0)
     v0 = math.sqrt(log_x0)
-    log_b2, log_v0, columns = math.log(br.B2), math.log(v0), []  # ``_log_2c``'s lane columns
+    log_b2, log_v0 = math.log(br.B2), math.log(v0)
 
-    def at(sigma, K):
-        log_2c1, log_2c2 = _log_2c(sigma, table, columns)
-        p = 5.0 - 2.0 * sigma
-        c = br.B2 * (8.0 * sigma - 5.0) / 3.0
-        norm = [  # the summands in v = sqrt(log x), divided by v^p e^{-C v}
+    def terms(sigma, log_2c1, log_2c2):  # p, C and the summands in v = sqrt(log x), divided by v^p e^{-C v}
+        p, c = 5.0 - 2.0 * sigma, br.B2 * (8.0 * sigma - 5.0) / 3.0
+        return p, c, [
             EnvelopeTerm(log_2c1 + p * log_b2, 0.0, 0.0),
             EnvelopeTerm(log_2c2 + 2.0 * log_b2, 2.0 - p, br.B2 - c),
             EnvelopeTerm(math.log(RVM_COEF), 1.2 - p, br.B2 - c),
@@ -495,13 +488,23 @@ def _large_fit(log_x0: float, table: DensityTable) -> _Fit:
             EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma,
                          poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2)),
         ]
-        if not isinstance(sigma, (int, float)):
-            return _log_sum(norm, v0, (len(norm), sigma.size)) + p * log_v0 - c * v0
+
+    def at(sigma: float, K: int) -> _Envelope:
+        p, c, norm = terms(sigma, *_log_2c(sigma, table))
         log_a = _log_sum(norm, v0)
         return _Envelope(log_a + p * log_v0 - c * v0, log_a, p / 2.0, c, certify_monotone(norm, v0),
-                         br, tuple(t.shifted(p, c) for t in norm))
+                         tuple(t.shifted(p, c) for t in norm))
 
-    return _rebinding(at)
+    def bind(rows, K):
+        log_2c1, log_2c2 = _bound_log_2c(table, rows)
+
+        def lanes(sigma):
+            p, c, norm = terms(sigma, log_2c1, log_2c2)
+            return _log_sum(norm, v0, (len(norm), sigma.size)) + p * log_v0 - c * v0
+        return lanes
+
+    at.bind = bind
+    return at
 
 
 def large_bound(log_x0: float, sigma: float, table: DensityTable,
@@ -564,7 +567,7 @@ def _vk_groups(logs: Sequence[float]) -> dict[str, ExtReal]:
 def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> dict[str, ExtReal]:
     """The three error groups with the VK decay argument w = r(x)."""
     a = _vk_anchor(log_x, br)
-    return _vk_groups(_vk_logs(a, sigma, _vk_row_logs(a, _log_2c(sigma, table, []))))
+    return _vk_groups(_vk_logs(a, sigma, _vk_row_logs(a, _log_2c(sigma, table))))
 
 
 def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premise]:
@@ -596,30 +599,27 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premi
 def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
     """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in.
     Lanes bind their rows' (ln 2 C1, s2b) once, so each lane call computes only s1b and s2a."""
-    br, columns = bracket_nu3(log_x0), []  # ``_log_2c_columns``
+    br = bracket_nu3(log_x0)
     anchor = _vk_anchor(log_x0, br)
 
     def bind(rows, K):
         import numpy as np
-        _grid, log_2c1, log_2c2 = _log_2c_columns(table, columns)
-        row_logs = _vk_row_logs(anchor, (log_2c1[rows[0]], log_2c2[rows[1]]))
+        row_logs = _vk_row_logs(anchor, _bound_log_2c(table, rows))
 
-        def lanes(sigma, live=slice(None)):  # the ExtReal sum's association, (s1 + s2) + s3
-            s1a, s1b, s2a, s2b, s3 = _vk_logs(anchor, sigma, [v[live] for v in row_logs])
+        def lanes(sigma):  # the ExtReal sum's association, (s1 + s2) + s3
+            s1a, s1b, s2a, s2b, s3 = _vk_logs(anchor, sigma, row_logs)
             return np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
         return lanes
 
-    def at(sigma, K):
-        if not isinstance(sigma, (int, float)):
-            return bind(table.rows_at(sigma, _log_2c_columns(table, columns)[0]), K)(sigma)
-        logs = _vk_logs(anchor, sigma, _vk_row_logs(anchor, _log_2c(sigma, table, columns)))
+    def at(sigma: float, K: int) -> _Envelope:
+        logs = _vk_logs(anchor, sigma, _vk_row_logs(anchor, _log_2c(sigma, table)))
         log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
         p = 5.0 - 2.0 * sigma
         c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
         # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
         log_a = (log_total - p * anchor.log_b2w + c_exact * anchor.w
                  + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
-        return _Envelope(log_total, log_a, 3.0 * p / 5.0, c_exact, _certify_vk_monotone(log_x0, sigma, br), br)
+        return _Envelope(log_total, log_a, 3.0 * p / 5.0, c_exact, _certify_vk_monotone(log_x0, sigma, br))
 
     at.bind = bind
     return at
@@ -645,7 +645,7 @@ class Regime(NamedTuple):
     """What a pipeline regime means (its fit, not its public entry, which ``_bound`` calls by name)."""
 
     kind: DecayKind                       # the envelope's decay argument u
-    fit: Callable[..., _Fit]              # (log x0, table) -> at(sigma, K): an _Envelope, or lanes' values
+    fit: Callable[..., _Fit]              # (log x0, table) -> at(sigma, K), with ``at.bind`` for lanes
     min_log_x0: float                     # the anchor floor
     Ks: tuple[int, ...]                   # the K values ``optimize`` searches; one value is the only K
     free_claim: bool                      # may claim a threshold other than the anchor (below it, row log2 only)
@@ -750,14 +750,16 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     each K in 1..10 (medium; K = 1 otherwise) the candidates are the
     density grid's sigmas below 1 and, in each grid cell, the end of a
     ternary search (the off-grid interpolation rule applies there).  One
-    lockstep runs every search; its lanes are the (K, cell) pairs, then the
-    (K, grid point) pairs.  The fit is bound to the anchor once
-    (precondition, bracket, u0, table columns), and its lanes to their
-    density rows once: every probe and midpoint lies at least 1e-9 inside
-    its cell c, where ``rows_at`` gives C1 from row c + 1 and C2 from row c,
-    and grid point i reads row i for both.  Each step makes one lane call
-    for the two probes of every cell lane still wider than 1e-6, and a last
-    call ranks the midpoints and the grid points for every K at once.
+    lockstep runs every search.  The fit is bound to the anchor once
+    (precondition, bracket, u0), then to lanes' density rows twice: every
+    probe and midpoint lies at least 1e-9 inside its cell c, where
+    ``rows_at`` gives C1 from row c + 1 and C2 from row c, and grid point i
+    reads row i for both.  Each step is one call on the first binding, which
+    holds every (K, cell) lane twice, for its two probes; one call on the
+    second, the cell and grid point lanes, ranks every K's candidates.  Each
+    cell is 0.001 - 2e-9 wide (to within the 2e-9 load_table lets grid
+    points move), 1.015e-6 after 17 steps, so every search stops on the
+    18th; a lane stopping sooner keeps its ends under the step's mask.
     Lanes equal the float calls' ``value`` bit for bit, so the picks are
     those of searching each (K, cell) on its own.  Ties break
     deterministically toward smaller sigma, then smaller K.  The first
@@ -772,16 +774,18 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     a = np.tile(cells[:-1] + 1e-9, ks.size)
     b = np.tile(np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9), ks.size)
     cell, point = np.tile(np.arange(cells.size - 1), ks.size), np.tile(np.arange(grid.size), ks.size)
-    Ks = np.concatenate([np.repeat(ks, cells.size - 1), np.repeat(ks, grid.size)])
-    lanes = at.bind((np.concatenate([cell + 1, point]), np.concatenate([cell, point])), Ks)
-    while (live := (b - a > 1e-6).nonzero()[0]).size:
-        al, bl = a[live], b[live]
-        m1, m2 = al + (bl - al) / 3.0, bl - (bl - al) / 3.0
-        v = lanes(np.concatenate([m1, m2]), np.concatenate([live, live]))
-        left = v[:live.size] <= v[live.size:]
-        a[live], b[live] = np.where(left, al, m1), np.where(left, m2, bl)
+    cell_K, point_K = np.repeat(ks, cells.size - 1), np.repeat(ks, grid.size)
+    probes = at.bind((np.tile(cell + 1, 2), np.tile(cell, 2)), np.tile(cell_K, 2))
+    while np.count_nonzero(live := b - a > 1e-6):
+        third = (b - a) / 3.0
+        m1, m2 = a + third, b - third
+        v = probes(np.concatenate([m1, m2]))
+        left = v[:a.size] <= v[a.size:]
+        a, b = np.where(live & ~left, m1, a), np.where(live & left, m2, b)
+    Ks = np.concatenate([cell_K, point_K])
+    ranked = at.bind((np.concatenate([cell + 1, point]), np.concatenate([cell, point])), Ks)
     sigmas = np.concatenate([0.5 * (a + b), np.tile(grid, ks.size)])
-    candidates = sorted(zip(lanes(sigmas).tolist(), sigmas.tolist(), Ks.tolist()))
+    candidates = sorted(zip(ranked(sigmas).tolist(), sigmas.tolist(), Ks.tolist()))
     best_reason = None
     for _value, s, K in candidates:
         try:

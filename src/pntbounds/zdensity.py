@@ -60,30 +60,17 @@ class DensityTable(NamedTuple):
         i1, i2 = self.rows_at(sigma)
         return self.rows[i1].C1, self.rows[i2].C2
 
-    def rows_at(self, sigma, g=None):
-        """Indices of the rows giving (C1, C2) at sigma, lane by lane for a 1-D ndarray and ``g``, its grid.
-
-        A sigma within 1e-12 of a grid point takes that row; any other
-        takes C1 from the row above and C2 from the row below, the
-        conservative rule above.  Lanes take it in one pass: ``np.rint`` rounds
-        half to even as ``round`` does, ``searchsorted(side="left")`` is ``bisect_left``.
-        """
-        if isinstance(sigma, (int, float)):
-            grid = self.sigma_grid
-            if not grid[0] <= sigma <= grid[-1]:  # a row at or above, and one at or below
-                raise ValueError(f"sigma={sigma} outside table range [{grid[0]}, {grid[-1]}]")
-            i = min(max(round((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1)
-            if abs(grid[i] - sigma) < 1e-12:
-                return i, i
-            hi = bisect.bisect_left(grid, sigma)
-            return hi, hi - 1
-        import numpy as np
-        for s in sigma[~((g[0] <= sigma) & (sigma <= g[-1]))][:1].tolist():
-            self.rows_at(s)  # raises the float call's error
-        i = np.minimum(np.maximum(np.rint((sigma - _GRID_LO) / _GRID_STEP), 0), g.size - 1).astype(int)
-        on = np.abs(g[i] - sigma) < 1e-12
-        hi = np.searchsorted(g, sigma, side="left")
-        return np.where(on, i, hi), np.where(on, i, hi - 1)
+    def rows_at(self, sigma: float) -> tuple[int, int]:
+        """Indices of the rows giving (C1, C2) at sigma: a sigma within 1e-12 of a grid point takes that
+        row; any other takes C1 from the row above and C2 from the row below, the conservative rule above."""
+        grid = self.sigma_grid
+        if not grid[0] <= sigma <= grid[-1]:  # a row at or above, and one at or below
+            raise ValueError(f"sigma={sigma} outside table range [{grid[0]}, {grid[-1]}]")
+        i = min(max(round((sigma - _GRID_LO) / _GRID_STEP), 0), len(grid) - 1)
+        if abs(grid[i] - sigma) < 1e-12:
+            return i, i
+        hi = bisect.bisect_left(grid, sigma)
+        return hi, hi - 1
 
 
 def load_table(path: str | Path | None = None) -> DensityTable:
@@ -97,11 +84,15 @@ def load_table(path: str | Path | None = None) -> DensityTable:
     header = next(reader, [])
     if header != _HEADER:
         raise ValueError(f"bad density table header {header!r}, expected {_HEADER!r}")
-    values = [[float(v) for v in line] for line in reader if line]
-    for i, vals in enumerate(values):
+    rows = []
+    for i, line in enumerate(line for line in reader if line):
+        try:
+            vals = [float(v) for v in line]
+        except ValueError as exc:  # name the row, as the checks below do
+            raise ValueError(f"row {i}: {exc}") from None
         if len(vals) != len(_HEADER) or not all(map(math.isfinite, vals)):
             raise ValueError(f"row {i}: expected {len(_HEADER)} finite numbers, got {vals}")
-    rows = [DensityRow(sigma, c1, c2) for sigma, _, _, _, c1, c2 in values]  # d, alpha, delta: checked, not kept
+        rows.append(DensityRow(vals[0], *vals[4:]))  # d, alpha, delta: checked, not kept
     if len(rows) != _GRID_ROWS:
         raise ValueError(f"expected {_GRID_ROWS} rows, got {len(rows)}")
     for i, r in enumerate(rows):

@@ -89,16 +89,25 @@ MUTANTS: tuple[Mutant, ...] = (
            "from .regimes import _R_PRIME_FALLS, DecayKind,",
            "derived takes regimes' private r'-falls constant instead of its margin function",
            ("tests/test_surface.py::test_private_names_cross_modules_only_where_listed",)),
-    Mutant("bound_c1_from_row_c", _ENGINE, "np.concatenate([cell + 1, point])", "np.concatenate([cell, point])",
-           "optimize binds each cell lane's C1 to row c, the C2 row, instead of row c + 1 above it",
+    Mutant("bound_c1_from_row_c", _ENGINE, "np.tile(cell + 1, 2)", "np.tile(cell, 2)",
+           "optimize binds each probe lane's C1 to row c, the C2 row, instead of row c + 1 above it",
            (f"{_T_ENGINE}::test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to",)),
-    Mutant("bound_s2b_from_ln_2c1", _ENGINE, "(log_2c1[rows[0]], log_2c2[rows[1]])",
-           "(log_2c1[rows[0]], log_2c1[rows[1]])",
-           "the VK binder builds each lane's s2b from ln 2 C1 instead of ln 2 C2",
+    Mutant("bound_s2b_from_ln_2c1", _ENGINE, "return log_2c1[rows[0]], log_2c2[rows[1]]",
+           "return log_2c1[rows[0]], log_2c1[rows[1]]",
+           "every binder takes its lanes' ln 2 C2 (VK's s2b) from ln 2 C1",
            (f"{_T_ENGINE}::test_medium_lanes_equal_their_float_calls_by_hex",)),
-    Mutant("bound_lanes_ignore_live", _ENGINE, "[v[live] for v in row_logs]", "[v[:len(sigma)] for v in row_logs]",
-           "bound VK lanes read the first rows bound, not the live lanes' rows, once a search's lanes shrink",
+    Mutant("medium_binds_c1_from_c2_rows", _ENGINE, "log_2c, k_max = _bound_log_2c(table, rows),",
+           "log_2c, k_max = _bound_log_2c(table, (rows[1], rows[1])),",
+           "the medium binder takes each lane's C1 from its C2 row, rows[1]",
            (f"{_T_ENGINE}::test_medium_lanes_equal_their_float_calls_by_hex",)),
+    Mutant("large_binds_c2_from_c1_rows", _ENGINE, "log_2c1, log_2c2 = _bound_log_2c(table, rows)",
+           "log_2c1, log_2c2 = _bound_log_2c(table, (rows[0], rows[0]))",
+           "the large binder takes each lane's C2 from its C1 row, rows[0]",
+           (f"{_T_ENGINE}::test_fit_lanes_equal_float_calls_bit_for_bit",)),
+    Mutant("vk_row_bracket_nu2", _ENGINE, '{"large": bracket_nu2, "vk": bracket_nu3}',
+           '{"large": bracket_nu2, "vk": bracket_nu2}',
+           "a VK row's bracket is rebuilt with bracket_nu2 instead of bracket_nu3",
+           (f"{_T_ENGINE}::test_a_rows_bracket_is_rebuilt_from_its_anchor",)),
 )
 
 

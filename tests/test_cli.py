@@ -240,6 +240,8 @@ def test_density_table_probes_fail_closed(capsys, tmp_path, content, reason):
     rc, out, err = run(capsys, "--density-table", str(path), "table1", "--rows", "6000")
     assert _one_error_line(rc, out, err), err
     assert reason in err
+    if reason == "could not convert":  # the cell's row is named, counted from the first data row
+        assert "row 7: could not convert string to float: 'x'" in err
 
 
 @st.composite

@@ -32,7 +32,7 @@ from pntbounds.engine import (
     vk_terms,
 )
 from pntbounds.extnum import ExtReal
-from pntbounds.regimes import MIN_LOG_X0_NU2, bracket_nu3, vk_decay_arg_prime
+from pntbounds.regimes import MIN_LOG_X0_NU2, bracket_nu2, bracket_nu3, vk_decay_arg_prime
 from pntbounds.zdensity import LOG_RIEMANN_HEIGHT, DensityTable
 from pntbounds.zfr import R0
 
@@ -473,6 +473,12 @@ def _sigma_probes(table):
             + [0.5 * (lo + hi) for lo, hi in cells] + [0.9999932])
 
 
+def _bound_rows(table, sigmas):
+    """The (C1 rows, C2 rows) that lanes at ``sigmas`` bind, as ndarrays from float ``rows_at`` calls."""
+    i1, i2 = zip(*(table.rows_at(s) for s in sigmas))
+    return np.array(i1), np.array(i2)
+
+
 _TERM_LOG = st.one_of(st.floats(min_value=-60.0, max_value=60.0),
                       st.floats(allow_nan=False, allow_infinity=False))
 
@@ -508,7 +514,7 @@ def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, 
     sigmas = _sigma_probes(density_table)
     Ks = [1 + i % 10 if K == "mixed" else K for i in range(len(sigmas))]
     at = engine.REGIMES[regime].fit(log_x0, density_table)
-    lanes = at(np.array(sigmas), np.array(Ks) if K == "mixed" else K)
+    lanes = at.bind(_bound_rows(density_table, sigmas), np.array(Ks))(np.array(sigmas))
     assert isinstance(lanes, np.ndarray) and lanes.shape == (len(sigmas),)
     assert lanes.tolist() == [at(s, k).value for s, k in zip(sigmas, Ks)]
 
@@ -528,7 +534,8 @@ def test_vk_lanes_sum_in_the_float_calls_association(density_table, values):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_vk_logs", logs)
         at = engine._vk_fit(3e10, density_table)
-        assert at(sigmas, 1).tolist() == [at(s, 1).value for s in sigmas.tolist()]
+        lanes = at.bind(_bound_rows(density_table, sigmas.tolist()), np.ones(sigmas.size, dtype=int))
+        assert lanes(sigmas).tolist() == [at(s, 1).value for s in sigmas.tolist()]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -555,26 +562,27 @@ def test_medium_lanes_equal_their_float_calls_by_hex(density_table, log_x0, vk_l
     # medium lanes sum one (term, lane) matrix, each padded to the largest K; the
     # float call sums its own 2K + 3 terms as ExtReals.  VK lanes bound to the rows
     # ``rows_at`` picks keep (ln 2 C1, s2b) per lane and compute only s1b and s2a per
-    # call; all lanes, and a subset in another order as a search's later steps, must
-    # equal the float calls
+    # call; all lanes, and a subset bound in another order, must equal the float calls
     grid = density_table.sigma_grid
     sigmas = np.array([grid[s] if isinstance(s, int) else s for s, _ in lanes])
-    live = np.arange(sigmas.size)[::-2]
+    order = np.arange(sigmas.size)[::-2]
+    rows = _bound_rows(density_table, sigmas.tolist())
     for fit, x, Ks in ((engine._medium_fit, log_x0, np.array([K for _, K in lanes])),
                        (engine._vk_fit, vk_log_x0, np.ones(sigmas.size, dtype=int))):
         want = [fit(x, density_table)(s, K).value.hex() for s, K in zip(sigmas.tolist(), Ks.tolist())]
-        assert [v.hex() for v in fit(x, density_table)(sigmas, Ks).tolist()] == want
-        lanes_of = fit(x, density_table).bind(density_table.rows_at(sigmas, np.array(grid)), Ks)
-        assert [v.hex() for v in lanes_of(sigmas).tolist()] == want
-        assert [v.hex() for v in lanes_of(sigmas[live], live).tolist()] == [want[i] for i in live]
+        assert [v.hex() for v in fit(x, density_table).bind(rows, Ks)(sigmas).tolist()] == want
+        subset = fit(x, density_table).bind((rows[0][order], rows[1][order]), Ks[order])
+        assert [v.hex() for v in subset(sigmas[order]).tolist()] == [want[i] for i in order]
 
 
 def test_a_medium_fit_refuses_k_below_one_in_any_lane(density_table):
-    # a lane's K indexes the fit's (k, K) pieces, so a K of 0 must not wrap to the largest K
+    # a lane's K indexes the binding's (k, K) pieces, so a K of 0 must not wrap to the largest K
     at = engine._medium_fit(5000.0, density_table)
-    for sigma, K in ((0.99, 0), (np.array([0.99, 0.99]), np.array([0, 4])), (np.array([0.99]), 0)):
+    with pytest.raises(ValueError, match="K >= 1 required"):
+        at(0.99, 0)
+    for Ks in (np.array([0, 4]), np.array([0])):
         with pytest.raises(ValueError, match="K >= 1 required"):
-            at(sigma, K)
+            at.bind(_bound_rows(density_table, [0.99] * Ks.size), Ks)(np.full(Ks.size, 0.99))
 
 
 @pytest.mark.parametrize("K", [1, 4, 10, "mixed"])
@@ -589,10 +597,10 @@ def test_a_medium_lane_fit_builds_at_most_five_terms(density_table, monkeypatch,
         return EnvelopeTerm(*args, **kwargs)
 
     monkeypatch.setattr(engine, "EnvelopeTerm", counting)
-    sigmas = np.array(_sigma_probes(density_table))
-    Ks = np.array([1 + i % 10 for i in range(sigmas.size)]) if K == "mixed" else K
+    sigmas = _sigma_probes(density_table)
+    Ks = np.array([1 + i % 10 if K == "mixed" else K for i in range(len(sigmas))])
     at = engine._medium_fit(5000.0, density_table)
-    at(sigmas, Ks)
+    at.bind(_bound_rows(density_table, sigmas), Ks)(np.array(sigmas))
     assert 0 < len(built) <= 5
     if K != "mixed":
         built.clear()
@@ -627,7 +635,18 @@ def test_rows_store_no_terms_and_rebuild_them_bit_for_bit(default_rows, vk_row, 
 def test_row_repr_leaves_out_the_density_table(default_rows):
     text = repr(default_rows[0])
     assert text.startswith("BoundConstants(label='log2', regime='medium', X=0.693")
-    assert text.endswith(", bracket=None)") and "DensityRow" not in text
+    assert text.endswith(f", log_A_unrounded={default_rows[0].log_A_unrounded!r})") and "DensityRow" not in text
+
+
+def test_a_rows_bracket_is_rebuilt_from_its_anchor(default_rows, vk_row):
+    # rows store no bracket; a read rebuilds the one the fit used, nu2 for large and nu3 for VK
+    assert "bracket" not in engine.BoundConstants._fields
+    for row in [*default_rows, vk_row]:
+        if row.regime == "medium":
+            assert row.bracket is None
+        else:
+            assert row.bracket == (bracket_nu2 if row.regime == "large" else bracket_nu3)(row.anchor)
+    assert {row.regime for row in [*default_rows, vk_row]} == {"medium", "large", "vk"}
 
 
 def test_vk_certificate_and_h_condition_read_the_one_vk_premise(monkeypatch):
@@ -683,24 +702,23 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     table = DensityTable(tuple(r._replace(C1=c1, C2=c2)
                                for r, c1, c2 in zip(density_table.rows, pick, pick[::-1])))
     sigmas = _sigma_probes(table)
-    i1, i2 = table.rows_at(np.array(sigmas), np.array(table.sigma_grid))
-    lanes = [(table.rows[a].C1, table.rows[b].C2) for a, b in zip(i1.tolist(), i2.tolist())]
+    rows = _bound_rows(table, sigmas)
+    lanes = [(table.rows[a].C1, table.rows[b].C2) for a, b in zip(rows[0].tolist(), rows[1].tolist())]
     assert lanes == [table.coeffs(s) for s in sigmas]
-    columns = []
-    c1_lanes, c2_lanes = engine._log_2c(np.array(sigmas), table, columns)
-    assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table, columns) for s in sigmas]
+    c1_lanes, c2_lanes = engine._bound_log_2c(table, rows)
+    assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table) for s in sigmas]
     for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1), ("vk", 3e10, 1)):
         at = engine.REGIMES[regime].fit(log_x0, table)
-        lanes = at(np.array(sigmas), K)
+        lanes = at.bind(rows, np.full(len(sigmas), K))(np.array(sigmas))
         assert lanes.tolist() == [at(s, K).value for s in sigmas]
 
 
 @pytest.mark.parametrize("regime, log_x0", [("medium", 2488.0), ("medium", 7000.0), ("large", 1e5),
                                             ("large", 3e8), ("vk", 2.8e10), ("vk", 5e11)])
 def test_a_binding_gives_a_fresh_bindings_values_on_reuse(density_table, regime, log_x0):
-    # optimize calls one binding about 20 times with shrinking lane sets, and
-    # emission binds again for a float call; whatever a binding built at its
-    # first lane call must not leak into a later call with other lanes or K
+    # optimize binds one fit twice, to other lanes and K, and calls each binding
+    # many times, and emission binds again for a float call; whatever one binding
+    # built must not leak into another binding of the fit, or a call into a later one
     fit = engine.REGIMES[regime].fit
     at = fit(log_x0, density_table)
     grid = [s for s in density_table.sigma_grid if s < 1.0]
@@ -712,12 +730,17 @@ def test_a_binding_gives_a_fresh_bindings_values_on_reuse(density_table, regime,
         (np.array([grid[5] - 1e-12]), np.array(mixed[7:8])),                # one lane
         (np.array(_sigma_probes(density_table)), np.array([1 + i % 3 if regime == "medium" else 1
                                                           for i in range(len(_sigma_probes(density_table)))])),
-        (np.array(grid[:4]), 3 if regime == "medium" else 1),               # an int K
+        (np.array(grid[:4]), np.full(4, 3 if regime == "medium" else 1)),   # one K, not the largest
     ]
+    bound = []
     for sigmas, Ks in calls:
-        got = at(sigmas, Ks).tolist()
-        want = fit(log_x0, density_table)(sigmas, Ks).tolist()
-        assert [v.hex() for v in got] == [v.hex() for v in want]
+        rows = _bound_rows(density_table, sigmas.tolist())
+        lanes = at.bind(rows, Ks)
+        want = [v.hex() for v in fit(log_x0, density_table).bind(rows, Ks)(sigmas).tolist()]
+        assert [v.hex() for v in lanes(sigmas).tolist()] == want
+        bound.append((lanes, sigmas, want))
+    for lanes, sigmas, want in bound:  # each binding again, after the later ones
+        assert [v.hex() for v in lanes(sigmas).tolist()] == want
     for s, K in ((grid[2], one[0]), (grid[2] + 1e-12, mixed[5]), (0.9999932, 1)):
         envelope, fresh = at(s, K), fit(log_x0, density_table)(s, K)
         assert type(envelope.value) is float
@@ -800,13 +823,11 @@ def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeyp
 
                 def floored(sigma, K):
                     got = at(sigma, K)
-                    if isinstance(got, np.ndarray):
-                        return np.floor(got / quantum) * quantum
                     return got._replace(value=float(np.floor(got.value / quantum) * quantum))
 
                 def floored_bind(rows, K):  # optimize ranks through the bound lanes, so they are floored too
                     lanes = at.bind(rows, K)
-                    return lambda *args: np.floor(lanes(*args) / quantum) * quantum
+                    return lambda sigma: np.floor(lanes(sigma) / quantum) * quantum
                 floored.bind = floored_bind
                 return floored
             monkeypatch.setitem(engine.REGIMES, name, rec._replace(fit=coarse))
@@ -819,8 +840,9 @@ def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeyp
 
 def _count_calls(monkeypatch):
     """Wrap the three fits, the ``at`` each binding returns, its ``bind`` and engine's bracket bindings
-    with call counters; a call of a bound ``lanes`` counts as an ``at`` call."""
-    calls = {"fit": 0, "at": 0, "bind": 0, "bracket": 0}
+    with call counters; ``calls["lanes"]`` lists each bound lane call as (the number of its ``bind`` call,
+    the sigmas it is given, the lanes bound)."""
+    calls = {"fit": 0, "at": 0, "bind": 0, "bracket": 0, "lanes": []}
     for regime, rec in list(engine.REGIMES.items()):
         def fit(*args, _fn=rec.fit):
             calls["fit"] += 1
@@ -830,13 +852,13 @@ def _count_calls(monkeypatch):
                 calls["at"] += 1
                 return at(*lanes)
 
-            def bind(*rows_K):
+            def bind(rows, K):
                 calls["bind"] += 1
-                lanes = at.bind(*rows_K)
+                lanes, n = at.bind(rows, K), calls["bind"]
 
-                def counted_lanes(*args):
-                    calls["at"] += 1
-                    return lanes(*args)
+                def counted_lanes(sigma):
+                    calls["lanes"].append((n, sigma.size, K.size))
+                    return lanes(sigma)
                 return counted_lanes
             counted.bind = bind
             return counted
@@ -852,11 +874,11 @@ def _count_calls(monkeypatch):
 @pytest.mark.parametrize("regime, log_x0", [("medium", 2488.0), ("large", 1e5), ("vk", 2.8e10), ("vk", 1e13),
                                             *_seeded_anchors()])
 def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density_table, regime, log_x0):
-    # optimize binds each lane's density rows once (cell c: C1 from row c + 1, C2
-    # from row c; grid point i: row i), which is exact only if ``rows_at`` picks
-    # those rows at every sigma the search evaluates: ternary probes, midpoints
-    # and grid points
-    grid, seen = np.array(density_table.sigma_grid), []
+    # optimize binds each lane's density rows (cell c: C1 from row c + 1, C2 from
+    # row c; grid point i: row i), which is exact only if ``rows_at`` picks those
+    # rows at every sigma the search evaluates: ternary probes, midpoints and grid
+    # points
+    seen = []
     rec = engine.REGIMES[regime]
 
     def fit(*args):
@@ -866,11 +888,11 @@ def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density
         def checked_bind(rows, K):
             lanes = bind(rows, K)
 
-            def checked(sigma, live=slice(None)):
-                i1, i2 = density_table.rows_at(sigma, grid)
-                assert i1.tolist() == rows[0][live].tolist() and i2.tolist() == rows[1][live].tolist()
+            def checked(sigma):
+                picked = [density_table.rows_at(s) for s in sigma.tolist()]
+                assert picked == list(zip(rows[0].tolist(), rows[1].tolist()))
                 seen.append(sigma.size)
-                return lanes(sigma, live)
+                return lanes(sigma)
             return checked
         at.bind = checked_bind
         return at
@@ -879,9 +901,9 @@ def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density
         mp.setitem(engine.REGIMES, regime, rec._replace(fit=fit))
         row = optimize(log_x0, regime, density_table)
     assert row == optimize(log_x0, regime, density_table)
-    # per K, 20 cells and 20 grid points below 1: the first step's two probes per cell and the last
+    # per K, 20 cells and 20 grid points below 1: every step's two probes per cell and the last
     # call's midpoints and grid points are 40 lanes each
-    assert len(seen) > 10 and seen[0] == seen[-1] == 40 * len(rec.Ks)
+    assert seen == [40 * len(rec.Ks)] * 19
 
 
 @pytest.mark.parametrize("regime, log_x0, max_calls", [
@@ -889,28 +911,29 @@ def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density
 ])
 def test_optimize_work_count(density_table, monkeypatch, regime, log_x0, max_calls):
     # a speed guard that holds on any host: one lockstep over every (K, cell)
-    # makes one ``at`` call per ternary step and one for the grid and midpoints,
-    # all on one binding, and each emission attempt binds once and calls ``at``
-    # once (the per-candidate search made 7601 medium and 761 large/VK calls,
-    # and a lockstep per K made about 200 medium calls); the bracket is
-    # computed once per binding, not once per call.  The search binds its lanes
-    # once, and VK lanes keep their density rows, so a VK search makes no lane
-    # lookup of ``DensityTable.rows_at`` (it made one per ``at`` call, about 20)
+    # binds its lanes twice, makes one probe call per ternary step on the first
+    # binding and one ranking call on the second, and each emission attempt
+    # binds the fit once and makes one float call (the per-candidate search made
+    # 7601 medium and 761 large/VK calls, and a lockstep per K made about 200
+    # medium calls); the bracket is computed once per fit binding, not once per
+    # call.  Every cell is 0.001 - 2e-9 wide and 1.015e-6 after 17 steps, so
+    # every search takes 18 steps over all its lanes.  Lanes read their density
+    # rows when bound, so a search looks up no ``DensityTable.rows_at`` (lanes
+    # that looked their rows up made one lookup per lane call, about 20)
     calls = _count_calls(monkeypatch)
-    lookups = []
+    lookups = []  # the lane calls made before each lookup
 
-    def rows_at(self, sigma, g=None, _real=DensityTable.rows_at):
-        if not isinstance(sigma, (int, float)):
-            lookups.append(sigma.size)
-        return _real(self, sigma, g)
+    def rows_at(self, sigma, _real=DensityTable.rows_at):
+        lookups.append(len(calls["lanes"]))
+        return _real(self, sigma)
 
     monkeypatch.setattr(DensityTable, "rows_at", rows_at)
     row = optimize(log_x0, regime, density_table)
-    if regime == "vk":
-        assert lookups == []
-    assert 0 < calls["at"] <= max_calls
+    n = 40 * len(engine.REGIMES[regime].Ks)  # 20 cells, each taken twice or with its grid point, per K
+    assert calls["lanes"] == [(1, n, n)] * 18 + [(2, n, n)] and calls["bind"] == 2
+    assert lookups and set(lookups) == {19}  # every lookup is an emission's, after the search
     attempts = calls["fit"] - 1  # the search's one binding, then one per emission attempt
-    assert attempts >= 1 and calls["at"] - attempts <= 20 and calls["bind"] == 1
+    assert attempts >= 1 and calls["at"] == attempts and len(calls["lanes"]) + calls["at"] <= max_calls
     assert calls["bracket"] == (0 if regime == "medium" else calls["fit"])
     assert row.monotone_certified
 

@@ -68,10 +68,10 @@ def test_coeffs_conservative_in_every_cell(density_table):
 
 
 def test_coeffs_domain(density_table):
-    with pytest.raises(ValueError):
-        density_table.coeffs(0.5)
-    with pytest.raises(ValueError):
-        density_table.coeffs(1.0001)
+    for bad in (0.98 - 5e-13, 1.0 + 5e-13, 0.5, 1.0001, math.nan):
+        with pytest.raises(ValueError) as refused:
+            density_table.coeffs(bad)
+        assert str(refused.value) == f"sigma={bad} outside table range [0.98, 1.0]"
 
 
 def _coeffs_oracle(table, sigma):
@@ -85,38 +85,29 @@ def _coeffs_oracle(table, sigma):
 
 
 def _lane_coeffs(table, sigmas):
-    """(C1, C2) lane by lane from the rows ``rows_at`` picks, as the optimizer's fits read them."""
-    i1, i2 = table.rows_at(sigmas, np.array(table.sigma_grid))
-    return np.array([r.C1 for r in table.rows])[i1], np.array([r.C2 for r in table.rows])[i2]
+    """(C1, C2) lists from the rows float ``rows_at`` calls pick, as the optimizer's bindings read them."""
+    picked = [table.rows_at(s) for s in np.asarray(sigmas).tolist()]
+    return [table.rows[i1].C1 for i1, _ in picked], [table.rows[i2].C2 for _, i2 in picked]
 
 
 def test_coeffs_lanes_match_float_calls(density_table):
-    # the optimizer looks C1 and C2 up for a whole ndarray of sigmas at once;
-    # each lane must take the rows a float call takes, on and off the grid
+    # the optimizer binds each lane to the rows ``rows_at`` picks at its sigma;
+    # they must give what a float ``coeffs`` call gives, on and off the grid
     grid = np.array(density_table.sigma_grid)
     lanes = np.concatenate([grid, grid + 5e-13, grid - 5e-13, grid + 2e-12, grid - 2e-12, [1.0]])
     lanes = lanes[(lanes >= 0.98) & (lanes <= 1.0)]
     assert lanes.size == 21 * 5 + 1 - 4   # only 0.98 - d and 1.0 + d fall outside
     c1, c2 = _lane_coeffs(density_table, lanes)
     want = [density_table.coeffs(s) for s in lanes.tolist()]
-    assert list(zip(c1.tolist(), c2.tolist())) == want
+    assert list(zip(c1, c2)) == want
     assert want == [_coeffs_oracle(density_table, s) for s in lanes.tolist()]
     # within 5e-13 counts as on the grid, 2e-12 away as off it
     rows = density_table.rows
     inner = grid[1:-1]
-    assert _lane_coeffs(density_table, inner + 5e-13)[0].tolist() == [r.C1 for r in rows[1:-1]]
-    assert _lane_coeffs(density_table, inner - 5e-13)[1].tolist() == [r.C2 for r in rows[1:-1]]
-    assert _lane_coeffs(density_table, inner + 2e-12)[0].tolist() == [r.C1 for r in rows[2:]]
-    assert _lane_coeffs(density_table, inner - 2e-12)[1].tolist() == [r.C2 for r in rows[:-2]]
-
-
-@pytest.mark.parametrize("bad", [0.98 - 5e-13, 1.0 + 5e-13, 0.5, 1.0001, math.nan])
-def test_coeffs_refuses_out_of_range_lanes_like_a_float_call(density_table, bad):
-    with pytest.raises(ValueError) as scalar:
-        density_table.coeffs(bad)
-    with pytest.raises(ValueError) as lanes:
-        _lane_coeffs(density_table, np.array([0.99, bad, 0.5]))
-    assert str(lanes.value) == str(scalar.value) == f"sigma={bad} outside table range [0.98, 1.0]"
+    assert _lane_coeffs(density_table, inner + 5e-13)[0] == [r.C1 for r in rows[1:-1]]
+    assert _lane_coeffs(density_table, inner - 5e-13)[1] == [r.C2 for r in rows[1:-1]]
+    assert _lane_coeffs(density_table, inner + 2e-12)[0] == [r.C1 for r in rows[2:]]
+    assert _lane_coeffs(density_table, inner - 2e-12)[1] == [r.C2 for r in rows[:-2]]
 
 
 def test_coeffs_refuses_sigma_beyond_the_tables_own_grid_ends(density_table, tmp_path):
