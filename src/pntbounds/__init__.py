@@ -29,11 +29,7 @@ from .engine import (
     regime_compare,
     vk_bound,
 )
-from .derived import (
-    pi_constants_classical,
-    pi_constants_vk,
-    theta_constants,
-)
+from .derived import pi_constants_classical, pi_constants_vk, theta_constants
 
 __version__ = "0.1.0"
 

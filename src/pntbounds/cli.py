@@ -182,11 +182,7 @@ def cmd_verify_small(args: argparse.Namespace) -> int:
     table = _resolve_table(args)
     pt = primes.build_sieve(int(max(SIEVE_CHECKED_HI.values())))
     first = engine.compute_row(engine.DEFAULT_ROW_PARAMS[0], table)
-    pi_c = derived.pi_constants_classical()
-    theta_a1 = derived.theta_constants(first).A1
-    bounds = {"psi": regimes.abs_envelope(first.u_kind, first.A, first.B, first.C),
-              "theta": regimes.abs_envelope(first.u_kind, theta_a1, first.B, first.C),
-              "pi": regimes.abs_envelope(pi_c.u_kind, pi_c.A2, pi_c.B - 1.0, pi_c.C)}
+    bounds = {q: regimes.abs_envelope(*derived.served_envelopes(q, [first])[0][1:]) for q in SIEVE_CHECKED_HI}
     checks = [primes.verify_pointwise(pt, bounds[q], q, 2.0, hi)
               for q, hi in SIEVE_CHECKED_HI.items()]
     coverage = engine.piecewise_coverage(first, pt)
@@ -209,22 +205,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return 2
     rows = engine.compute_default_rows(table)
     vk = engine.compute_row(engine.VK_DEFAULT_PARAMS, table)
-
-    candidates: list[tuple[float, str]] = []
     applicable = [r for r in (*rows, vk) if r.X <= args.log_x]
-    if q == "psi":
-        candidates = [(r.log_rel_envelope(args.log_x), r.label) for r in applicable]
-    elif q == "theta":
-        for r in applicable:
-            a1 = derived.theta_constants(r).A1
-            val = regimes.log_envelope(r.u_kind, math.log(a1), r.B, r.C, args.log_x)
-            candidates.append((val, r.label))
-    else:
-        for name, pic in (("classical", derived.pi_constants_classical()),
-                          ("vk", derived.pi_constants_vk())):
-            val = regimes.log_envelope(pic.u_kind, math.log(pic.A2), pic.B - 1.0, pic.C, args.log_x)
-            candidates.append((val, name))
-    best_val, best_src = min(candidates)
+    best_val, best_src = min((regimes.log_envelope(kind, math.log(a), b, c, args.log_x), src)
+                             for src, kind, a, b, c in derived.served_envelopes(q, applicable))
     rel = ExtReal.exp_of(best_val)
     payload = {"quantity": q, "log_x": args.log_x, "source": best_src,
                "relative_bound": eps0_sci(rel)}

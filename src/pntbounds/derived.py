@@ -11,7 +11,7 @@ certificates list ``engine.Premise`` records and refuse by ``engine.refusal``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .engine import _COVERAGE_TOL, REGIMES, BoundConstants, CertificationError, Premise, _round_up, refusal
 from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime_fall_margin
@@ -27,6 +27,7 @@ __all__ = [
     "pi_constants_classical",
     "pi_constants_vk",
     "PiConstants",
+    "served_envelopes",
 ]
 
 GAP_A1 = 1.0 + 1.93378e-8    # psi - theta < GAP_A1 sqrt(x) + GAP_A2 x^(1/3)
@@ -148,3 +149,17 @@ def pi_constants_vk() -> PiConstants:
     a1, b, c, alpha = 0.027, 1.801, 0.1853, 0.19
     u0 = vk_decay_arg(GAP_MIN_LOG_X)
     return _pi_constants(a1, b, c, alpha, "vk", (u0**c, math.exp(c * u0)))
+
+
+def served_envelopes(quantity: str, rows: Sequence[BoundConstants]) -> list[tuple[str, DecayKind, float, float, float]]:
+    """(source, u kind, A, B, C) for each envelope A (log x)^B e^(-C u) that bounds ``quantity`` relative
+    to x, in order: each psi row; each row's theta transfer, A1 for A; or the classical then the VK pi set,
+    A2 for A and B - 1 for B.  The pi sets are the typed-in ones and do not read ``rows``."""
+    if quantity == "psi":
+        return [(r.label, r.u_kind, r.A, r.B, r.C) for r in rows]
+    if quantity == "theta":
+        return [(r.label, r.u_kind, theta_constants(r).A1, r.B, r.C) for r in rows]
+    if quantity == "pi":
+        return [(name, p.u_kind, p.A2, p.B - 1.0, p.C)
+                for name, p in (("classical", pi_constants_classical()), ("vk", pi_constants_vk()))]
+    raise ValueError(f"unknown quantity {quantity!r}, expected 'psi', 'theta' or 'pi'")

@@ -565,7 +565,9 @@ def _vk_groups(logs: Sequence[float]) -> dict[str, ExtReal]:
 
 
 def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> dict[str, ExtReal]:
-    """The three error groups with the VK decay argument w = r(x)."""
+    """The three error groups with the VK decay argument w = r(x), for x at or above the bracket's anchor."""
+    if not br.log_x0 <= log_x < math.inf:
+        raise ValueError(f"vk_terms requires log x >= the bracket's log x0 = {br.log_x0:g}, got {log_x}")
     a = _vk_anchor(log_x, br)
     return _vk_groups(_vk_logs(a, sigma, _vk_row_logs(a, _log_2c(sigma, table))))
 

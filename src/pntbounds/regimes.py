@@ -102,6 +102,8 @@ def abs_envelope(kind: DecayKind, A: float, B: float, C: float) -> Callable[[flo
     """x -> A x (log x)^B e^{-C u(log x)}, the envelope of an absolute error."""
     if kind not in ("sqrt_log", "vk_r"):  # refused when built, not at the first call
         _unknown(kind)
+    if not (0.0 < A < math.inf and math.isfinite(B) and math.isfinite(C)):
+        raise ValueError(f"abs_envelope needs a finite A > 0 and finite B and C, got A={A}, B={B}, C={C}")
     log_a = math.log(A)
     return lambda x: math.exp(log_envelope(kind, log_a, B, C, math.log(x))) * x
 
@@ -183,7 +185,7 @@ def verify_unimodal(bracket: Bracket, log_x: float) -> UnimodalReport:
     pattern of "+-" or "-+-" with the single interior peak inside
     [B0 * scale, B1 * scale].
     """
-    if log_x < bracket.log_x0:
+    if not bracket.log_x0 <= log_x < math.inf:
         raise ValueError("log_x below the bracket hypothesis")
     kind, nu = {"nu2": ("sqrt_log", zfr.nu2), "nu3": ("vk_r", zfr.nu3)}[bracket.region_kind]
     scale = decay_arg(kind, log_x)

@@ -115,7 +115,7 @@ def recip_sum_bounds(log_T: float) -> tuple[float, float]:
     upper = log^2(T / 2 pi) / (4 pi), lower = upper - 0.9321;
     requires T >= 4 pi e.
     """
-    if log_T < _LOG_4PI_E:
+    if not _LOG_4PI_E <= log_T < math.inf:
         raise ValueError(f"recip_sum_bounds requires T >= 4*pi*e, got log T = {log_T}")
     upper = (log_T - math.log(2.0 * math.pi)) ** 2 / (4.0 * math.pi)
     return upper - _RECIP_DEFECT, upper

@@ -50,21 +50,21 @@ class ConsistencyError(PntBoundsError):
 
 def nu1(log_t: float) -> float:
     """Classical zero-free width at height exp(log_t); needs t >= 2."""
-    if log_t < _LOG2:
+    if not _LOG2 <= log_t < math.inf:
         raise ValueError(f"nu1 requires t >= 2 (log t >= {_LOG2:.4f}), got log t = {log_t}")
     return 1.0 / (R0 * log_t)
 
 
 def nu2(log_t: float) -> float:
     """Smoothed Ford width; valid for t >= 3, may be <= 0 for small t."""
-    if log_t < _LOG3:
+    if not _LOG3 <= log_t < math.inf:
         raise ValueError(f"nu2 requires t >= 3, got log t = {log_t}")
     return (1.0 / (R1_FORD * log_t)) * (1.0 - D_FORD * math.log(log_t) / log_t)
 
 
 def nu3(log_t: float) -> float:
     """Vinogradov-Korobov width; valid for t >= 3."""
-    if log_t < _LOG3:
+    if not _LOG3 <= log_t < math.inf:
         raise ValueError(f"nu3 requires t >= 3, got log t = {log_t}")
     return 1.0 / (C_VK * log_t ** (2.0 / 3.0) * math.log(log_t) ** (1.0 / 3.0))
 

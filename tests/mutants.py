@@ -1,4 +1,4 @@
-"""A standing mutation check for the certificate and lane-binding code.
+"""A standing mutation check for the certificates, lane binding, served envelopes and domain checks.
 
 Each entry of ``MUTANTS`` breaks one piece of the program on purpose: it
 names the file, the exact old text (which must occur there exactly once),
@@ -13,8 +13,8 @@ copy and runs its tests.  It prints ``killed`` (a test failed), ``survived``
 (all passed) or ``error`` (pytest could not run them) per mutant, and exits
 1 unless every mutant is killed.  pytest does not collect this file; the
 tier-1 test ``tests/test_mutants.py`` checks that every old text still
-occurs exactly once, so the list cannot rot.  A certificate or lane-binding
-change adds its own mutants here.
+occurs exactly once, so the list cannot rot.  A change to any of these
+adds its own mutants here.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 _ENGINE, _DERIVED, _PRIMES = "src/pntbounds/engine.py", "src/pntbounds/derived.py", "src/pntbounds/primes.py"
 _T_ENGINE, _T_DERIVED = "tests/test_engine.py", "tests/test_derived.py"
+_T_SERVED = f"{_T_DERIVED}::test_served_envelopes_list_each_quantitys_sets_in_order"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant("phi_sup_slope_halved", _ENGINE, "        phi += dq / q\n", "        phi += 0.5 * dq / q\n",
@@ -108,6 +109,19 @@ MUTANTS: tuple[Mutant, ...] = (
            '{"large": bracket_nu2, "vk": bracket_nu2}',
            "a VK row's bracket is rebuilt with bracket_nu2 instead of bracket_nu3",
            (f"{_T_ENGINE}::test_a_rows_bracket_is_rebuilt_from_its_anchor",)),
+    Mutant("served_theta_takes_row_a", _DERIVED, "theta_constants(r).A1, r.B", "r.A, r.B",
+           "the served theta envelope takes the psi row's A in place of its A1",
+           (_T_SERVED, f"{_T_DERIVED}::test_theta_default_extra_is_what_eval_serves")),
+    Mutant("served_pi_vk_first", _DERIVED,
+           '(("classical", pi_constants_classical()), ("vk", pi_constants_vk()))',
+           '(("vk", pi_constants_vk()), ("classical", pi_constants_classical()))',
+           "the served pi list puts the VK set first, so verify-small checks it in place of the classical one",
+           (_T_SERVED, "tests/test_cli.py::test_verify_small_sieves_only_its_ranges")),
+    Mutant("nu3_lets_nan_through", "src/pntbounds/zfr.py",
+           '    if not _LOG3 <= log_t < math.inf:\n        raise ValueError(f"nu3',
+           '    if log_t < _LOG3:\n        raise ValueError(f"nu3',
+           "nu3's domain check lets NaN and inf through again",
+           ("tests/test_zfr.py::test_widths_refuse_non_finite_log_t",)),
 )
 
 

@@ -46,6 +46,21 @@ def test_theta_default_extra_is_what_eval_serves(default_rows, vk_row, capsys):
             *ExtReal.exp_of(want[0]).log10_parts(), want[1])
 
 
+def test_served_envelopes_list_each_quantitys_sets_in_order(default_rows, vk_row):
+    # psi serves each row as certified, theta each row with its A1 for A, and pi the
+    # classical set (which verify-small checks) before the VK one, both with B - 1
+    rows = [*default_rows, vk_row]
+    assert derived.served_envelopes("psi", rows) == [(r.label, r.u_kind, r.A, r.B, r.C) for r in rows]
+    theta = derived.served_envelopes("theta", rows)
+    assert theta == [(r.label, r.u_kind, theta_constants(r).A1, r.B, r.C) for r in rows]
+    assert all(a1 > r.A for (_, _, a1, _, _), r in zip(theta, rows))
+    pis = [("classical", pi_constants_classical()), ("vk", pi_constants_vk())]
+    want = [(name, p.u_kind, p.A2, p.B - 1.0, p.C) for name, p in pis]
+    assert derived.served_envelopes("pi", rows) == derived.served_envelopes("pi", []) == want
+    with pytest.raises(ValueError, match="unknown quantity 'li'"):
+        derived.served_envelopes("li", rows)
+
+
 def test_theta_gap_absorption_is_generous(default_rows):
     # at the left endpoint the gap is about 2.5e-13 versus a bump above 8e-3
     row = default_rows[0]

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 import random
@@ -215,6 +216,13 @@ def test_vk_terms_first_density_piece_dominates(density_table):
     w = engine.vk_decay_arg(2.8e10)
     lead = math.log(2 * c1) + br.B2 * (5 - 8 * 0.9999932) / 3 * w + p * math.log(br.B2 * w)
     assert groups["s2"].log_value == pytest.approx(lead, abs=1e-6)
+
+
+@pytest.mark.parametrize("log_x", [math.nan, math.inf, -math.inf])
+def test_vk_terms_refuses_non_finite_log_x(density_table, log_x):
+    # NaN once returned NaN groups
+    with pytest.raises(ValueError, match="vk_terms requires log x >= the bracket's log x0"):
+        vk_terms(log_x, 0.9999932, bracket_nu3(), density_table)
 
 
 def test_vk_exponential_sign_flips_at_five_eighths():
@@ -701,10 +709,19 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     pick = np.sort(np.concatenate([differ, c])[:21]).tolist()
     table = DensityTable(tuple(r._replace(C1=c1, C2=c2)
                                for r, c1, c2 in zip(density_table.rows, pick, pick[::-1])))
-    sigmas = _sigma_probes(table)
+    grid = [r.sigma for r in table.rows]
+    sigmas = _sigma_probes(table) + [grid[3] + 5e-13, grid[7] - 5e-13]
     rows = _bound_rows(table, sigmas)
-    lanes = [(table.rows[a].C1, table.rows[b].C2) for a, b in zip(rows[0].tolist(), rows[1].tolist())]
-    assert lanes == [table.coeffs(s) for s in sigmas]
+
+    def documented_rows(s):
+        # within 1e-12 of grid point i: row i for both; else C1 from the row above, C2 from the row below
+        i = bisect.bisect_left(grid, s)
+        near = [j for j in (i - 1, i) if 0 <= j < len(grid) and abs(grid[j] - s) < 1e-12]
+        return (near[0], near[0]) if near else (i, i - 1)
+
+    want = [documented_rows(s) for s in sigmas]
+    assert list(zip(rows[0].tolist(), rows[1].tolist())) == want
+    assert [table.coeffs(s) for s in sigmas] == [(table.rows[a].C1, table.rows[b].C2) for a, b in want]
     c1_lanes, c2_lanes = engine._bound_log_2c(table, rows)
     assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table) for s in sigmas]
     for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1), ("vk", 3e10, 1)):

@@ -104,6 +104,16 @@ def test_unimodal_rejects_log_x_below_hypothesis():
         verify_unimodal(br, 1e5)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("log_x", NON_FINITE)
+def test_unimodal_refuses_non_finite_log_x(log_x):
+    # NaN and inf once returned a report full of NaNs
+    with pytest.raises(ValueError, match="below the bracket hypothesis"):
+        verify_unimodal(bracket_nu2(1e6), log_x)
+
+
 @pytest.mark.parametrize("log_x0,log_x", [(1e5, 1e5), (1e6, 3e6), (1e10, 1e10)])
 def test_minimum_bracketing_nu2(log_x0, log_x):
     # from where the integrand starts rising, log(t x^nu2(t)) stays above
@@ -157,6 +167,16 @@ def test_log_and_abs_envelope(kind):
         want = a * x * lx**b * math.exp(-c * decay_arg(kind, lx))
         assert log_envelope(kind, math.log(a), b, c, lx) == pytest.approx(math.log(want / x), rel=1e-14)
         assert abs_envelope(kind, a, b, c)(x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("slot", range(3))
+def test_abs_envelope_refuses_non_finite_constants(slot, value):
+    # a NaN A once built an envelope that returned NaN at every x
+    abc = [9.4, 1.515, 0.8274]
+    abc[slot] = value
+    with pytest.raises(ValueError, match="abs_envelope needs a finite A > 0"):
+        abs_envelope("sqrt_log", *abc)
 
 
 @pytest.mark.parametrize("call", [

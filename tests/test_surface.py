@@ -76,6 +76,18 @@ def test_private_names_cross_modules_only_where_listed():
     assert found == set(PRIVATE_IMPORTS)
 
 
+def test_cli_names_no_constant_builder():
+    """``cli`` takes every envelope it serves from ``derived.served_envelopes``, so it names none of the
+    builders behind it.  This is not ROADMAP item 6's done-criterion: ``served_envelopes`` still serves
+    the typed-in pi sets."""
+    tree = ast.parse((PKG_DIR / "cli.py").read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names & {"theta_constants", "pi_constants_classical", "pi_constants_vk"} == set()
+
+
 # one instance of each record type on the CLI's import path, built by the calls that serve it
 RECORDS = {
     "ExtReal": lambda ctx: ctx["row"].eps0,

@@ -145,3 +145,10 @@ def test_recip_sum_at_riemann_height():
 def test_recip_sum_domain():
     with pytest.raises(ValueError):
         recip_sum_bounds(2.0)
+
+
+@pytest.mark.parametrize("log_T", [math.nan, math.inf, -math.inf])
+def test_recip_sum_refuses_non_finite_log_t(log_T):
+    # NaN once gave (nan, nan) and inf gave (inf, inf)
+    with pytest.raises(ValueError, match="requires T >= 4"):
+        recip_sum_bounds(log_T)

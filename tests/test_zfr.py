@@ -81,6 +81,17 @@ def test_domain_errors():
         nu3(1.0)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("nu", [nu1, nu2, nu3])
+def test_widths_refuse_non_finite_log_t(nu, value):
+    # a NaN once passed the `log_t < lo` check and came back NaN, and nu3(inf) gave 0.0
+    with pytest.raises(ValueError, match=f"{nu.__name__} requires t >= "):
+        nu(value)
+
+
 def test_crossover_roots_land_in_expected_windows():
     c12, c23 = envelope_crossovers()
     assert c12.pair == "nu1/nu2"
