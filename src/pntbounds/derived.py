@@ -55,8 +55,6 @@ def theta_constants(psi: BoundConstants, extra: float | None = None) -> ThetaCon
     extra = 10.0 ** -REGIMES[psi.regime].a_decimals if extra is None else extra
     if not 0.0 < extra < math.inf:
         raise ValueError(f"extra must be finite and > 0, got {extra}")
-    if not psi.monotone_certified:
-        raise CertificationError("psi constants are not certified")
     log_x = max(psi.X, GAP_MIN_LOG_X)
     lhs = log_envelope(psi.u_kind, math.log(extra), psi.B, psi.C, log_x)
     rhs = math.log(GAP_A1 + GAP_A2) - log_x / 2.0

@@ -8,8 +8,8 @@ zero-sum formula), then factors the sum through a decaying envelope
     A (log x)^B exp(-C u(x)),   u = sqrt(log x)  or  log^(3/5) x (loglog x)^(-1/5).
 
 A is pinned at x0; this is only valid if the normalized sum is
-nonincreasing beyond x0, so every emitted constant set carries a
-monotonicity certificate.  Every certificate returns its ``Premise`` list,
+nonincreasing beyond x0, so a constant set is emitted only once its
+monotonicity certificate holds.  Every certificate returns its ``Premise`` list,
 decided by ``refusal``.  Constants are rounded toward validity (A and B up, C down).
 """
 
@@ -190,9 +190,8 @@ def _round_down(v: float, decimals: int) -> float:
 
 class BoundConstants(NamedTuple):
     """A certified constant set: |psi(x) - x| <= A x (log x)^B e^{-C u(x)}
-    and |psi(x) - x| <= eps0 * x, for all log x >= X.  ``raw_terms`` is rebuilt on
-    each read from ``table``, the density table certified against (shared, not copied,
-    and left out of the repr), and ``bracket`` from the anchor."""
+    and |psi(x) - x| <= eps0 * x, for all log x >= X.  Only ``_emit`` builds one, after
+    the row's certificate holds, so every row is certified."""
 
     label: str
     regime: Literal["medium", "large", "vk"]
@@ -200,7 +199,6 @@ class BoundConstants(NamedTuple):
     anchor: float               # log x0 where the pipeline was evaluated
     sigma: float
     K: int
-    A_unrounded: float
     A: float
     B_unrounded: float
     B: float
@@ -208,27 +206,16 @@ class BoundConstants(NamedTuple):
     C: float
     eps0: ExtReal
     eps0_max_at: float          # log x of the envelope supremum
-    monotone_certified: bool
     log_A_unrounded: float
-    table: DensityTable | None = None
-
-    def __repr__(self) -> str:
-        return f"BoundConstants({', '.join(f'{k}={v!r}' for k, v in zip(self._fields[:-1], self))})"
 
     @property
     def u_kind(self) -> DecayKind:
         return REGIMES[self.regime].kind
 
     @property
-    def bracket(self) -> Bracket | None:
-        """The turning-point bracket the envelope was built with: nu2 for large rows, nu3 for VK, none for medium."""
-        by_regime = {"large": bracket_nu2, "vk": bracket_nu3}
-        return by_regime[self.regime](self.anchor) if self.regime in by_regime else None
-
-    @property
-    def raw_terms(self) -> tuple[EnvelopeTerm, ...]:
-        """The summands the envelope was certified from (none for VK), from the regime's float fit call."""
-        return REGIMES[self.regime].fit(self.anchor, self.table)(self.sigma, self.K).raw_terms
+    def A_unrounded(self) -> float:
+        """The A that ``_emit`` rounds up."""
+        return math.exp(self.log_A_unrounded)
 
     def log_rel_envelope(self, log_x: float, rounded: bool = True) -> float:
         """ln of the relative envelope A (log x)^B e^{-C u(x)}."""
@@ -255,7 +242,7 @@ class BoundConstants(NamedTuple):
             "C_unrounded": self.C_unrounded,
             "eps0": {"mantissa": m, "decimal_exponent": e},
             "eps0_max_at_log_x": self.eps0_max_at,
-            "monotone_certified": self.monotone_certified,
+            "monotone_certified": True,  # _emit refuses before building an uncertified row
         }
 
 
@@ -363,15 +350,12 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
         raise CertificationError(f"A = e^{f.log_a:g} at log x0 = {log_x0:g} is too large to emit")
     x_claim = log_x0 if claim_X is None else claim_X
     eps0, max_at = epsilon0_at(f.log_a, f.B, f.C, max(x_claim, math.log(2.0)), rec.kind)
-    a_unrounded = math.exp(f.log_a)
     return BoundConstants(
         label=label or rec.label.format(log_x0), regime=regime, X=x_claim, anchor=log_x0,
-        sigma=sigma, K=K,
-        A_unrounded=a_unrounded, A=_round_up(a_unrounded, rec.a_decimals),
+        sigma=sigma, K=K, A=_round_up(math.exp(f.log_a), rec.a_decimals),
         B_unrounded=f.B, B=_round_up(f.B, 3),
         C_unrounded=f.C, C=_round_down(f.C, 4),
-        eps0=eps0, eps0_max_at=max_at, monotone_certified=True,
-        log_A_unrounded=f.log_a, table=table,
+        eps0=eps0, eps0_max_at=max_at, log_A_unrounded=f.log_a,
     )
 
 
@@ -761,9 +745,8 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     second, the cell and grid point lanes, ranks every K's candidates.  Each
     cell is 0.001 - 2e-9 wide (to within the 2e-9 load_table lets grid
     points move), 1.015e-6 after 17 steps, so every search stops on the
-    18th; a lane stopping sooner keeps its ends under the step's mask.
-    Lanes equal the float calls' ``value`` bit for bit, so the picks are
-    those of searching each (K, cell) on its own.  Ties break
+    18th.  Lanes equal the float calls' ``value`` bit for bit, so the picks
+    are those of searching each (K, cell) on its own.  Ties break
     deterministically toward smaller sigma, then smaller K.  The first
     candidate that certifies is emitted; if none does, the error carries
     the best-ranked candidate's reason.
@@ -778,12 +761,12 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     cell, point = np.tile(np.arange(cells.size - 1), ks.size), np.tile(np.arange(grid.size), ks.size)
     cell_K, point_K = np.repeat(ks, cells.size - 1), np.repeat(ks, grid.size)
     probes = at.bind((np.tile(cell + 1, 2), np.tile(cell, 2)), np.tile(cell_K, 2))
-    while np.count_nonzero(live := b - a > 1e-6):
+    while np.count_nonzero(b - a > 1e-6):
         third = (b - a) / 3.0
         m1, m2 = a + third, b - third
         v = probes(np.concatenate([m1, m2]))
         left = v[:a.size] <= v[a.size:]
-        a, b = np.where(live & ~left, m1, a), np.where(live & left, m2, b)
+        a, b = np.where(left, a, m1), np.where(left, m2, b)
     Ks = np.concatenate([cell_K, point_K])
     ranked = at.bind((np.concatenate([cell + 1, point]), np.concatenate([cell, point])), Ks)
     sigmas = np.concatenate([0.5 * (a + b), np.tile(grid, ks.size)])

@@ -58,14 +58,21 @@ class Bracket(NamedTuple):
 DecayKind = Literal["sqrt_log", "vk_r"]
 
 
+def _vk_loglog(log_x: float) -> float:
+    """loglog x, for 1 < log x < inf only: below 1, r(x) is complex, and at 1 its derivative divides by 0."""
+    if not 1.0 < log_x < math.inf:  # NaN too
+        raise ValueError(f"the VK decay argument requires 1 < log x < inf, got {log_x}")
+    return math.log(log_x)
+
+
 def vk_decay_arg(log_x: float) -> float:
     """r(x) = log^(3/5) x * (loglog x)^(-1/5), the VK decay argument."""
-    return log_x ** 0.6 / math.log(log_x) ** 0.2
+    return log_x ** 0.6 / _vk_loglog(log_x) ** 0.2
 
 
 def vk_decay_arg_prime(log_x: float) -> float:
     """r'(log x) = (3 loglog x - 1) / (5 log^(2/5) x (loglog x)^(6/5))."""
-    ll = math.log(log_x)
+    ll = _vk_loglog(log_x)
     return (3.0 * ll - 1.0) / (5.0 * log_x**0.4 * ll**1.2)
 
 

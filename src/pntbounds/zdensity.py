@@ -5,8 +5,12 @@ The density estimate N(sigma, T) <= C1 T^(8(1-sigma)/3) log^(5-2 sigma) T
 on a 0.001 grid over [0.98, 1]).  The table ships as a CSV data file and
 is validated on load, so updated zero-density constants can be swapped
 in without touching code.  C1 is nondecreasing and C2 nonincreasing in
-sigma; off-grid queries rely on exactly that monotonicity: take C1 from
-the grid point above and C2 from the grid point below.
+sigma at the grid points.  An off-grid sigma in the cell (sigma_c, sigma_{c+1})
+takes C1 from the grid point above and C2 from the one below, with sigma's
+own exponents.  The rows alone give only N(sigma, T) <= N(sigma_c, T), with
+sigma_c's exponents, so every off-grid query assumes of the table's source
+that for every sigma in the cell N(sigma, T) <= C1(sigma_{c+1})
+T^(8(1-sigma)/3) log^(5-2 sigma) T + C2(sigma_c) log^2 T.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import sys
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -34,6 +39,7 @@ _HEADER = ["sigma", "d", "alpha", "delta", "C1", "C2"]
 _GRID_LO, _GRID_STEP, _GRID_ROWS = 0.980, 0.001, 21
 _RECIP_DEFECT = 0.9321
 _LOG_4PI_E = math.log(4.0 * math.pi) + 1.0
+_MAX_LOG_T = math.sqrt(sys.float_info.max)  # (log T - log 2 pi)^2 stays a finite float below it
 
 
 class DensityRow(NamedTuple):
@@ -113,9 +119,10 @@ def recip_sum_bounds(log_T: float) -> tuple[float, float]:
     """(lower, upper) for the sum of 1/Im(rho) over zeros with 0 < Im <= T.
 
     upper = log^2(T / 2 pi) / (4 pi), lower = upper - 0.9321;
-    requires T >= 4 pi e.
+    requires T >= 4 pi e and log T below ``_MAX_LOG_T``, from where the square overflows.
     """
-    if not _LOG_4PI_E <= log_T < math.inf:
-        raise ValueError(f"recip_sum_bounds requires T >= 4*pi*e, got log T = {log_T}")
+    if not _LOG_4PI_E <= log_T < _MAX_LOG_T:  # NaN and inf too
+        raise ValueError(f"recip_sum_bounds requires T >= 4*pi*e and log T < {_MAX_LOG_T:.6g}, "
+                         f"got log T = {log_T}")
     upper = (log_T - math.log(2.0 * math.pi)) ** 2 / (4.0 * math.pi)
     return upper - _RECIP_DEFECT, upper

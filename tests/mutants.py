@@ -105,10 +105,9 @@ MUTANTS: tuple[Mutant, ...] = (
            "log_2c1, log_2c2 = _bound_log_2c(table, (rows[0], rows[0]))",
            "the large binder takes each lane's C2 from its C1 row, rows[0]",
            (f"{_T_ENGINE}::test_fit_lanes_equal_float_calls_bit_for_bit",)),
-    Mutant("vk_row_bracket_nu2", _ENGINE, '{"large": bracket_nu2, "vk": bracket_nu3}',
-           '{"large": bracket_nu2, "vk": bracket_nu2}',
-           "a VK row's bracket is rebuilt with bracket_nu2 instead of bracket_nu3",
-           (f"{_T_ENGINE}::test_a_rows_bracket_is_rebuilt_from_its_anchor",)),
+    Mutant("vk_fit_binds_nu2", _ENGINE, "    br = bracket_nu3(log_x0)\n", "    br = bracket_nu2(log_x0)\n",
+           "the VK fit builds its envelope on the Ford region's nu2 bracket instead of nu3",
+           (f"{_T_ENGINE}::test_vk_bound_constants",)),
     Mutant("served_theta_takes_row_a", _DERIVED, "theta_constants(r).A1, r.B", "r.A, r.B",
            "the served theta envelope takes the psi row's A in place of its A1",
            (_T_SERVED, f"{_T_DERIVED}::test_theta_default_extra_is_what_eval_serves")),
@@ -122,6 +121,13 @@ MUTANTS: tuple[Mutant, ...] = (
            '    if log_t < _LOG3:\n        raise ValueError(f"nu3',
            "nu3's domain check lets NaN and inf through again",
            ("tests/test_zfr.py::test_widths_refuse_non_finite_log_t",)),
+    Mutant("vk_decay_arg_domain_open", "src/pntbounds/regimes.py", "    if not 1.0 < log_x < math.inf:  # NaN too\n",
+           "    if log_x <= 0.0:\n",
+           "the VK decay argument's domain check lets 0 < log x <= 1, NaN and inf through",
+           ("tests/test_regimes.py::test_vk_decay_args_refuse_log_x_outside_their_domain",)),
+    Mutant("recip_sum_square_overflows", "src/pntbounds/zdensity.py", "log_T < _MAX_LOG_T:", "log_T < math.inf:",
+           "recip_sum_bounds lets a log T through whose square overflows",
+           ("tests/test_zdensity.py::test_recip_sum_refuses_log_t_whose_square_overflows",)),
 )
 
 

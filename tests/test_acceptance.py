@@ -78,7 +78,7 @@ def test_criterion_1_medium_rows(density_table):
     _report(1, "all 8 medium rows reproduce (B exact, C to 1e-4, A in window, eps0 to 2% log)")
 
 
-def test_criterion_2_large_rows(density_table):
+def test_criterion_2_large_rows(density_table, rebuild):
     for p in DEFAULT_ROW_PARAMS:
         if p.regime != "large":
             continue
@@ -87,7 +87,7 @@ def test_criterion_2_large_rows(density_table):
         row = compute_row(p, density_table)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"row {p.label} took {elapsed:.3f}s"
-        want_c = row.bracket.B2 * (8.0 * sigma - 5.0) / 3.0
+        want_c = rebuild(row)[1].B2 * (8.0 * sigma - 5.0) / 3.0
         assert row.C_unrounded == pytest.approx(want_c, rel=1e-14)
         assert abs(row.C_unrounded - c_pub) < 1e-4, \
             f"row {p.label}: C {row.C_unrounded:.6f} vs {c_pub}"
@@ -111,8 +111,8 @@ def test_criterion_3_bracket_table():
     _report(3, f"XX")
 
 
-def test_criterion_4_vk_constants(vk_row):
-    br = vk_row.bracket
+def test_criterion_4_vk_constants(vk_row, rebuild):
+    br = rebuild(vk_row)[1]
     assert abs(br.B2 - 0.18525) < 5e-5, f"B2 = {br.B2:.7f}"
     assert abs(vk_row.C_unrounded - 0.1853) <= 1e-4, f"C = {vk_row.C_unrounded:.7f}"
     assert vk_row.B_unrounded <= 1.801
@@ -191,23 +191,25 @@ def test_criterion_8_derived_constants(default_rows, sieve10m):
                f"{pv.A2_unrounded:.5f}; I1 = {i1:.4f}; I2 = {pc.i2_recomputed:.3e}")
 
 
-def test_criterion_9_property_suites(default_rows, vk_row, density_table):
+def test_criterion_9_property_suites(default_rows, vk_row, density_table, rebuild):
     # envelope dominance at 1e3 random points per row
     rng = np.random.default_rng(2026)
     for row in default_rows:
         u0 = math.sqrt(row.anchor / R0) if row.regime == "medium" else math.sqrt(row.anchor)
         us = u0 * (1.0 + 3.0 * rng.random(1000))
-        total = np.logaddexp.reduce([[t.log_eval(u) for u in us.tolist()] for t in row.raw_terms], axis=0)
+        terms = rebuild(row)[0].raw_terms
+        total = np.logaddexp.reduce([[t.log_eval(u) for u in us.tolist()] for t in terms], axis=0)
         log_x = (R0 if row.regime == "medium" else 1.0) * us * us
         env = np.array([row.log_rel_envelope(float(l)) for l in log_x])
         assert np.all(total <= env + 1e-12), f"dominance fails for row {row.label}"
+    vk_bracket = rebuild(vk_row)[1]
     for log_x in vk_row.anchor * (1.0 + 3.0 * rng.random(1000)):
-        g = engine.vk_terms(float(log_x), vk_row.sigma, vk_row.bracket, density_table)
+        g = engine.vk_terms(float(log_x), vk_row.sigma, vk_bracket, density_table)
         total = g["s1"] + g["s2"] + g["s3"]
         assert total.log_value <= vk_row.log_rel_envelope(float(log_x)) + 1e-9
 
-    # monotonicity certificates on every emitted row
-    assert all(r.monotone_certified for r in default_rows) and vk_row.monotone_certified
+    # monotonicity certificates on every emitted row, replayed from its fit
+    assert all(engine.refusal(rebuild(r)[0].premises) == "" for r in [*default_rows, vk_row])
 
     # single interior peak with the turning point inside the bracket, both regions
     rep2 = verify_unimodal(bracket_nu2(1e6), 1e6)

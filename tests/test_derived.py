@@ -75,12 +75,6 @@ def test_theta_constants_vk(vk_row):
     assert tc.A1 == pytest.approx(vk_row.A + 0.001, rel=1e-15)
 
 
-def test_theta_constants_refuse_uncertified(default_rows):
-    broken = default_rows[0]._replace(monotone_certified=False)
-    with pytest.raises(CertificationError):
-        theta_constants(broken)
-
-
 @pytest.mark.parametrize("base_extra, changes, extra, premise", [
     (0.01, {}, 1e-30, "extra L^B e^(-C u) >= (a1 + a2) x^(-1/2)"),
     # a huge bump still covers the gap, but C u'(58) = 8/(2 sqrt 58) > 1/2 lets the ratio fall

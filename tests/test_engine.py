@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import math
+import pickle
 import random
 import re
 import warnings
@@ -33,7 +34,7 @@ from pntbounds.engine import (
     vk_terms,
 )
 from pntbounds.extnum import ExtReal
-from pntbounds.regimes import MIN_LOG_X0_NU2, bracket_nu2, bracket_nu3, vk_decay_arg_prime
+from pntbounds.regimes import MIN_LOG_X0_NU2, bracket_nu3, vk_decay_arg_prime
 from pntbounds.zdensity import LOG_RIEMANN_HEIGHT, DensityTable
 from pntbounds.zfr import R0
 
@@ -156,9 +157,9 @@ def test_medium_terms_refuse_outside_validity(density_table):
      (3000.0, 0.986688, 4, 8.86, 0.8288),
      (10000.0, 0.992100, 5, 6.72, 0.8369)],
 )
-def test_medium_bound_reference_rows(density_table, log_x0, sigma, K, a_hi, c_ref):
+def test_medium_bound_reference_rows(density_table, rebuild, log_x0, sigma, K, a_hi, c_ref):
     row = medium_bound(log_x0, sigma, K, density_table)
-    assert row.monotone_certified
+    assert refusal(rebuild(row)[0].premises) == ""
     assert row.A_unrounded <= a_hi
     assert abs(row.C_unrounded - c_ref) < 1e-4
     assert row.B_unrounded == (5.0 - 2.0 * sigma) / 2.0
@@ -188,19 +189,22 @@ def test_medium_bound_deterministic(density_table):
      (1e6, 0.998974, 38.57, 1.0318),
      (1e10, 0.999988, 45.17, 1.0903)],
 )
-def test_large_bound_reference_rows(density_table, log_x0, sigma, a_hi, c_ref):
+def test_large_bound_reference_rows(density_table, rebuild, log_x0, sigma, a_hi, c_ref):
     row = large_bound(log_x0, sigma, density_table)
-    assert row.monotone_certified
+    f, br = rebuild(row)
+    assert refusal(f.premises) == ""
     assert row.A_unrounded <= a_hi
     assert abs(row.C_unrounded - c_ref) < 1e-4
-    assert row.C_unrounded == pytest.approx(row.bracket.B2 * (8 * sigma - 5) / 3, rel=1e-15)
+    assert row.C_unrounded == pytest.approx(br.B2 * (8 * sigma - 5) / 3, rel=1e-15)
 
 
 # -- vk pipeline --------------------------------------------------------------
 
 
-def test_vk_bound_constants(density_table, vk_row):
-    assert vk_row.monotone_certified
+def test_vk_bound_constants(density_table, rebuild, vk_row):
+    f, br = rebuild(vk_row)
+    assert refusal(f.premises) == ""
+    assert vk_row.C_unrounded == br.B2 * (8.0 * vk_row.sigma - 5.0) / 3.0  # C is nu3's B2 (8 sigma - 5)/3
     assert abs(vk_row.C_unrounded - 0.1853) < 1e-4
     assert vk_row.B_unrounded == pytest.approx(1.8000082, abs=1e-6)
     assert vk_row.B_unrounded <= 1.801
@@ -398,21 +402,23 @@ def test_certified_terms_never_rise(term_u0):
         assert not _scan_rises(term, u0)
 
 
-def test_all_reference_rows_certify(default_rows, vk_row):
-    assert all(r.monotone_certified for r in default_rows)
-    assert vk_row.monotone_certified
+def test_all_reference_rows_certify(default_rows, vk_row, rebuild):
+    # a replay of each row's certificate: its fit's float call at the row's parameters
+    for row in [*default_rows, vk_row]:
+        assert refusal(rebuild(row)[0].premises) == "", row.label
 
 
 # -- dominance of the emitted envelope ----------------------------------------
 
 
-def test_envelope_dominates_term_sum(default_rows, density_table):
+def test_envelope_dominates_term_sum(default_rows, rebuild):
     rng = np.random.default_rng(101)
     for row in default_rows:
         u0 = row.anchor / R0 if row.regime == "medium" else row.anchor
         u0 = math.sqrt(u0)
         us = u0 * (1.0 + 3.0 * rng.random(200))
-        total = np.logaddexp.reduce([[t.log_eval(u) for u in us.tolist()] for t in row.raw_terms], axis=0)
+        terms = rebuild(row)[0].raw_terms
+        total = np.logaddexp.reduce([[t.log_eval(u) for u in us.tolist()] for t in terms], axis=0)
         if row.regime == "medium":
             log_x = R0 * us * us
         else:
@@ -421,9 +427,9 @@ def test_envelope_dominates_term_sum(default_rows, density_table):
         assert np.all(total <= env + 1e-12)
 
 
-def test_vk_envelope_dominates_term_sum(vk_row, density_table):
+def test_vk_envelope_dominates_term_sum(vk_row, density_table, rebuild):
     rng = np.random.default_rng(103)
-    br = vk_row.bracket
+    br = rebuild(vk_row)[1]
     for log_x in vk_row.anchor * (1.0 + 3.0 * rng.random(50)):
         groups = vk_terms(float(log_x), vk_row.sigma, br, density_table)
         total = groups["s1"] + groups["s2"] + groups["s3"]
@@ -621,20 +627,20 @@ def test_a_medium_lane_fit_builds_at_most_five_terms(density_table, monkeypatch,
 _RAW_TERMS_SHA256 = "3b51fed49ab2d36b7d6874df1622de2137563729a376deee6897ad624e6208b2"
 
 
-def test_rows_store_no_terms_and_rebuild_them_bit_for_bit(default_rows, vk_row, density_table):
+def test_rows_store_no_terms_and_rebuild_them_bit_for_bit(default_rows, vk_row, rebuild):
     names = engine.BoundConstants._fields
     assert "raw_terms" not in names
     for row in [*default_rows, vk_row]:
-        assert row.table is density_table  # shared, not copied
         for name in names:
             value = getattr(row, name)
             assert not (isinstance(value, tuple) and any(isinstance(t, EnvelopeTerm) for t in value)), name
-    assert vk_row.raw_terms == ()
+    assert rebuild(vk_row)[0].raw_terms == ()
     assert len(default_rows) == 15
     digest = hashlib.sha256()
     for row in default_rows:
-        assert row.raw_terms
-        for t in row.raw_terms:
+        terms = rebuild(row)[0].raw_terms
+        assert terms
+        for t in terms:
             fields = ",".join(float(v).hex() for v in (t.coeff_log, t.power, t.decay, t.quad, *(t.poly or ())))
             digest.update(f"{row.label}:{fields};{'poly' if t.poly else ''}\n".encode())
     assert digest.hexdigest() == _RAW_TERMS_SHA256
@@ -646,14 +652,21 @@ def test_row_repr_leaves_out_the_density_table(default_rows):
     assert text.endswith(f", log_A_unrounded={default_rows[0].log_A_unrounded!r})") and "DensityRow" not in text
 
 
-def test_a_rows_bracket_is_rebuilt_from_its_anchor(default_rows, vk_row):
-    # rows store no bracket; a read rebuilds the one the fit used, nu2 for large and nu3 for VK
-    assert "bracket" not in engine.BoundConstants._fields
+def test_a_row_is_plain_certified_data(default_rows, vk_row, monkeypatch):
+    # a row holds its 14 constants and nothing it was built from: reading it runs no fit and
+    # builds no bracket, and its pickle carries no density table
+    names = engine.BoundConstants._fields
+    assert len(names) == 14 and not {"table", "monotone_certified", "A_unrounded", "bracket"} & set(names)
+    calls = _count_calls(monkeypatch)
+    properties = [n for n, v in vars(engine.BoundConstants).items() if isinstance(v, property)]
     for row in [*default_rows, vk_row]:
-        if row.regime == "medium":
-            assert row.bracket is None
-        else:
-            assert row.bracket == (bracket_nu2 if row.regime == "large" else bracket_nu3)(row.anchor)
+        for name in [*names, *properties]:
+            getattr(row, name)
+        row.as_dict()
+        assert repr(row) == f"BoundConstants({', '.join(f'{k}={v!r}' for k, v in zip(names, row))})"
+        assert b"DensityRow" not in pickle.dumps(row)
+        assert row.A_unrounded == math.exp(row.log_A_unrounded)  # what _emit rounds up, bit for bit
+    assert calls["fit"] == calls["bracket"] == 0
     assert {row.regime for row in [*default_rows, vk_row]} == {"medium", "large", "vk"}
 
 
@@ -926,7 +939,7 @@ def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density
 @pytest.mark.parametrize("regime, log_x0, max_calls", [
     ("medium", 6000.0, 30), ("large", 1e6, 25), ("vk", 3e10, 25),
 ])
-def test_optimize_work_count(density_table, monkeypatch, regime, log_x0, max_calls):
+def test_optimize_work_count(density_table, rebuild, monkeypatch, regime, log_x0, max_calls):
     # a speed guard that holds on any host: one lockstep over every (K, cell)
     # binds its lanes twice, makes one probe call per ternary step on the first
     # binding and one ranking call on the second, and each emission attempt
@@ -952,7 +965,7 @@ def test_optimize_work_count(density_table, monkeypatch, regime, log_x0, max_cal
     attempts = calls["fit"] - 1  # the search's one binding, then one per emission attempt
     assert attempts >= 1 and calls["at"] == attempts and len(calls["lanes"]) + calls["at"] <= max_calls
     assert calls["bracket"] == (0 if regime == "medium" else calls["fit"])
-    assert row.monotone_certified
+    assert refusal(rebuild(row)[0].premises) == ""
 
 
 @pytest.mark.parametrize("log_x0", [500.0, 1500.0, 2487.9])

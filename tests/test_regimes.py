@@ -12,6 +12,7 @@ from pntbounds.regimes import (
     log_envelope,
     verify_unimodal,
     vk_decay_arg,
+    vk_decay_arg_prime,
     vk_decay_arg_prime_fall_margin,
 )
 from pntbounds.zdensity import LOG_RIEMANN_HEIGHT
@@ -177,6 +178,20 @@ def test_abs_envelope_refuses_non_finite_constants(slot, value):
     abc[slot] = value
     with pytest.raises(ValueError, match="abs_envelope needs a finite A > 0"):
         abs_envelope("sqrt_log", *abc)
+
+
+@pytest.mark.parametrize("log_x", [*NON_FINITE, 1.0, 0.5, 0.0, -1.0])
+@pytest.mark.parametrize("fn", [vk_decay_arg, vk_decay_arg_prime])
+def test_vk_decay_args_refuse_log_x_outside_their_domain(fn, log_x):
+    # log x = 0.5 once gave the complex 0.574-0.417j and log x = 1 a ZeroDivisionError
+    with pytest.raises(ValueError, match="requires 1 < log x < inf"):
+        fn(log_x)
+
+
+def test_vk_abs_envelope_refuses_x_below_e():
+    # at x = 2 the envelope once raised TypeError on r's complex value
+    with pytest.raises(ValueError, match="requires 1 < log x < inf"):
+        abs_envelope("vk_r", 1.0, 1.0, 1.0)(2.0)
 
 
 @pytest.mark.parametrize("call", [

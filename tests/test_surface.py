@@ -103,14 +103,14 @@ RECORDS = {
     "CoverageReport": lambda ctx: ctx["coverage"],
     "ThetaConstants": lambda ctx: pntbounds.theta_constants(ctx["row"]),
     "PiConstants": lambda ctx: pntbounds.pi_constants_classical(),
-    "Premise": lambda ctx: pntbounds.certify_monotone(ctx["row"].raw_terms, 10.0)[0],
+    "Premise": lambda ctx: pntbounds.certify_monotone(ctx["rebuild"](ctx["row"])[0].raw_terms, 10.0)[0],
 }
 
 
 @pytest.fixture(scope="module")
-def record_ctx(density_table, default_rows, vk_row, sieve_small):
+def record_ctx(density_table, default_rows, vk_row, sieve_small, rebuild):
     return {"table": density_table, "rows": default_rows, "row": default_rows[0], "vk": vk_row,
-            "coverage": pntbounds.piecewise_coverage(default_rows[0], sieve_small)}
+            "rebuild": rebuild, "coverage": pntbounds.piecewise_coverage(default_rows[0], sieve_small)}
 
 
 @pytest.mark.parametrize("name", RECORDS)

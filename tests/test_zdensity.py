@@ -1,5 +1,6 @@
 import bisect
 import math
+import sys
 from importlib import resources
 
 import numpy as np
@@ -145,6 +146,14 @@ def test_recip_sum_at_riemann_height():
 def test_recip_sum_domain():
     with pytest.raises(ValueError):
         recip_sum_bounds(2.0)
+
+
+@pytest.mark.parametrize("log_T", [1.35e154, 1e200, sys.float_info.max])
+def test_recip_sum_refuses_log_t_whose_square_overflows(log_T):
+    # 1e200 once raised OverflowError, which the CLI does not catch
+    recip_sum_bounds(1.34e154)  # the square of log T / 2 pi still fits a float here
+    with pytest.raises(ValueError, match=r"and log T < 1\.34078e\+154"):
+        recip_sum_bounds(log_T)
 
 
 @pytest.mark.parametrize("log_T", [math.nan, math.inf, -math.inf])
