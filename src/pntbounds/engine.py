@@ -219,12 +219,11 @@ class BoundConstants(NamedTuple):
 
     def log_rel_envelope(self, log_x: float, rounded: bool = True) -> float:
         """ln of the relative envelope A (log x)^B e^{-C u(x)}."""
-        if rounded:
-            la, b, c = math.log(self.A), self.B, self.C
-        else:
-            la, b, c = self.log_A_unrounded, self.B_unrounded, self.C_unrounded
         # ``u_kind`` without the property call: sieve checks run this once per jump point
-        return log_envelope(REGIMES[self.regime].kind, la, b, c, log_x)
+        if rounded:
+            return log_envelope(REGIMES[self.regime].kind, math.log(self.A), self.B, self.C, log_x)
+        return log_envelope(REGIMES[self.regime].kind, self.log_A_unrounded, self.B_unrounded,
+                            self.C_unrounded, log_x)
 
     def as_dict(self) -> dict:
         m, e = self.eps0.log10_parts()

@@ -1,16 +1,16 @@
 """Exact prime-counting functions, the logarithmic integral, and the
 sieve-based verification of envelope claims on small ranges.
 
-Everything here is finite and exact (up to double rounding in sums of
-logs): psi, theta and pi are step functions read from a sieve and a
-short table of the prime powers p^m (m >= 2), by binary search.  Envelope
-claims on [lo, hi] are checked at every jump point together with its
-left-sided limit.  Between jumps the distance to the main term is
-piecewise monotone, so these points carry the worst margin if the
-envelope's slope also beats the main term's on each gap (bound' >= 1 for
-psi and theta, bound' >= li' for pi).  That condition is not proved yet
-(ROADMAP, "Prove the sieve ranges by monotone blocks"), so a pass is a
-check at these points, not a proof over the whole range.
+Everything here is finite and exact (up to double rounding in sums of logs):
+psi, theta and pi are step functions read from a sieve and a short table of
+the prime powers p^m (m >= 2), at a point by binary search and over a range
+by position.  Envelope claims on [lo, hi] are checked at every jump point
+together with its left-sided limit.  Between jumps the distance to the main
+term is piecewise monotone, so these points carry the worst margin if the
+envelope's slope also beats the main term's on each gap (bound' >= 1 for psi
+and theta, bound' >= li' for pi).  That condition is not proved yet (ROADMAP,
+"Prove the sieve ranges by monotone blocks"), so a pass is a check at these
+points, not a proof over the whole range.
 """
 
 from __future__ import annotations
@@ -76,20 +76,30 @@ class PrimeTable:
         self._check_range(x)
         return float(self._values("psi", x))
 
-    def jumps(self, quantity: str, lo: float, hi: float) -> np.ndarray:
-        """The points in [lo, hi] where ``quantity`` jumps, ascending."""
+    def steps(self, quantity: str, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The jumps xs of ``quantity`` in [lo, hi], ascending; f at each; f just below each.
+
+        Read by position: psi counts primes and powers from where each power
+        falls among the primes; just below a jump its own kind counts one less.
+        """
         if quantity not in ("psi", "theta", "pi"):
             raise ValueError(f"unknown quantity {quantity!r}")
         if not (2.0 <= lo < hi <= self.limit):  # NaN fails too
             raise ValueError(f"bad range [{lo}, {hi}] for a sieve up to {self.limit}")
-        first, last = math.ceil(lo), math.floor(hi)
-        xs = self.primes[np.searchsorted(self.primes, first):
-                         np.searchsorted(self.primes, last, side="right")].astype(np.float64)
-        if quantity != "psi":
-            return xs
-        pw = self._powers[np.searchsorted(self._powers, first):
-                          np.searchsorted(self._powers, last, side="right")]
-        return np.insert(xs, np.searchsorted(xs, pw), pw)  # merge: no power is a prime
+        first, last = math.ceil(lo), math.floor(hi) + 1  # the integers in [first, last)
+        a, b = np.searchsorted(self.primes, [first, last]).tolist()
+        xs = self.primes[a:b].astype(np.float64)
+        if quantity == "pi":
+            return xs, np.arange(a + 1, b + 1, dtype=np.float64), np.arange(a, b, dtype=np.float64)
+        if quantity == "theta":
+            return xs, self._cum_log[a + 1:b + 1], self._cum_log[a:b]
+        c, d = np.searchsorted(self._powers, [first, last]).tolist()
+        both = np.concatenate([xs, self._powers[c:d]])
+        order = both.argsort(kind="stable")  # merges the powers among the primes; no power is a prime
+        is_pw = (order >= b - a).astype(np.int64)
+        n_p, n_pw = a + np.cumsum(1 - is_pw), c + np.cumsum(is_pw)  # primes and powers <= each jump
+        return (both[order], self._cum_log[n_p] + self._power_cum[n_pw],
+                self._cum_log[n_p - 1 + is_pw] + self._power_cum[n_pw - is_pw])
 
 
 def build_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeTable:
@@ -126,10 +136,11 @@ def li(x):
 
     An array runs the same loop elementwise, with ln x and ln ln x from
     ``math.log``, so each element equals its float call bit for bit.  The
-    loop ends once every point passes the stop test (n > ln x and |step| <
-    1e-17 |sum|).  A point that passed earlier keeps its sum: past n > ln x
-    each step scales |term| by ln x / (2n + 2) < 1/2 and the inner sum by at
-    most 3/2, so every later step is below 1e-17 |sum|, under half the
+    stop test (n > ln x and |step| < 1e-17 |sum|) runs on every 4th term and
+    ends the loop once every point passes.  A point that passed earlier, or
+    would have passed on a term not tested, keeps its sum: past n > ln x
+    each step scales |term| by ln x / (2n + 2) < 1/2 and the inner sum by
+    at most 3/2, so every later step is below 1e-17 |sum|, under half the
     spacing of doubles there (>= 2^-54 |sum|), and rounds away.
     """
     is_array = isinstance(x, np.ndarray)
@@ -153,7 +164,7 @@ def li(x):
             inner += 1.0 / n
         step = term * inner
         total += step
-        if n > lx_max and settled(abs(step) < 1e-17 * abs(total)):
+        if n % 4 == 0 and n > lx_max and settled(abs(step) < 1e-17 * abs(total)):
             return _EULER_GAMMA + lnlx + root * total
 
 
@@ -167,8 +178,8 @@ def integral_I1(table: PrimeTable) -> float:
     """
     if table.limit < 599:
         raise ValueError("sieve must cover [2, 599]")
-    pts = [2.0, *table.jumps("theta", 3.0, 599.0).tolist(), 599.0]
-    cs = table._values("theta", np.array(pts[:-1])).tolist()  # theta is c on [a, b)
+    xs, theta, _ = table.steps("theta", 2.0, 599.0)
+    pts, cs = [*xs.tolist(), 599.0], theta.tolist()  # theta is c on [a, b), its value at the jump a
     ts = [(a, c, b) if a < c < b else (a, b) for a, b, c in zip(pts[:-1], pts[1:], cs)]
     li_t = iter(li(np.array([t for gap in ts for t in gap])).tolist())
     total = 0.0
@@ -207,18 +218,17 @@ def verify_pointwise(
     bound - |f - main| has no interior minimum there if, in addition,
     bound' >= 1 (psi, theta) or bound' >= li' (pi) on the gap; that is not
     proved yet (ROADMAP, "Prove the sieve ranges by monotone blocks").
-    ``bound`` is called once per distinct point, li once on all of them, and
-    the rest is one numpy pass over the points.  A NaN margin fails the
-    check and counts as the worst.
+    ``bound`` is called once per distinct point, li once on all of them, f
+    at each jump and below it is read by position (``PrimeTable.steps``),
+    and the rest is one numpy pass.  A NaN margin fails and is the worst.
     """
-    xs = table.jumps(quantity, lo, hi)
+    xs, f_at, f_below = table.steps(quantity, lo, hi)
     ends = [x for x in (lo, hi) if not (xs.size and x in (xs[0], xs[-1]))]
     at = np.concatenate([xs, ends])  # every distinct x: the jumps, then lo and hi unless they are jumps
     main = at if quantity != "pi" else li(at)
-    env = np.array([bound(x) for x in at.tolist()], dtype=np.float64)
-    dist = np.abs(table._values(quantity, at) - main)
-    # f jumps only at integers, so its left limit at a jump x is f(x - 1)
-    dist[:xs.size] = np.maximum(dist[:xs.size], np.abs(table._values(quantity, xs - 1.0) - main[:xs.size]))
+    env = np.fromiter(map(bound, at.tolist()), np.float64, at.size)
+    dist = np.abs(np.concatenate([f_at, table._values(quantity, np.array(ends))]) - main)
+    dist[:xs.size] = np.maximum(dist[:xs.size], np.abs(f_below - main[:xs.size]))
     margins = env - dist
     i = int(np.argmin(margins))  # the first minimum, or the first NaN
     return VerifyReport(quantity=quantity, lo=lo, hi=hi, passed=bool(np.all(margins >= 0.0)),

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 _ENGINE, _DERIVED, _PRIMES = "src/pntbounds/engine.py", "src/pntbounds/derived.py", "src/pntbounds/primes.py"
 _T_ENGINE, _T_DERIVED = "tests/test_engine.py", "tests/test_derived.py"
 _T_SERVED = f"{_T_DERIVED}::test_served_envelopes_list_each_quantitys_sets_in_order"
+_T_STEPS = "tests/test_primes.py::test_steps_match_brute_force"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant("phi_sup_slope_halved", _ENGINE, "        phi += dq / q\n", "        phi += 0.5 * dq / q\n",
@@ -71,6 +72,16 @@ MUTANTS: tuple[Mutant, ...] = (
            "ends = [x for x in (lo, hi) if not (xs.size and x in (xs[0], xs[-1]))]", "ends = [lo, hi]",
            "verify_pointwise evaluates lo and hi twice when they are jump points",
            ("tests/test_primes.py::test_verify_pointwise_calls_li_once_and_bound_once_per_point",)),
+    Mutant("psi_below_ignores_powers", _PRIMES, "self._power_cum[n_pw - is_pw]", "self._power_cum[n_pw]",
+           "psi just below a jump counts the powers up to and including the jump, so a power's own step is lost",
+           (_T_STEPS,)),
+    Mutant("theta_below_read_at_jump", _PRIMES, "self._cum_log[a:b]", "self._cum_log[a + 1:b + 1]",
+           "theta just below a jump is read at the jump",
+           (_T_STEPS, "tests/test_primes.py::test_verify_pointwise_matches_pointwise_reference")),
+    Mutant("li_stops_once_n_passes_ln_x", _PRIMES,
+           "n > lx_max and settled(abs(step) < 1e-17 * abs(total))", "n > lx_max",
+           "li returns at the first tested term past ln x, before its steps fall below double precision",
+           ("tests/test_primes.py::test_li_stop_rule_every_fourth_term_gives_the_same_sum",)),
     Mutant("regime_compare_tolerance", _ENGINE, "tol=1e-9 * 60.0", "tol=1e-10 * 60.0",
            "regime_compare bisects its lower crossing 10x tighter, moving api.json's last bits",
            ("tests/test_golden.py::test_benchmark_capture_rewrites_every_reference_file",)),

@@ -120,6 +120,25 @@ def test_li_against_mpmath_on_log_grid():
         assert abs(li(float(x)) - ref) <= 1e-12 * abs(ref)
 
 
+# li at the points below, as computed by the series tested at every term for the stop rule
+_LI_HEX = {
+    2.0: "0x1.0b8fda7e91807p+0", 2.5: "0x1.aad3d2c5bc1fap+0", 3.0: "0x1.14f078980c0e6p+1",
+    math.e: "0x1.e52670f350d0ap+0", 10.0: "0x1.8a992eaa52e54p+2", 59.0: "0x1.4b87df1ad12edp+4",
+    100.0: "0x1.e204ad09a49a4p+4", 599.0: "0x1.d5f5ed8e820e5p+6", 2657.0: "0x1.8f98c8fee0694p+8",
+    1e4: "0x1.3788c82532177p+10", 12345.678: "0x1.76762ab9b5b23p+10", 1e5: "0x1.2cee78d58afd1p+13",
+    2.0**20: "0x1.40d987147e54cp+16", 1e6: "0x1.33238c95b6ea5p+16", 7777777.7: "0x1.00d6d524a49cap+19",
+    1e7: "0x1.44aaccf6286abp+19", 3e7: "0x1.c5aa518e622acp+20", 1e8: "0x1.5fb2858075727p+22",
+    5e8: "0x1.922c60261bcfep+24", 1e9: "0x1.83f2e97a7f095p+25",
+}
+
+
+def test_li_stop_rule_every_fourth_term_gives_the_same_sum():
+    # once every point passes the stop rule, later steps round away, so testing it
+    # only on every 4th term returns the sum bit for bit
+    assert {x: li(x).hex() for x in _LI_HEX} == _LI_HEX
+    assert [v.hex() for v in li(np.array(list(_LI_HEX))).tolist()] == list(_LI_HEX.values())
+
+
 def test_li_over_an_array_equals_its_float_calls(sieve_small):
     # with numpy's log for ln x (at 4.663, 5.423, 10.024) or ln ln x (at 6.969, 13.604,
     # 19.618) li's last bit differs (numpy 2.4, x86-64), so the array path uses math.log
@@ -232,11 +251,11 @@ def test_verify_pointwise_calls_li_once_and_bound_once_per_point(sieve_small, mo
     bound_calls.clear()
     verify_pointwise(sieve_small, bound, "psi", 2.0, 59.0)
     # once at each jump, lo = 2 and hi = 59 among them, never again at a left limit
-    assert li_calls == [] and bound_calls == sieve_small.jumps("psi", 2.0, 59.0).tolist()
+    assert li_calls == [] and bound_calls == sieve_small.steps("psi", 2.0, 59.0)[0].tolist()
     bound_calls.clear()
     rep = verify_pointwise(sieve_small, bound, "psi", 2.5, 60.5)
     # endpoints that are not jumps are checked after the jumps
-    jumps = sieve_small.jumps("psi", 2.5, 60.5).tolist()
+    jumps = sieve_small.steps("psi", 2.5, 60.5)[0].tolist()
     assert bound_calls == [*jumps, 2.5, 60.5] and rep.n_points == 2 * len(jumps) + 2
 
 
@@ -281,28 +300,39 @@ def test_psi_theta_pi_match_brute_force_everywhere(sieve5000):
             assert sieve5000.psi(x) == pytest.approx(psi_n, rel=1e-13, abs=1e-13)
 
 
-@pytest.mark.parametrize("lo, hi", [(8, 32), (9, 9.5), (7.5, 50.3), (2, 5000), (4096, 4096.5)])
+# prime powers 8, 9 and 4096 among the ends, and starts that are not jumps
+_RANGES = [(8, 32), (9, 9.5), (7.5, 50.3), (2, 5000), (4096, 4096.5)]
+
+
+@pytest.mark.parametrize("lo, hi", _RANGES)
 def test_jumps_match_brute_force(sieve5000, lo, hi):
     steps = [s for s in _brute_steps(5000) if lo <= s[0] <= hi]
     want = {
-        "psi": [(n, j) for n, _, _, _, j, _ in steps if j],
-        "theta": [(n, j) for n, _, _, _, j, prime in steps if prime],
-        "pi": [(n, 1.0) for n, _, _, _, _, prime in steps if prime],
+        "psi": [n for n, _, _, _, jump, _ in steps if jump],
+        "theta": [n for n, _, _, _, _, prime in steps if prime],
+        "pi": [n for n, _, _, _, _, prime in steps if prime],
     }
-    for quantity, pairs in want.items():
-        xs = sieve5000.jumps(quantity, lo, hi)
-        assert xs.tolist() == [float(n) for n, _ in pairs]
-        # the jump at x is f(x) - f(x - 1), since f is constant on [x - 1, x); both
-        # values are sums near 5000, where doubles lie 9.1e-13 apart
-        sizes = sieve5000._values(quantity, xs) - sieve5000._values(quantity, xs - 1.0)
-        assert sizes == pytest.approx([j for _, j in pairs], rel=0, abs=2e-12)
-    assert sieve5000.jumps("psi", 8, 32).tolist() == [8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
-                                                      29, 31, 32]
-    assert sieve5000.jumps("psi", 9, 9.5).tolist() == [9.0]
+    for quantity, ns in want.items():
+        assert sieve5000.steps(quantity, lo, hi)[0].tolist() == ns
+    assert sieve5000.steps("psi", 8, 32)[0].tolist() == [8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                                                         29, 31, 32]
+    assert sieve5000.steps("psi", 9, 9.5)[0].tolist() == [9.0]
+
+
+@pytest.mark.parametrize("lo, hi", _RANGES)
+def test_steps_match_brute_force(sieve5000, lo, hi):
+    # f is constant on [n - 1, n), so just below a jump n it is f(n - 1); the
+    # values are sums near 5000, where doubles lie 9.1e-13 apart
+    f = {n: (pi_n, theta_n, psi_n) for n, pi_n, theta_n, psi_n, _, _ in _brute_steps(5000)}
+    f[1] = (0, 0.0, 0.0)
+    for i, quantity in enumerate(("pi", "theta", "psi")):
+        xs, f_at, f_below = sieve5000.steps(quantity, lo, hi)
+        assert f_at == pytest.approx([f[n][i] for n in xs.tolist()], rel=0, abs=2e-12)
+        assert f_below == pytest.approx([f[n - 1][i] for n in xs.tolist()], rel=0, abs=2e-12)
 
 
 def test_psi_independent_of_sieve_size(sieve_small, sieve10m):
-    xs = sieve_small.jumps("psi", 2.0, 100_000.0)
+    xs = sieve_small.steps("psi", 2.0, 100_000.0)[0]
     for x in np.concatenate([xs, xs - 0.5, [100_000.0]]).tolist():
         if x >= 2.0:
             assert sieve10m.psi(x) == sieve_small.psi(x)
@@ -311,14 +341,14 @@ def test_psi_independent_of_sieve_size(sieve_small, sieve10m):
 def _reference_report(quantity, bound, hi, lo=2.0):
     """verify_pointwise by one Python pass over brute-force steps, in its order."""
     pts, values = [], {}
-    for n, _, theta_n, psi_n, jump, prime in _brute_steps(int(hi)):
-        after = values[n] = psi_n if quantity == "psi" else theta_n
+    for n, pi_n, theta_n, psi_n, jump, prime in _brute_steps(int(hi)):
+        after = values[n] = {"pi": pi_n, "theta": theta_n, "psi": psi_n}[quantity]
         if n >= lo and jump and (prime or quantity == "psi"):
-            pts += [(float(n), after), (float(n), after - jump)]
+            pts += [(float(n), after), (float(n), after - (1 if quantity == "pi" else jump))]
     pts += [(lo, values[math.floor(lo)]), (hi, values[math.floor(hi)])]
     worst, worst_x, passed = math.inf, None, True
     for x, f in pts:
-        m = bound(x) - abs(f - x)
+        m = bound(x) - abs(f - (li(x) if quantity == "pi" else x))  # li per point, as a float call
         if not m >= 0.0:
             passed = False
         if m < worst or (math.isnan(m) and not math.isnan(worst)):
@@ -326,10 +356,10 @@ def _reference_report(quantity, bound, hi, lo=2.0):
     return len(pts), passed, worst_x, worst
 
 
-@pytest.mark.parametrize("quantity, hi", [("psi", 2900.0), ("theta", 45_000.0)])
+@pytest.mark.parametrize("quantity, hi", [("psi", 2900.0), ("theta", 45_000.0), ("pi", 45_000.0)])
 @pytest.mark.parametrize("scale, shift", [(0.3, 0.0), (0.4, 3.0), (0.25, 5.0)])
 def test_verify_pointwise_matches_pointwise_reference(sieve10m, quantity, hi, scale, shift):
-    # bounds that fail, pass, and pass psi but fail theta at x = 1423
+    # bounds that fail, pass, and pass psi but fail theta at x = 1423; pi's main term is li(x)
     def bound(x):
         return scale * math.sqrt(x) * math.log(x) + shift
 
@@ -339,7 +369,7 @@ def test_verify_pointwise_matches_pointwise_reference(sieve10m, quantity, hi, sc
     assert rep.worst_margin == pytest.approx(worst, rel=1e-9)
 
 
-@pytest.mark.parametrize("quantity", ["psi", "theta"])
+@pytest.mark.parametrize("quantity", ["psi", "theta", "pi"])
 @pytest.mark.parametrize("lo", [7.5, 8.0, 9.0])
 @pytest.mark.parametrize("scale, shift", [(0.3, 0.0), (0.4, 3.0)])
 def test_verify_pointwise_matches_reference_from_any_start(sieve10m, quantity, lo, scale, shift):
