@@ -17,10 +17,8 @@ from pntbounds import (
     li,
     load_table,
     piecewise_coverage,
-    verify_pointwise,
 )
-from pntbounds.cli import SIEVE_CHECKED_HI
-from pntbounds.regimes import abs_envelope
+from pntbounds.engine import SIEVE_CHECKED_HI
 
 
 def main() -> None:
@@ -36,22 +34,10 @@ def main() -> None:
     print(f"  li(2) = {li(2.0):.8f}   li(10^6) = {li(1e6):.4f}")
 
     print("\n== pointwise envelope checks ==")
-
-    psi_bound = abs_envelope(first.u_kind, first.A, first.B, first.C)
-    rep = verify_pointwise(pt, psi_bound, "psi", 2.0, 59.0)
-    print(f"  psi on [2, 59]:    {'pass' if rep.passed else 'FAIL'} "
-          f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
-
-    theta_bound = abs_envelope(first.u_kind, derived.theta_constants(first).A1, first.B, first.C)
-    rep = verify_pointwise(pt, theta_bound, "theta", 2.0, 599.0)
-    print(f"  theta on [2, 599]: {'pass' if rep.passed else 'FAIL'} "
-          f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
-
-    pi_c = derived.pi_constants_classical()
-    pi_bound = abs_envelope(pi_c.u_kind, pi_c.A2, pi_c.B - 1.0, pi_c.C)
-    rep = verify_pointwise(pt, pi_bound, "pi", 2.0, 2657.0)
-    print(f"  pi on [2, 2657]:   {'pass' if rep.passed else 'FAIL'} "
-          f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
+    for rep in derived.small_range_checks(first, pt):
+        span = f"{rep.quantity} on [{rep.lo:g}, {rep.hi:g}]:"
+        print(f"  {span:<18} {'pass' if rep.passed else 'FAIL'} "
+              f"({rep.n_points} points, worst margin {rep.worst_margin:.3f})")
 
     print("\n== the tail integral over [2, 599], in closed form ==")
     i1 = integral_I1(pt)

@@ -24,11 +24,6 @@ from .zdensity import DensityTable, load_table
 
 ENV_TABLE = "PNT_DENSITY_TABLE"
 
-# `verify-small` sieve-checks each quantity on [2, hi] and sieves no further;
-# `eval` is gated above these ranges, where the analytic bounds take over
-SIEVE_CHECKED_HI = {"psi": 59.0, "theta": 599.0, "pi": 2657.0}
-EVAL_MIN_LOG_X = {q: math.log(hi) for q, hi in SIEVE_CHECKED_HI.items()}
-
 CSV_HEADER = "X,sigma,K,A,B,C,eps0_mantissa,eps0_exp10"
 
 
@@ -104,20 +99,13 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if reason := _table1_unused_flag(args):
         args.usage_error(reason)
     table = _resolve_table(args)
-    params = list(engine.DEFAULT_ROW_PARAMS)
+    params = engine.DEFAULT_ROW_PARAMS
     if args.log_x0 is not None:
-        if args.optimize:
-            rows = [engine.optimize(args.log_x0, args.regime, table, label=f"{args.log_x0:g}")]
-        else:
-            rec = engine.REGIMES[args.regime]
-            sigma, k = rec.default_sigma_K
-            p = engine.RowParams(rec.label.format(args.log_x0), args.log_x0, args.log_x0, args.regime,
-                                 sigma if args.sigma is None else args.sigma,
-                                 k if args.K is None else args.K)
-            rows = [engine.compute_row(p, table)]
-        _emit_rows(rows, args.format)
-        return 0
-    if args.rows:
+        sigma, k = engine.REGIMES[args.regime].default_sigma_K
+        params = [engine.RowParams(f"{args.log_x0:g}", args.log_x0, args.log_x0, args.regime,
+                                   sigma if args.sigma is None else args.sigma,
+                                   k if args.K is None else args.K)]
+    elif args.rows:
         wanted = {w.strip() for w in args.rows.split(",")}
         params = [p for p in params if p.label in wanted]
         if not params:
@@ -127,8 +115,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     for p in params:
         try:
             if args.optimize:
-                rows.append(engine.optimize(p.anchor, p.regime, table,
-                                            claim_X=p.X, label=p.label))
+                rows.append(engine.optimize(p.anchor, p.regime, table, claim_X=p.X, label=p.label))
             else:
                 rows.append(engine.compute_row(p, table))
         except CertificationError as exc:
@@ -180,11 +167,9 @@ def cmd_crossovers(args: argparse.Namespace) -> int:
 def cmd_verify_small(args: argparse.Namespace) -> int:
     from . import primes
     table = _resolve_table(args)
-    pt = primes.build_sieve(int(max(SIEVE_CHECKED_HI.values())))
+    pt = primes.build_sieve(int(max(engine.SIEVE_CHECKED_HI.values())))
     first = engine.compute_row(engine.DEFAULT_ROW_PARAMS[0], table)
-    bounds = {q: regimes.abs_envelope(*derived.served_envelopes(q, [first])[0][1:]) for q in SIEVE_CHECKED_HI}
-    checks = [primes.verify_pointwise(pt, bounds[q], q, 2.0, hi)
-              for q, hi in SIEVE_CHECKED_HI.items()]
+    checks = derived.small_range_checks(first, pt)
     coverage = engine.piecewise_coverage(first, pt)
     for rep in checks:
         print(f"{rep.quantity:>6} on [{rep.lo:g}, {rep.hi:g}]: {'pass' if rep.passed else 'FAIL'} "
@@ -197,9 +182,9 @@ def cmd_verify_small(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     table = _resolve_table(args)
     q = args.quantity
-    if args.log_x < EVAL_MIN_LOG_X[q]:
+    if args.log_x < (min_log_x := math.log(engine.SIEVE_CHECKED_HI[q])):
         print(f"error: log x = {args.log_x:g} is below the analytically verified "
-              f"range for {q} (log x >= {EVAL_MIN_LOG_X[q]:.4f}); "
+              f"range for {q} (log x >= {min_log_x:.4f}); "
               "use `pntbounds verify-small` for the sieve-checked range",
               file=sys.stderr)
         return 2

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .engine import _COVERAGE_TOL, REGIMES, BoundConstants, CertificationError, Premise, _round_up, refusal
-from .regimes import DecayKind, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime_fall_margin
+from .engine import (_COVERAGE_TOL, REGIMES, SIEVE_CHECKED_HI, BoundConstants, CertificationError, Premise,
+                     _round_up, refusal)
+from .regimes import DecayKind, abs_envelope, decay_arg_prime, log_envelope, vk_decay_arg
+from .regimes import vk_decay_arg_prime_fall_margin
 
 __all__ = [
     "GAP_A1",
@@ -28,6 +30,7 @@ __all__ = [
     "pi_constants_vk",
     "PiConstants",
     "served_envelopes",
+    "small_range_checks",
 ]
 
 GAP_A1 = 1.0 + 1.93378e-8    # psi - theta < GAP_A1 sqrt(x) + GAP_A2 x^(1/3)
@@ -161,3 +164,12 @@ def served_envelopes(quantity: str, rows: Sequence[BoundConstants]) -> list[tupl
         return [(name, p.u_kind, p.A2, p.B - 1.0, p.C)
                 for name, p in (("classical", pi_constants_classical()), ("vk", pi_constants_vk()))]
     raise ValueError(f"unknown quantity {quantity!r}, expected 'psi', 'theta' or 'pi'")
+
+
+def small_range_checks(row: BoundConstants, prime_table) -> list:
+    """One ``primes.VerifyReport`` per quantity, psi then theta then pi: the sieve check on
+    [2, ``SIEVE_CHECKED_HI[q]``] of the first envelope ``served_envelopes`` lists for it over ``row``
+    (psi's and theta's from ``row``, pi's classical set).  ``prime_table`` must reach the largest range."""
+    from . import primes  # a local import keeps numpy off the CLI's start-up path
+    return [primes.verify_pointwise(prime_table, abs_envelope(*served_envelopes(q, [row])[0][1:]), q, 2.0, hi)
+            for q, hi in SIEVE_CHECKED_HI.items()]

@@ -46,6 +46,7 @@ __all__ = [
     "RegimeCrossings",
     "REGIMES",
     "piecewise_coverage",
+    "SIEVE_CHECKED_HI",
     "CoverageSegment",
     "CoverageReport",
     "RowParams",
@@ -63,8 +64,7 @@ _MAX_LOG_A = math.log(sys.float_info.max / 1e3)  # A and A * 10^3 stay finite fl
 # zeros below the verified height H sit on the critical line; their reciprocal
 # sum enters s1 as twice the upper bound at H, and the below-sigma tail as
 # twice (upper(T) - lower(H))
-_RECIP_LO, _RECIP_HI = recip_sum_bounds(LOG_RIEMANN_HEIGHT)
-_CH, _RECIP2 = 2.0 * _RECIP_HI, 2.0 * (_RECIP_HI - _RECIP_LO)
+_CH, _RECIP2 = (lambda lo, hi: (2.0 * hi, 2.0 * (hi - lo)))(*recip_sum_bounds(LOG_RIEMANN_HEIGHT))
 
 
 class CertificationError(PntBoundsError):
@@ -337,6 +337,7 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
     Checks the request and sigma, builds the regime's envelope from its fit,
     refuses it unless its premises hold and A is finite, takes eps0 over log x
     >= the claimed threshold, and rounds toward validity (A and B up, C down).
+    A row without a ``label`` is labelled by its anchor.
     """
     rec = _check_request(regime, log_x0, claim_X, K)
     if not (0.98 <= sigma < 1.0):
@@ -350,7 +351,7 @@ def _emit(regime: Literal["medium", "large", "vk"], log_x0: float, sigma: float,
     x_claim = log_x0 if claim_X is None else claim_X
     eps0, max_at = epsilon0_at(f.log_a, f.B, f.C, max(x_claim, math.log(2.0)), rec.kind)
     return BoundConstants(
-        label=label or rec.label.format(log_x0), regime=regime, X=x_claim, anchor=log_x0,
+        label=label or f"{log_x0:g}", regime=regime, X=x_claim, anchor=log_x0,
         sigma=sigma, K=K, A=_round_up(math.exp(f.log_a), rec.a_decimals),
         B_unrounded=f.B, B=_round_up(f.B, 3),
         C_unrounded=f.C, C=_round_down(f.C, 4),
@@ -636,13 +637,12 @@ class Regime(NamedTuple):
     free_claim: bool                      # may claim a threshold other than the anchor (below it, row log2 only)
     a_decimals: int                       # A rounds up to this many decimals; theta adds one unit in the last
     default_sigma_K: tuple[float, int]    # of a ``table1 --log-x0`` row
-    label: str                            # the default row label, formatted with the anchor
 
 
 REGIMES: dict[str, Regime] = {
-    "medium": Regime("sqrt_log", _medium_fit, 2488.0, tuple(range(1, 11)), True, 2, (0.99, 4), "{:g}"),
-    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2, (0.999, 1), "{:g}"),
-    "vk": Regime("vk_r", _vk_fit, MIN_LOG_X0_NU3, (1,), False, 3, (0.9999932, 1), "vk"),
+    "medium": Regime("sqrt_log", _medium_fit, 2488.0, tuple(range(1, 11)), True, 2, (0.99, 4)),
+    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2, (0.999, 1)),
+    "vk": Regime("vk_r", _vk_fit, MIN_LOG_X0_NU3, (1,), False, 3, (0.9999932, 1)),
 }
 
 
@@ -811,6 +811,8 @@ def regime_compare(rows: Sequence[BoundConstants], vk_row: BoundConstants) -> Re
 
 # allowance for float error in the coverage closed forms (see piecewise_coverage)
 _COVERAGE_TOL = 1e-12
+# each quantity is sieve-checked on [2, hi]; the analytic bounds serve it above hi
+SIEVE_CHECKED_HI = {"psi": 59.0, "theta": 599.0, "pi": 2657.0}
 
 
 class CoverageSegment(NamedTuple):
@@ -832,7 +834,8 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
     """Stitching record for the all-x claim of the first constant row.
 
     The claim below the pipeline anchor exp(2488) rests on four segments:
-    a sieve check on [2, 59], the sqrt(x) log^2 x / (8 pi) bound up to
+    a sieve check on [2, 59] (psi's ``SIEVE_CHECKED_HI``, which also opens
+    the next segment), the sqrt(x) log^2 x / (8 pi) bound up to
     exp(58.3), an external computational table up to exp(2000) (assumed,
     not checkable here), and the uniform 1.570e-12 relative bound up to
     exp(2488).  The last segment's margin is negative by a fraction of a
@@ -858,31 +861,32 @@ def piecewise_coverage(row: BoundConstants, prime_table) -> CoverageReport:
     the same point, and the printed margin is bit-identical.  The wording
     is pinned by the benchmark's reference files and the golden tests.
     """
-    from .primes import verify_pointwise  # local import to avoid a cycle
+    from .primes import verify_pointwise  # a local import keeps numpy off the CLI's start-up path
 
     if row.u_kind != "sqrt_log":
         raise ValueError(f"coverage closed forms need a sqrt_log row, got {row.u_kind!r} "
                          f"(row {row.label!r})")
     segs: list[CoverageSegment] = []
 
+    hi = SIEVE_CHECKED_HI["psi"]
     bound = abs_envelope(row.u_kind, row.A, row.B, row.C)
-    rep = verify_pointwise(prime_table, bound, "psi", 2.0, 59.0)
+    rep = verify_pointwise(prime_table, bound, "psi", 2.0, hi)
     segs.append(CoverageSegment(
-        "[2, 59]", "pass" if rep.passed else "fail",
+        f"[2, {hi:g}]", "pass" if rep.passed else "fail",
         f"sieve check at {rep.n_points} jump points, worst margin {rep.worst_margin:.4g}",
         rep.worst_margin))
 
-    lo = math.log(59.0)
+    lo = math.log(hi)
     worst = row.log_rel_envelope(lo) - (2.0 * math.log(lo) - math.log(8.0 * math.pi) - lo / 2.0)
     slope = (row.B - 2.0) / lo - row.C / (2.0 * math.sqrt(lo)) + 0.5
     refused = refusal([Premise("B < 2", 2.0 - row.B, lo, strict=True), Premise("C >= 0", row.C, lo),
-                       Premise("f'(log 59) > 0", slope - _COVERAGE_TOL, lo, strict=True),
-                       Premise("f(log 59) >= 0", worst - _COVERAGE_TOL, lo)])
+                       Premise(f"f'(log {hi:g}) > 0", slope - _COVERAGE_TOL, lo, strict=True),
+                       Premise(f"f(log {hi:g}) >= 0", worst - _COVERAGE_TOL, lo)])
     detail = f"on a 10^4 log grid, worst log-margin {worst:.4g}"
     if refused:
-        detail = f"{refused}, log-margin at 59 {worst:.4g}"
+        detail = f"{refused}, log-margin at {hi:g} {worst:.4g}"
     segs.append(CoverageSegment(
-        "(59, exp(58.336)]", "fail" if refused else "pass",
+        f"({hi:g}, exp(58.336)]", "fail" if refused else "pass",
         f"envelope vs sqrt(x) log^2 x/(8 pi) {detail}", worst))
 
     segs.append(CoverageSegment(

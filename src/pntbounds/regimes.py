@@ -13,6 +13,7 @@ A (log x)^B e^{-C u}, which this module alone defines.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Callable, Literal, NamedTuple, NoReturn
 
 from . import zfr
@@ -197,22 +198,15 @@ def verify_unimodal(bracket: Bracket, log_x: float) -> UnimodalReport:
     kind, nu = {"nu2": ("sqrt_log", zfr.nu2), "nu3": ("vk_r", zfr.nu3)}[bracket.region_kind]
     scale = decay_arg(kind, log_x)
 
-    import numpy as np
     lo, hi = LOG_RIEMANN_HEIGHT, 2.0 * bracket.B1 * scale
-    grid = np.linspace(lo, hi, 1000)
-    g = np.array([-nu(y) * log_x - y for y in grid])
-    signs = np.sign(np.diff(g))
-    nz = signs[signs != 0]
-    runs: list[float] = []
-    for s in nz:
-        if not runs or runs[-1] != s:
-            runs.append(float(s))
-    pattern = "".join("+" if s > 0 else "-" for s in runs)
+    step = (hi - lo) / 999.0  # numpy's linspace: i * step + lo, with the last point hi
+    grid = [i * step + lo for i in range(999)] + [hi]
+    g = [-nu(y) * log_x - y for y in grid]
+    signs = [(b > a) - (b < a) for a, b in zip(g, g[1:])]
+    pattern = "".join("+" if s > 0 else "-" for s, _ in groupby(s for s in signs if s))
 
-    ascending = np.nonzero(signs > 0)[0]
-    rise_idx = int(ascending[0]) if ascending.size else 0
-    rising = g[rise_idx:]
-    turning = float(grid[rise_idx + int(np.argmax(rising))])
+    rise_idx = next((i for i, s in enumerate(signs) if s > 0), 0)
+    turning = grid[max(range(rise_idx, len(g)), key=g.__getitem__)]
     in_bracket = bracket.B0 * scale <= turning <= bracket.B1 * scale
     return UnimodalReport(
         region_kind=bracket.region_kind,
@@ -220,7 +214,7 @@ def verify_unimodal(bracket: Bracket, log_x: float) -> UnimodalReport:
         passed=(pattern in ("+-", "-+-") and in_bracket),
         pattern=pattern,
         turning_log_t=turning,
-        rise_start_log_t=float(grid[rise_idx]),
+        rise_start_log_t=grid[rise_idx],
         bracket_lo=bracket.B0 * scale,
         bracket_hi=bracket.B1 * scale,
     )

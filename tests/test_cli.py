@@ -117,10 +117,21 @@ def test_table1_refuses_flags_it_would_ignore(capsys, argv, reason):
 
 
 def test_table1_optimize_failure_says_why(capsys):
+    # a custom row's refusal names its row, as a table row's does
     rc, out, err = run(capsys, "table1", "--log-x0", "1e300", "--regime", "vk", "--optimize")
     assert (rc, out) == (1, "")
-    assert err == ("error: no certifiable parameter set at log x0 = 1e+300 (best-ranked candidate: "
+    assert err == ("error: row 1e+300: no certifiable parameter set at log x0 = 1e+300 (best-ranked candidate: "
                    "A = e^inf at log x0 = 1e+300 is too large to emit)\n")
+
+
+@pytest.mark.parametrize("regime, log_x0", [("medium", 6000.0), ("large", 1e6), ("vk", 3e10)])
+@pytest.mark.parametrize("optimize", [False, True])
+def test_table1_custom_row_is_labelled_by_its_anchor(capsys, regime, log_x0, optimize):
+    argv = ["table1", "--log-x0", repr(log_x0), "--regime", regime, "--format", "json"]
+    rc, out, _ = run(capsys, *argv, *(["--optimize"] if optimize else []))
+    assert rc == 0
+    (row,) = json.loads(out)
+    assert (row["label"], row["regime"], row["X"]) == (f"{log_x0:g}", regime, log_x0)
 
 
 def test_table1_unknown_row_label(capsys):
@@ -431,6 +442,22 @@ def test_eps0_sci_rounds_the_mantissa_up_exactly(v):
     printed = Fraction(mantissa) * Fraction(10) ** (int(exponent) - exp10)
     assert Fraction(m) <= printed < Fraction(m) + Fraction(1, 100)
     assert printed * 100 == int(printed * 100)
+
+
+def test_sieve_checked_ranges_are_decided_once(capsys, monkeypatch):
+    # psi's range in engine moves verify-small's psi line, coverage's first two spans and eval's gate together
+    from pntbounds import engine
+
+    monkeypatch.setitem(engine.SIEVE_CHECKED_HI, "psi", 53.0)
+    rc, out, _ = run(capsys, "verify-small")
+    assert rc == 0
+    assert "   psi on [2, 53]: pass (" in out
+    assert "segment [2, 53]: PASS - sieve check at " in out
+    assert "segment (53, exp(58.336)]: PASS - " in out
+    between = f"{math.log(56.0):.6f}"  # above log 53, below the unpatched log 59
+    assert run(capsys, "eval", "--log-x", between, "--quantity", "psi")[0] == 0
+    rc, _, err = run(capsys, "eval", "--log-x", "3.9", "--quantity", "psi")
+    assert rc == 2 and f"(log x >= {math.log(53.0):.4f})" in err
 
 
 def test_verify_small_sieves_only_its_ranges(capsys, monkeypatch):

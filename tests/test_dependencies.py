@@ -1,5 +1,6 @@
 """numpy is loaded only by the sieve (`verify-small`), `table1 --optimize` and
-the demos; scipy is a test-only oracle; the CLI's start-up path loads neither
+the demos; neither the package, its demos nor its tests import scipy (the
+benchmark records its version); the CLI's start-up path loads neither
 `dataclasses` nor `inspect`."""
 
 import os

@@ -99,6 +99,33 @@ def test_unimodal_nu3_at_default_anchor():
     assert rep.bracket_lo <= rep.turning_log_t <= rep.bracket_hi
 
 
+def _unimodal_by_numpy(br, log_x):
+    """verify_unimodal's sampling as numpy gives it: (grid, pattern, turning point, rise start)."""
+    nu, scale = {"nu2": (nu2, math.sqrt(log_x)), "nu3": (nu3, vk_decay_arg(log_x))}[br.region_kind]
+    grid = np.linspace(LOG_RIEMANN_HEIGHT, 2.0 * br.B1 * scale, 1000)
+    g = np.array([-nu(y) * log_x - y for y in grid])
+    signs = np.sign(np.diff(g))
+    nz = signs[signs != 0]
+    pattern = "".join("+" if s > 0 else "-" for i, s in enumerate(nz) if i == 0 or s != nz[i - 1])
+    rise = int(np.argmax(signs > 0)) if np.any(signs > 0) else 0
+    return grid.tolist(), pattern, float(grid[rise + int(np.argmax(g[rise:]))]), float(grid[rise])
+
+
+@pytest.mark.parametrize("kind, log_x", [*[("nu2", x) for x in (1e5, 1e6, 1e7, 1e8, 1e9, 1e10)],
+                                         ("nu3", 2.8e10), ("nu3", 1e15), ("nu3", 1e20)])
+def test_unimodal_samples_numpys_linspace(monkeypatch, kind, log_x):
+    # the plain-Python grid is i * step + lo with the last point hi, as np.linspace builds it
+    from pntbounds import zfr
+
+    br = bracket_nu2(log_x) if kind == "nu2" else bracket_nu3()
+    grid, pattern, turning, rise = _unimodal_by_numpy(br, log_x)
+    seen, nu = [], getattr(zfr, kind)
+    monkeypatch.setattr(zfr, kind, lambda y: seen.append(y) or nu(y))
+    rep = verify_unimodal(br, log_x)
+    assert [y.hex() for y in seen] == [y.hex() for y in grid]
+    assert (rep.pattern, rep.turning_log_t, rep.rise_start_log_t) == (pattern, turning, rise)
+
+
 def test_unimodal_rejects_log_x_below_hypothesis():
     br = bracket_nu2(1e6)
     with pytest.raises(ValueError):
