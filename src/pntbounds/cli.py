@@ -3,24 +3,25 @@ region crossovers, small-range verification, and envelope evaluation.
 
 Output is deterministic byte-for-byte for fixed flags and table file.
 Exit codes: 0 all checks certify, 1 verification/computation failure,
-2 usage error.
+2 usage error.  Each subcommand imports the modules it calls, so that a
+process compiles and loads only what it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import derived, engine, regimes, zfr
-from .engine import BoundConstants, CertificationError
-from .extnum import ExtReal
-from .zdensity import DensityTable, load_table
+from . import zfr
+
+if TYPE_CHECKING:
+    from .engine import BoundConstants
+    from .extnum import ExtReal
+    from .zdensity import DensityTable
 
 ENV_TABLE = "PNT_DENSITY_TABLE"
 
@@ -47,6 +48,7 @@ def finite_float(text: str) -> float:
 
 
 def _resolve_table(args: argparse.Namespace) -> DensityTable:
+    from .zdensity import load_table
     path = args.density_table or os.environ.get(ENV_TABLE) or None
     return load_table(path)
 
@@ -61,6 +63,7 @@ def _rows_text(rows: Sequence[BoundConstants]) -> str:
 
 
 def _rows_csv(rows: Sequence[BoundConstants]) -> str:
+    import csv
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(CSV_HEADER.split(","))
@@ -72,6 +75,7 @@ def _rows_csv(rows: Sequence[BoundConstants]) -> str:
 
 
 def _rows_json(rows: Sequence[BoundConstants]) -> str:
+    import json
     return json.dumps([r.as_dict() for r in rows], indent=2) + "\n"
 
 
@@ -81,6 +85,7 @@ def _emit_rows(rows: Sequence[BoundConstants], fmt: str) -> None:
 
 def _table1_unused_flag(args: argparse.Namespace) -> str | None:
     """Why a ``table1`` flag would go unused beside the others, if one would."""
+    from . import engine
     if args.log_x0 is None:
         flag = next((f for f in ("sigma", "K", "regime") if getattr(args, f) is not None), None)
         return flag and f"--{flag} applies only to a --log-x0 row"
@@ -94,6 +99,7 @@ def _table1_unused_flag(args: argparse.Namespace) -> str | None:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
+    from . import engine
     if args.log_x0 is not None and args.regime in (None, "auto"):
         args.regime = "large" if args.log_x0 >= engine.REGIMES["large"].min_log_x0 else "medium"
     if reason := _table1_unused_flag(args):
@@ -101,10 +107,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
     table = _resolve_table(args)
     params = engine.DEFAULT_ROW_PARAMS
     if args.log_x0 is not None:
-        sigma, k = engine.REGIMES[args.regime].default_sigma_K
-        params = [engine.RowParams(f"{args.log_x0:g}", args.log_x0, args.log_x0, args.regime,
-                                   sigma if args.sigma is None else args.sigma,
-                                   k if args.K is None else args.K)]
+        # sigma and K of the regime's table row with the largest anchor at or below the custom one
+        same = [p for p in (*engine.DEFAULT_ROW_PARAMS, engine.VK_DEFAULT_PARAMS) if p.regime == args.regime]
+        base = max((p for p in same if p.anchor <= args.log_x0), key=lambda p: p.anchor, default=same[0])
+        params = [base._replace(label=f"{args.log_x0:g}", X=args.log_x0, anchor=args.log_x0,
+                                sigma=base.sigma if args.sigma is None else args.sigma,
+                                K=base.K if args.K is None else args.K)]
     elif args.rows:
         wanted = {w.strip() for w in args.rows.split(",")}
         params = [p for p in params if p.label in wanted]
@@ -118,7 +126,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
                 rows.append(engine.optimize(p.anchor, p.regime, table, claim_X=p.X, label=p.label))
             else:
                 rows.append(engine.compute_row(p, table))
-        except CertificationError as exc:
+        except engine.CertificationError as exc:
             print(f"error: row {p.label}: {exc}", file=sys.stderr)
             return 1
     _emit_rows(rows, args.format)
@@ -126,6 +134,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 
 def cmd_brackets(args: argparse.Namespace) -> int:
+    from . import regimes
     if args.regime == "nu3":
         x0s = [args.log_x0] if args.log_x0 is not None else [regimes.MIN_LOG_X0_NU3]
         make = regimes.bracket_nu3
@@ -134,6 +143,7 @@ def cmd_brackets(args: argparse.Namespace) -> int:
         make = regimes.bracket_nu2
     rows = [make(x) for x in x0s]
     if args.format == "json":
+        import json
         payload = [{"region": b.region_kind, "log_x0": b.log_x0, "B0": b.B0,
                     "B1": b.B1, "B2": b.B2, "B3": b.B3} for b in rows]
         print(json.dumps(payload, indent=2))
@@ -145,12 +155,14 @@ def cmd_brackets(args: argparse.Namespace) -> int:
 
 
 def cmd_crossovers(args: argparse.Namespace) -> int:
+    from . import engine
     table = _resolve_table(args)
     region = zfr.envelope_crossovers()
     rows = engine.compute_default_rows(table)
     vk = engine.compute_row(engine.VK_DEFAULT_PARAMS, table)
     env = engine.regime_compare(rows, vk)
     if args.format == "json":
+        import json
         payload = {
             "region_crossovers": [{"pair": c.pair, "root_log_t": c.root_log_t} for c in region],
             "envelope_crossings": {"lower_log_x": env.lower_log_x, "upper_log_x": env.upper_log_x},
@@ -165,7 +177,7 @@ def cmd_crossovers(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_small(args: argparse.Namespace) -> int:
-    from . import primes
+    from . import derived, engine, primes
     table = _resolve_table(args)
     pt = primes.build_sieve(int(max(engine.SIEVE_CHECKED_HI.values())))
     first = engine.compute_row(engine.DEFAULT_ROW_PARAMS[0], table)
@@ -180,6 +192,8 @@ def cmd_verify_small(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import derived, engine, regimes
+    from .extnum import ExtReal
     table = _resolve_table(args)
     q = args.quantity
     if args.log_x < (min_log_x := math.log(engine.SIEVE_CHECKED_HI[q])):
@@ -199,6 +213,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.log_x <= 700.0:
         payload["absolute_bound"] = eps0_sci(ExtReal.exp_of(best_val + args.log_x))
     if args.format == "json":
+        import json
         m, e = rel.log10_parts()
         payload["relative_bound"] = {"mantissa": m, "decimal_exponent": e}
         print(json.dumps(payload, indent=2))

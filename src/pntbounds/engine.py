@@ -636,13 +636,12 @@ class Regime(NamedTuple):
     Ks: tuple[int, ...]                   # the K values ``optimize`` searches; one value is the only K
     free_claim: bool                      # may claim a threshold other than the anchor (below it, row log2 only)
     a_decimals: int                       # A rounds up to this many decimals; theta adds one unit in the last
-    default_sigma_K: tuple[float, int]    # of a ``table1 --log-x0`` row
 
 
 REGIMES: dict[str, Regime] = {
-    "medium": Regime("sqrt_log", _medium_fit, 2488.0, tuple(range(1, 11)), True, 2, (0.99, 4)),
-    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2, (0.999, 1)),
-    "vk": Regime("vk_r", _vk_fit, MIN_LOG_X0_NU3, (1,), False, 3, (0.9999932, 1)),
+    "medium": Regime("sqrt_log", _medium_fit, 2488.0, tuple(range(1, 11)), True, 2),
+    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2),
+    "vk": Regime("vk_r", _vk_fit, MIN_LOG_X0_NU3, (1,), False, 3),
 }
 
 

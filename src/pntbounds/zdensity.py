@@ -19,9 +19,10 @@ import bisect
 import csv
 import math
 import sys
-from importlib import resources
-from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 __all__ = [
     "RIEMANN_HEIGHT",
@@ -81,11 +82,12 @@ class DensityTable(NamedTuple):
 
 def load_table(path: str | Path | None = None) -> DensityTable:
     """Load and validate the coefficient table (packaged CSV by default)."""
-    if path is None:
-        ref = resources.files("pntbounds").joinpath("data/zero_density.csv")
-        text = ref.read_text(encoding="utf-8")
+    if path is None:  # only the packaged table needs importlib.resources
+        from importlib import resources
+        text = resources.files("pntbounds").joinpath("data/zero_density.csv").read_text(encoding="utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     reader = csv.reader(text.strip().splitlines())
     header = next(reader, [])
     if header != _HEADER:

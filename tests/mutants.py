@@ -139,6 +139,13 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("recip_sum_square_overflows", "src/pntbounds/zdensity.py", "log_T < _MAX_LOG_T:", "log_T < math.inf:",
            "recip_sum_bounds lets a log T through whose square overflows",
            ("tests/test_zdensity.py::test_recip_sum_refuses_log_t_whose_square_overflows",)),
+    Mutant("custom_large_sigma_fixed", "src/pntbounds/cli.py", "sigma=base.sigma if args.sigma is None",
+           'sigma=(0.999 if args.regime == "large" else base.sigma) if args.sigma is None',
+           "a large --log-x0 row takes the fixed sigma 0.999 again, which does not certify on [1e5, 2.35e5)",
+           ("tests/test_cli.py::test_table1_custom_row_takes_sigma_and_K_from_the_table_row_below_it",)),
+    Mutant("cli_imports_engine_eagerly", "src/pntbounds/cli.py", "from . import zfr\n", "from . import engine, zfr\n",
+           "cli imports engine at its top, so brackets compiles the bounding pipelines it never calls",
+           ("tests/test_dependencies.py::test_each_process_loads_only_the_modules_it_runs",)),
 )
 
 

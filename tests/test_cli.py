@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pntbounds import cli
+from pntbounds.engine import DEFAULT_ROW_PARAMS, VK_DEFAULT_PARAMS
 from pntbounds.extnum import ExtReal
 
 
@@ -132,6 +134,26 @@ def test_table1_custom_row_is_labelled_by_its_anchor(capsys, regime, log_x0, opt
     assert rc == 0
     (row,) = json.loads(out)
     assert (row["label"], row["regime"], row["X"]) == (f"{log_x0:g}", regime, log_x0)
+
+
+# regime -> (domain probed, anchors always probed); seeded log-uniform anchors fill the rest
+CUSTOM_DOMAINS = {"medium": (2488.0, 1e6, (2488.0, 2999.0)), "large": (1e5, 1e12, (1e5, 1.5e5, 2.3e5)),
+                  "vk": (2.8e10, 1e20, (2.8e10,))}
+
+
+@pytest.mark.parametrize("regime", CUSTOM_DOMAINS)
+def test_table1_custom_row_takes_sigma_and_K_from_the_table_row_below_it(capsys, regime):
+    # a fixed large sigma of 0.999 did not certify on [1e5, 2.35e5)
+    lo, hi, fixed = CUSTOM_DOMAINS[regime]
+    rng = random.Random(f"custom-{regime}")
+    anchors = [*fixed, *(math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(12))]
+    same = [p for p in (*DEFAULT_ROW_PARAMS, VK_DEFAULT_PARAMS) if p.regime == regime]
+    for log_x0 in anchors:
+        rc, out, err = run(capsys, "table1", "--log-x0", repr(log_x0), "--regime", regime, "--format", "json")
+        assert (rc, err) == (0, ""), log_x0
+        (row,) = json.loads(out)
+        below = max((p for p in same if p.anchor <= log_x0), key=lambda p: p.anchor)
+        assert (row["sigma"], row["K"]) == (below.sigma, below.K), log_x0
 
 
 def test_table1_unknown_row_label(capsys):

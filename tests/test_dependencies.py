@@ -1,14 +1,27 @@
-"""numpy is loaded only by the sieve (`verify-small`), `table1 --optimize` and
-the demos; neither the package, its demos nor its tests import scipy (the
-benchmark records its version); the CLI's start-up path loads neither
-`dataclasses` nor `inspect`."""
+"""Each process loads only the modules it runs.
 
+`import pntbounds` runs no submodule: every public name is imported from its
+module on first use.  Each CLI subcommand loads the package modules it calls
+and no others (`brackets` no `engine`; only `eval` and `verify-small` load
+`derived`), `json` only for `--format json`, and a `--density-table` run
+neither `pathlib` nor `importlib.resources`; these children run under
+`python -S`, so that no `site` hook hides an import.  numpy is loaded only by
+the sieve (`verify-small`), `table1 --optimize` and the demos; neither the
+package, its demos nor its tests import scipy (the benchmark records its
+version); the CLI's start-up path loads neither `dataclasses` nor `inspect`."""
+
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import pntbounds
+
 ROOT = Path(__file__).resolve().parents[1]
+CSV = str(ROOT / "src" / "pntbounds" / "data" / "zero_density.csv")
 
 # Refuses every scipy import, imports the package, runs each CLI subcommand
 # once and then every demo script named on the command line.
@@ -109,3 +122,104 @@ def test_cli_serves_without_numpy_until_it_needs_arrays(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr[-2000:]
     assert res.stderr == ""
+
+
+# Runs one CLI command, or only `import pntbounds` when given none, and prints
+# its exit code and the package and watched standard-library modules it loaded.
+LOADED_CHILD = r"""
+import sys
+
+if sys.argv[1:]:
+    from pntbounds import cli
+    rc = cli.main(sys.argv[1:])
+else:
+    import pntbounds
+    rc = 0
+watched = ("json", "pathlib", "importlib.resources", "numpy")
+print(rc, *sorted(m for m in sys.modules if m.startswith("pntbounds.") or m in watched), file=sys.stderr)
+"""
+
+
+def loaded(*argv: str, site: bool = False) -> set[str]:
+    """What one fresh process running ``pntbounds ARGV`` loads, package modules by their short name."""
+    flags = [] if site else ["-S"]
+    res = subprocess.run([sys.executable, *flags, "-c", LOADED_CHILD, *argv], cwd=ROOT, env=_child_env(),
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120)
+    rc, *names = res.stderr.splitlines()[-1].split()
+    assert rc == "0", res.stderr[-2000:]
+    return {name.removeprefix("pntbounds.") for name in names}
+
+
+ENGINE = {"cli", "zfr", "regimes", "zdensity", "engine", "extnum"}
+PACKAGED = {"pathlib", "importlib.resources"}  # what reading the packaged table loads
+
+
+@pytest.mark.parametrize("argv, want", [
+    ((), set()),
+    (("brackets",), {"cli", "zfr", "regimes", "zdensity"}),
+    (("brackets", "--regime", "nu3", "--format", "json"), {"cli", "zfr", "regimes", "zdensity", "json"}),
+    (("table1",), ENGINE | PACKAGED),
+    (("table1", "--format", "csv"), ENGINE | PACKAGED),
+    (("table1", "--format", "json"), ENGINE | PACKAGED | {"json"}),
+    (("table1", "--log-x0", "6000", "--regime", "medium"), ENGINE | PACKAGED),
+    (("table1", "--log-x0", "2.8e10", "--regime", "vk", "--format", "json"), ENGINE | PACKAGED | {"json"}),
+    (("crossovers",), ENGINE | PACKAGED),
+    (("crossovers", "--format", "json"), ENGINE | PACKAGED | {"json"}),
+    (("eval", "--log-x", "100", "--quantity", "pi"), ENGINE | PACKAGED | {"derived"}),
+    (("eval", "--log-x", "100", "--quantity", "psi", "--format", "json"), ENGINE | PACKAGED | {"derived", "json"}),
+    (("--density-table", CSV, "table1"), ENGINE),
+    (("--density-table", CSV, "eval", "--log-x", "100", "--quantity", "theta"), ENGINE | {"derived"}),
+])
+def test_each_process_loads_only_the_modules_it_runs(argv, want):
+    assert loaded(*argv) == want
+
+
+def test_verify_small_loads_derived_and_the_sieve():
+    # numpy needs site-packages, whose `site` hooks may load PACKAGED themselves
+    got = loaded("--density-table", CSV, "verify-small", site=True)
+    assert got - PACKAGED == ENGINE | {"derived", "primes", "numpy"}
+
+
+def _defining_module(name: str):
+    """The one submodule whose own ``__all__`` lists ``name``."""
+    homes = [mod for mod in (importlib.import_module(f"pntbounds.{stem}") for stem in
+                             ("extnum", "primes", "regimes", "zdensity", "zfr", "engine", "derived"))
+             if name in getattr(mod, "__all__", ())]
+    assert len(homes) == 1, (name, homes)
+    return homes[0]
+
+
+@pytest.mark.parametrize("name", [n for n in pntbounds.__all__ if n != "__version__"])
+def test_every_public_name_is_its_defining_modules_object(name):
+    assert getattr(pntbounds, name) is getattr(_defining_module(name), name)
+
+
+def test_star_import_binds_every_public_name_and_unknown_names_raise():
+    namespace: dict = {}
+    exec("from pntbounds import *", namespace)
+    assert set(pntbounds.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(pntbounds, name) for name in pntbounds.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pntbounds.no_such_name  # noqa: B018
+    assert not hasattr(pntbounds, "cli_main")
+
+
+DIR_CHILD = r"""
+import sys
+
+import pntbounds
+
+names = dir(pntbounds)
+if names != sorted(names) or not set(pntbounds.__all__) <= set(names) or "__getattr__" not in names:
+    sys.exit(f"dir(pntbounds) lists {names}")
+if any(m.startswith("pntbounds.") for m in sys.modules):
+    sys.exit("dir(pntbounds) loaded a submodule")
+if pntbounds.zfr is not sys.modules["pntbounds.zfr"]:  # a submodule, as an attribute, on first use
+    sys.exit("pntbounds.zfr is not the submodule")
+"""
+
+
+def test_dir_lists_every_public_name_before_any_is_loaded():
+    res = subprocess.run([sys.executable, "-S", "-c", DIR_CHILD], cwd=ROOT, env=_child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]

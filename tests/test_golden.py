@@ -95,7 +95,15 @@ def test_benchmark_capture_rewrites_every_reference_file(tmp_path, monkeypatch):
     check = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check)
     monkeypatch.setattr(sys, "path", list(sys.path))  # capture prepends src/
+    # capture's CLI children get a bare env; without this they, and capture's own imports,
+    # would leave bytecode in src/, which a later benchmark run of this checkout would load
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    run = check.subprocess.run
+    monkeypatch.setattr(check.subprocess, "run",
+                        lambda *a, env, **kw: run(*a, env={**env, "PYTHONDONTWRITEBYTECODE": "1"}, **kw))
+    src_files = sorted((ROOT / "src").rglob("*"))
     check.capture(tmp_path)
+    assert sorted((ROOT / "src").rglob("*")) == src_files
     names = sorted(p.name for p in BENCH_REF_DIR.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
