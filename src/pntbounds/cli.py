@@ -100,11 +100,15 @@ def _table1_unused_flag(args: argparse.Namespace) -> str | None:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     from . import engine
-    if args.log_x0 is not None and args.regime in (None, "auto"):
+    auto = args.log_x0 is not None and args.regime in (None, "auto")
+    if auto:
         args.regime = "large" if args.log_x0 >= engine.REGIMES["large"].min_log_x0 else "medium"
     if reason := _table1_unused_flag(args):
         args.usage_error(reason)
     table = _resolve_table(args)
+    if auto and args.log_x0 >= engine.REGIMES["vk"].min_log_x0 and args.log_x0 >= engine.regime_compare(
+            engine.compute_default_rows(table), engine.compute_row(engine.VK_DEFAULT_PARAMS, table)).upper_log_x:
+        args.regime = "vk"  # from the upper envelope crossing on, where the VK envelope is the smaller
     params = engine.DEFAULT_ROW_PARAMS
     if args.log_x0 is not None:
         # sigma and K of the regime's table row with the largest anchor at or below the custom one
@@ -238,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="recompute the psi-bound constant table")
     p.add_argument("--rows", default=None, help="comma-separated row labels, e.g. 6000,1e5")
     p.add_argument("--optimize", action="store_true", help="re-optimize sigma and K per row")
-    p.add_argument("--regime", choices=["medium", "large", "vk", "auto"], default=None)
+    p.add_argument("--regime", choices=["medium", "large", "vk", "auto"], default=None,
+                   help="auto (the default): medium below log x0 = 1e5, VK from the upper envelope crossing "
+                        "that crossovers reports (computed, not yet proved), large between")
     p.add_argument("--log-x0", dest="log_x0", type=finite_float, default=None,
                    help="compute a single custom row anchored here")
     p.add_argument("--sigma", type=finite_float, default=None,

@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Callable, Literal, NamedTuple, Sequence
 
-from .extnum import EXT_ZERO, ExtReal
+from .extnum import EXT_ZERO, ExtReal, log_add
 from .regimes import (MIN_LOG_X0_NU2, MIN_LOG_X0_NU3, Bracket, DecayKind, abs_envelope, bracket_nu2,
                       bracket_nu3, decay_arg_prime, log_envelope, vk_decay_arg, vk_decay_arg_prime,
                       vk_decay_arg_prime_fall_margin)
@@ -311,7 +311,8 @@ class _Envelope(NamedTuple):
 # ``_Envelope`` at a float sigma and int K (to emit, or rebuild raw terms).  ``at.bind(rows, K)``, for lanes
 # whose density rows (the C1 and C2 indices ``table.rows_at`` picks at each lane's sigma) and K are aligned
 # ndarrays, reads the lanes' (ln 2 C1, ln 2 C2) once and returns ``lanes(sigma)``: the values at an ndarray
-# of the lanes' sigmas, each bit for bit its float call's ``value`` wherever ``rows_at`` picks the bound rows.
+# of the lanes' sigmas, each bit for bit its float call's ``value`` wherever ``rows_at`` picks the bound rows
+# (medium and large only, the fits ``_lockstep`` searches).
 _Fit = Callable[[float, int], "_Envelope"]
 
 
@@ -521,10 +522,10 @@ class _VkAnchor(NamedTuple):
 
 def _vk_anchor(log_x: float, br: Bracket) -> _VkAnchor:
     w = vk_decay_arg(log_x)
-    b2w = br.B2 * w
+    b2w, log_qw = br.B2 * w, 2.0 * math.log(br.B3 * w) - _LOG_2PI  # ln(q2 w^2): w^2 overflows from w ~ 1e154
     return _VkAnchor(log_x, br.B2, w, b2w, math.log(b2w), math.log(_CH) - log_x / 2.0,
                      math.log(RVM_COEF) + RVM_LOG_POW * math.log(log_x) - b2w,
-                     math.log(br.B3**2 * w * w / (2.0 * math.pi) - _CH + _RECIP2))
+                     log_qw + math.log1p((_RECIP2 - _CH) * math.exp(-log_qw)))
 
 
 def _vk_row_logs(a: _VkAnchor, log_2c: tuple) -> tuple:
@@ -533,9 +534,8 @@ def _vk_row_logs(a: _VkAnchor, log_2c: tuple) -> tuple:
     return log_2c1, log_2c2 - a.b2w + 2.0 * a.log_b2w
 
 
-def _vk_logs(a: _VkAnchor, sigma, row_logs: tuple) -> tuple:
-    """ln of the five summands (two in s1, two in s2, s3) at sigma, from ``_vk_row_logs``;
-    lane by lane for an ndarray sigma."""
+def _vk_logs(a: _VkAnchor, sigma: float, row_logs: tuple) -> tuple:
+    """ln of the five summands (two in s1, two in s2, s3) at sigma, from ``_vk_row_logs``."""
     log_2c1, s2b = row_logs
     p = 5.0 - 2.0 * sigma
     s2a = log_2c1 + (a.B2 * (5.0 - 8.0 * sigma) / 3.0) * a.w + p * a.log_b2w
@@ -543,9 +543,10 @@ def _vk_logs(a: _VkAnchor, sigma, row_logs: tuple) -> tuple:
     return a.s1a, s1b, s2a, s2b, a.s3
 
 
-def _vk_groups(logs: Sequence[float]) -> dict[str, ExtReal]:
-    s1a, s1b, s2a, s2b, s3 = (ExtReal.exp_of(v) for v in logs)
-    return {"s1": s1a + s1b, "s2": s2a + s2b, "s3": s3}
+def _vk_value(a: _VkAnchor, sigma: float, row_logs: tuple) -> float:
+    """ln of the five summands' sum, in floats as ``vk_terms``' groups add: (s1a + s1b) + (s2a + s2b), + s3."""
+    s1a, s1b, s2a, s2b, s3 = _vk_logs(a, sigma, row_logs)
+    return log_add(log_add(log_add(s1a, s1b), log_add(s2a, s2b)), s3)
 
 
 def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> dict[str, ExtReal]:
@@ -553,7 +554,8 @@ def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> di
     if not br.log_x0 <= log_x < math.inf:
         raise ValueError(f"vk_terms requires log x >= the bracket's log x0 = {br.log_x0:g}, got {log_x}")
     a = _vk_anchor(log_x, br)
-    return _vk_groups(_vk_logs(a, sigma, _vk_row_logs(a, _log_2c(sigma, table))))
+    s1a, s1b, s2a, s2b, s3 = (ExtReal.exp_of(v) for v in _vk_logs(a, sigma, _vk_row_logs(a, _log_2c(sigma, table))))
+    return {"s1": s1a + s1b, "s2": s2a + s2b, "s3": s3}
 
 
 def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premise]:
@@ -570,45 +572,53 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premi
     ``_emit`` admits sigma in [0.98, 1).  Where q2 w0^2 >= 2|q0| fails, the slope
     premise is not listed, but that failure refuses the row.
     """
-    c, ll0, q0 = br.B2 * (8.0 * sigma - 5.0) / 3.0, math.log(log_x0), -_CH + _RECIP2
+    c, ll0, log_q0 = br.B2 * (8.0 * sigma - 5.0) / 3.0, math.log(log_x0), math.log(abs(_RECIP2 - _CH))
     w0, wp0 = vk_decay_arg(log_x0), vk_decay_arg_prime(log_x0)
-    qw, trunc = br.B3**2 / (2.0 * math.pi) * w0 * w0, (br.B2 - c) * w0 * (3.0 * ll0 - 1.0) / (5.0 * ll0)
+    log_qw, trunc = 2.0 * math.log(br.B3 * w0) - _LOG_2PI, (br.B2 - c) * w0 * (3.0 * ll0 - 1.0) / (5.0 * ll0)
     premises = [Premise("w' nonincreasing", vk_decay_arg_prime_fall_margin(log_x0), log_x0, strict=True),
                 Premise("C < B2", br.B2 - c, log_x0, strict=True),               # density C2 term
-                Premise("q2 w0^2 >= 2|q0|", qw - 2.0 * abs(q0), log_x0)]         # x^(sigma-1) term
+                Premise("q2 w0^2 >= 2|q0|", log_qw - math.log(2.0) - log_q0, log_x0)]  # x^(sigma-1) term
     if premises[-1].holds:  # the x^(sigma-1) slope's slack divides by q2 w0^2 - |q0|
-        slack = 1.0 - sigma - (c * wp0 + 2.0 * wp0 / w0 * (1.0 / (1.0 - abs(q0) / qw)))
+        slack = 1.0 - sigma - (c * wp0 + 2.0 * wp0 / w0 / -math.expm1(log_q0 - log_qw))
         premises.append(Premise("C w' + 2 w'/w0 slack < 1 - sigma", slack, log_x0, strict=True))
     return premises + [Premise("(B2 - C) w0 (3 ll - 1)/(5 ll) >= 0.6", trunc - RVM_LOG_POW, log_x0)]  # truncation
 
 
 def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
     """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in.
-    Lanes bind their rows' (ln 2 C1, s2b) once, so each lane call computes only s1b and s2a."""
+    It has no ``bind``: ``_vk_search`` ranks VK candidates by the same ``_vk_value``."""
     br = bracket_nu3(log_x0)
     anchor = _vk_anchor(log_x0, br)
 
-    def bind(rows, K):
-        import numpy as np
-        row_logs = _vk_row_logs(anchor, _bound_log_2c(table, rows))
-
-        def lanes(sigma):  # the ExtReal sum's association, (s1 + s2) + s3
-            s1a, s1b, s2a, s2b, s3 = _vk_logs(anchor, sigma, row_logs)
-            return np.logaddexp(np.logaddexp(np.logaddexp(s1a, s1b), np.logaddexp(s2a, s2b)), s3)
-        return lanes
-
     def at(sigma: float, K: int) -> _Envelope:
-        logs = _vk_logs(anchor, sigma, _vk_row_logs(anchor, _log_2c(sigma, table)))
-        log_total = sum(_vk_groups(logs).values(), EXT_ZERO).log_value
+        log_total = _vk_value(anchor, sigma, _vk_row_logs(anchor, _log_2c(sigma, table)))
         p = 5.0 - 2.0 * sigma
         c_exact = br.B2 * (8.0 * sigma - 5.0) / 3.0
         # normalize by (B2 w0)^p e^{-C w0}, then fold B2^p (loglog x0)^(-p/5) back in
         log_a = (log_total - p * anchor.log_b2w + c_exact * anchor.w
                  + p * math.log(br.B2) - (p / 5.0) * math.log(math.log(log_x0)))
         return _Envelope(log_total, log_a, 3.0 * p / 5.0, c_exact, _certify_vk_monotone(log_x0, sigma, br))
-
-    at.bind = bind
     return at
+
+
+def _vk_search(log_x0: float, table: DensityTable, rec: "Regime") -> list[tuple[float, float, int]]:
+    """The (value, sigma, K) ``optimize`` ranks: each grid sigma below 1, and each cell's minimizer.
+
+    In cell c (C1 from row c + 1, C2 from row c) only s1b and s2a depend on sigma, as alpha + beta sigma with
+    beta1 = log x0 > 0 and beta2 = -(8 B2 w/3 + 2 ln(B2 w)) < 0 (B2 w > 1 from the VK floor on), so the value
+    ln(K + e^s1b + e^s2a) is strictly convex there and least at sigma* = (ln(-beta2/beta1) + alpha2 - alpha1) /
+    (beta1 - beta2), clamped 1e-9 inside the cell and below 1.  Each value is the float call's, bit for bit."""
+    a = _vk_anchor(log_x0, bracket_nu3(log_x0))
+    logs = [_vk_row_logs(a, (math.log(2.0 * r.C1), math.log(2.0 * r.C2))) for r in table.rows]  # as _log_2c
+    grid = table.sigma_grid
+    alpha1, beta1, beta2 = a.log_q - a.log_x, a.log_x, -(8.0 * a.b2w / 3.0 + 2.0 * a.log_b2w)
+    candidates = [(s, logs[i]) for i, s in enumerate(grid) if s < 1.0]
+    for c, (lo, hi) in enumerate(zip(grid, grid[1:])):
+        row_logs = logs[c + 1][0], logs[c][1]
+        alpha2 = row_logs[0] + 5.0 * a.b2w / 3.0 + 5.0 * a.log_b2w
+        s = (math.log(-beta2 / beta1) + alpha2 - alpha1) / (beta1 - beta2)
+        candidates.append((min(max(s, lo + 1e-9), hi - 1e-9, 1.0 - 1e-9), row_logs))
+    return [(_vk_value(a, s, row_logs), s, rec.Ks[0]) for s, row_logs in candidates]
 
 
 def vk_bound(log_x0: float, sigma: float, table: DensityTable,
@@ -627,21 +637,48 @@ def vk_bound(log_x0: float, sigma: float, table: DensityTable,
 # ---------------------------------------------------------------------------
 
 
+def _lockstep(log_x0: float, table: DensityTable, rec: "Regime") -> list[tuple[float, float, int]]:
+    """The (value, sigma, K) ``optimize`` ranks for a fit with ``at.bind``: per K, the grid's sigmas below 1
+    and each cell's ternary search end, one lockstep running all searches.  Probes lie 1e-9 inside cell c, where
+    ``rows_at`` reads rows (c + 1, c), as the lanes bind; each cell is 0.001 - 2e-9 wide, 1.015e-6 after 17
+    steps, so every search stops on the 18th.  Lanes equal the float calls' ``value`` bit for bit."""
+    import numpy as np
+    cells = np.array(table.sigma_grid)
+    grid = cells[cells < 1.0]
+    ks, at = np.array(rec.Ks), rec.fit(log_x0, table)
+    a = np.tile(cells[:-1] + 1e-9, ks.size)
+    b = np.tile(np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9), ks.size)
+    cell, point = np.tile(np.arange(cells.size - 1), ks.size), np.tile(np.arange(grid.size), ks.size)
+    cell_K, point_K = np.repeat(ks, cells.size - 1), np.repeat(ks, grid.size)
+    probes = at.bind((np.tile(cell + 1, 2), np.tile(cell, 2)), np.tile(cell_K, 2))
+    while np.count_nonzero(b - a > 1e-6):
+        third = (b - a) / 3.0
+        m1, m2 = a + third, b - third
+        v = probes(np.concatenate([m1, m2]))
+        left = v[:a.size] <= v[a.size:]
+        a, b = np.where(left, a, m1), np.where(left, m2, b)
+    Ks = np.concatenate([cell_K, point_K])
+    ranked = at.bind((np.concatenate([cell + 1, point]), np.concatenate([cell, point])), Ks)
+    sigmas = np.concatenate([0.5 * (a + b), np.tile(grid, ks.size)])
+    return list(zip(ranked(sigmas).tolist(), sigmas.tolist(), Ks.tolist()))
+
+
 class Regime(NamedTuple):
     """What a pipeline regime means (its fit, not its public entry, which ``_bound`` calls by name)."""
 
     kind: DecayKind                       # the envelope's decay argument u
-    fit: Callable[..., _Fit]              # (log x0, table) -> at(sigma, K), with ``at.bind`` for lanes
+    fit: Callable[..., _Fit]              # (log x0, table) -> at(sigma, K), with ``at.bind`` for ``_lockstep``
     min_log_x0: float                     # the anchor floor
     Ks: tuple[int, ...]                   # the K values ``optimize`` searches; one value is the only K
     free_claim: bool                      # may claim a threshold other than the anchor (below it, row log2 only)
     a_decimals: int                       # A rounds up to this many decimals; theta adds one unit in the last
+    search: Callable[..., list]           # (log x0, table, record) -> the (value, sigma, K) ``optimize`` ranks
 
 
 REGIMES: dict[str, Regime] = {
-    "medium": Regime("sqrt_log", _medium_fit, 2488.0, tuple(range(1, 11)), True, 2),
-    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2),
-    "vk": Regime("vk_r", _vk_fit, MIN_LOG_X0_NU3, (1,), False, 3),
+    "medium": Regime("sqrt_log", _medium_fit, 2488.0, tuple(range(1, 11)), True, 2, _lockstep),
+    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2, _lockstep),
+    "vk": Regime("vk_r", _vk_fit, MIN_LOG_X0_NU3, (1,), False, 3, _vk_search),
 }
 
 
@@ -730,47 +767,15 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
 
     Candidates rank by the unrounded envelope at the anchor, the value
     ``log_rel_envelope(anchor, rounded=False)`` reports: the ``value`` of
-    the regime's fit, whose float call builds the emitted envelope.  For
-    each K in 1..10 (medium; K = 1 otherwise) the candidates are the
-    density grid's sigmas below 1 and, in each grid cell, the end of a
-    ternary search (the off-grid interpolation rule applies there).  One
-    lockstep runs every search.  The fit is bound to the anchor once
-    (precondition, bracket, u0), then to lanes' density rows twice: every
-    probe and midpoint lies at least 1e-9 inside its cell c, where
-    ``rows_at`` gives C1 from row c + 1 and C2 from row c, and grid point i
-    reads row i for both.  Each step is one call on the first binding, which
-    holds every (K, cell) lane twice, for its two probes; one call on the
-    second, the cell and grid point lanes, ranks every K's candidates.  Each
-    cell is 0.001 - 2e-9 wide (to within the 2e-9 load_table lets grid
-    points move), 1.015e-6 after 17 steps, so every search stops on the
-    18th.  Lanes equal the float calls' ``value`` bit for bit, so the picks
-    are those of searching each (K, cell) on its own.  Ties break
-    deterministically toward smaller sigma, then smaller K.  The first
-    candidate that certifies is emitted; if none does, the error carries
-    the best-ranked candidate's reason.
+    the regime's fit, whose float call builds and certifies the emitted
+    envelope.  The regime's record names its one candidate search: the
+    lockstep (medium, large) or each cell's closed form (VK).  Ties break
+    toward smaller sigma, then smaller K.  The first candidate that
+    certifies is emitted, else the best-ranked candidate's reason is raised.
     """
-    import numpy as np
     rec = _check_request(regime, log_x0, claim_X)
-    cells = np.array(table.sigma_grid)
-    grid = cells[cells < 1.0]
-    ks, at = np.array(rec.Ks), rec.fit(log_x0, table)
-    a = np.tile(cells[:-1] + 1e-9, ks.size)
-    b = np.tile(np.minimum(cells[1:] - 1e-9, 1.0 - 1e-9), ks.size)
-    cell, point = np.tile(np.arange(cells.size - 1), ks.size), np.tile(np.arange(grid.size), ks.size)
-    cell_K, point_K = np.repeat(ks, cells.size - 1), np.repeat(ks, grid.size)
-    probes = at.bind((np.tile(cell + 1, 2), np.tile(cell, 2)), np.tile(cell_K, 2))
-    while np.count_nonzero(b - a > 1e-6):
-        third = (b - a) / 3.0
-        m1, m2 = a + third, b - third
-        v = probes(np.concatenate([m1, m2]))
-        left = v[:a.size] <= v[a.size:]
-        a, b = np.where(left, a, m1), np.where(left, m2, b)
-    Ks = np.concatenate([cell_K, point_K])
-    ranked = at.bind((np.concatenate([cell + 1, point]), np.concatenate([cell, point])), Ks)
-    sigmas = np.concatenate([0.5 * (a + b), np.tile(grid, ks.size)])
-    candidates = sorted(zip(ranked(sigmas).tolist(), sigmas.tolist(), Ks.tolist()))
     best_reason = None
-    for _value, s, K in candidates:
+    for _value, s, K in sorted(rec.search(log_x0, table, rec)):
         try:
             return _bound(regime, log_x0, s, K, table, claim_X, label)
         except CertificationError as exc:

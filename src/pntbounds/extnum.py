@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["ExtReal", "EXT_ZERO"]
+__all__ = ["ExtReal", "EXT_ZERO", "log_add"]
 
 _LN10 = math.log(10.0)
 _LN2 = math.log1p(1.0)  # numpy's logaddexp adds this for equal operands, infinite ones included
 _MANTISSA_DIGITS = 3  # significant digits a printed mantissa must carry
+
+
+def log_add(a: float, b: float) -> float:
+    """ln(e^a + e^b), as ``ExtReal`` adds: numpy's ``logaddexp`` formula, in floats."""
+    if b > a:
+        a, b = b, a
+    if a == b:  # inf - inf would be NaN
+        return a + _LN2
+    return a + math.log1p(math.exp(b - a))
 
 
 class ExtReal:
@@ -82,12 +91,7 @@ class ExtReal:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "ExtReal") -> "ExtReal":
-        hi, lo = self.log_value, other.log_value
-        if lo > hi:
-            hi, lo = lo, hi
-        if lo == hi:  # inf - inf would be NaN
-            return ExtReal(hi + _LN2)
-        return ExtReal(hi + math.log1p(math.exp(lo - hi)))
+        return ExtReal(log_add(self.log_value, other.log_value))
 
     def __mul__(self, other: "ExtReal") -> "ExtReal":
         a, b = self.log_value, other.log_value

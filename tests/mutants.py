@@ -1,4 +1,4 @@
-"""A standing mutation check for the certificates, lane binding, served envelopes and domain checks.
+"""A standing mutation check for the certificates, lane binding, VK search, served envelopes and domain checks.
 
 Each entry of ``MUTANTS`` breaks one piece of the program on purpose: it
 names the file, the exact old text (which must occur there exactly once),
@@ -106,7 +106,7 @@ MUTANTS: tuple[Mutant, ...] = (
            (f"{_T_ENGINE}::test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to",)),
     Mutant("bound_s2b_from_ln_2c1", _ENGINE, "return log_2c1[rows[0]], log_2c2[rows[1]]",
            "return log_2c1[rows[0]], log_2c1[rows[1]]",
-           "every binder takes its lanes' ln 2 C2 (VK's s2b) from ln 2 C1",
+           "every binder takes its lanes' ln 2 C2 from ln 2 C1",
            (f"{_T_ENGINE}::test_medium_lanes_equal_their_float_calls_by_hex",)),
     Mutant("medium_binds_c1_from_c2_rows", _ENGINE, "log_2c, k_max = _bound_log_2c(table, rows),",
            "log_2c, k_max = _bound_log_2c(table, (rows[1], rows[1])),",
@@ -143,6 +143,24 @@ MUTANTS: tuple[Mutant, ...] = (
            'sigma=(0.999 if args.regime == "large" else base.sigma) if args.sigma is None',
            "a large --log-x0 row takes the fixed sigma 0.999 again, which does not certify on [1e5, 2.35e5)",
            ("tests/test_cli.py::test_table1_custom_row_takes_sigma_and_K_from_the_table_row_below_it",)),
+    Mutant("vk_sigma_star_drops_log_term", _ENGINE,
+           "s = (math.log(-beta2 / beta1) + alpha2 - alpha1) / (beta1 - beta2)",
+           "s = (alpha2 - alpha1) / (beta1 - beta2)",
+           "each VK cell's sigma* drops ln(-beta2/beta1), so it balances e^s1b and e^s2a instead of their slopes",
+           (f"{_T_ENGINE}::test_vk_optimize_picks_each_cells_minimum",)),
+    Mutant("vk_cell_c1_from_row_c", _ENGINE, "row_logs = logs[c + 1][0], logs[c][1]",
+           "row_logs = logs[c][0], logs[c][1]",
+           "the VK search reads each cell's C1 from row c, the C2 row, instead of row c + 1 above it",
+           (f"{_T_ENGINE}::test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to",)),
+    Mutant("vk_sigma_star_unclamped", _ENGINE,
+           "candidates.append((min(max(s, lo + 1e-9), hi - 1e-9, 1.0 - 1e-9), row_logs))",
+           "candidates.append((s, row_logs))",
+           "each VK cell's sigma* is ranked with the cell's rows wherever it falls, inside the cell or not",
+           (f"{_T_ENGINE}::test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to",)),
+    Mutant("vk_ranks_cells_only", _ENGINE, "candidates = [(s, logs[i]) for i, s in enumerate(grid) if s < 1.0]",
+           "candidates = []",
+           "the VK search ranks only each cell's sigma*, without the grid points",
+           (f"{_T_ENGINE}::test_vk_optimize_takes_a_grid_point_where_one_is_least",)),
     Mutant("cli_imports_engine_eagerly", "src/pntbounds/cli.py", "from . import zfr\n", "from . import engine, zfr\n",
            "cli imports engine at its top, so brackets compiles the bounding pipelines it never calls",
            ("tests/test_dependencies.py::test_each_process_loads_only_the_modules_it_runs",)),

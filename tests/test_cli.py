@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -119,11 +120,30 @@ def test_table1_refuses_flags_it_would_ignore(capsys, argv, reason):
 
 
 def test_table1_optimize_failure_says_why(capsys):
-    # a custom row's refusal names its row, as a table row's does
-    rc, out, err = run(capsys, "table1", "--log-x0", "1e300", "--regime", "vk", "--optimize")
+    # a VK row far out certifies (its quadratic in w is taken in logs, so nothing overflows), and is
+    # refused only because its eps0 is too extreme to print, at 1e300 as at 1e24 and 1e250
+    for log_x0 in ("1e24", "1e250", "1e300"):
+        rc, out, err = run(capsys, "table1", "--log-x0", log_x0, "--regime", "vk", "--optimize")
+        assert (rc, out) == (1, "")
+        assert re.fullmatch(r"error: e\^\(-[0-9.e+]+\) is too extreme to print: its mantissa would carry "
+                            r"fewer than 3 significant digits\n", err), err
+    # a custom row's certificate refusal names its row, as a table row's does
+    rc, out, err = run(capsys, "table1", "--log-x0", "150000", "--regime", "large", "--sigma", "0.999")
     assert (rc, out) == (1, "")
-    assert err == ("error: row 1e+300: no certifiable parameter set at log x0 = 1e+300 (best-ranked candidate: "
-                   "A = e^inf at log x0 = 1e+300 is too large to emit)\n")
+    assert err == ("error: row 150000: monotonicity not proved (term 4 nonincreasing fails) "
+                   "at log x0 = 150000, sigma=0.999\n")
+
+
+@pytest.mark.parametrize("log_x0, regime", [("1e12", "vk"), ("2.9e10", "vk"), ("2.85e10", "large"),
+                                            ("1e9", "large")])
+@pytest.mark.parametrize("optimize", [False, True])
+def test_table1_auto_serves_vk_from_the_upper_crossing_on(capsys, log_x0, regime, optimize):
+    # auto takes VK at and above the upper envelope crossing (log x ~ 2.894e10), where the VK
+    # envelope is the smaller, and large below it down to 1e5
+    argv = ["table1", "--log-x0", log_x0, "--format", "json", *(["--optimize"] if optimize else [])]
+    auto = run(capsys, *argv, "--regime", "auto")
+    assert auto == run(capsys, *argv, "--regime", regime) == run(capsys, *argv)
+    assert auto[0] == 0 and json.loads(auto[1])[0]["regime"] == regime
 
 
 @pytest.mark.parametrize("regime, log_x0", [("medium", 6000.0), ("large", 1e6), ("vk", 3e10)])

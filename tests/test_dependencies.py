@@ -6,7 +6,8 @@ and no others (`brackets` no `engine`; only `eval` and `verify-small` load
 `derived`), `json` only for `--format json`, and a `--density-table` run
 neither `pathlib` nor `importlib.resources`; these children run under
 `python -S`, so that no `site` hook hides an import.  numpy is loaded only by
-the sieve (`verify-small`), `table1 --optimize` and the demos; neither the
+the sieve (`verify-small`), a medium or large `table1 --optimize` (not a VK
+one) and the demos; neither the
 package, its demos nor its tests import scipy (the benchmark records its
 version); the CLI's start-up path loads neither `dataclasses` nor `inspect`."""
 
@@ -51,7 +52,8 @@ for demo in sys.argv[1:]:
 """
 
 # Refuses every numpy import and runs each subcommand that serves a table row,
-# bracket, crossover or envelope value, none of which may load numpy,
+# bracket, crossover or envelope value, or a VK optimized row (by `--regime auto`
+# too), none of which may load numpy,
 # `dataclasses` or `inspect`; then lifts the block and runs the two commands
 # that need arrays, which must load numpy themselves.
 NUMPY_CHILD = r"""
@@ -90,6 +92,8 @@ for argv in (["table1"], ["table1", "--format", "json"], ["table1", "--format", 
              ["table1", "--log-x0", "6000", "--regime", "medium"],
              ["table1", "--log-x0", "1e6", "--regime", "large", "--format", "json"],
              ["table1", "--log-x0", "2.8e10", "--regime", "vk", "--format", "csv"],
+             ["table1", "--log-x0", "5e10", "--regime", "vk", "--optimize"],
+             ["table1", "--log-x0", "1e12", "--regime", "auto", "--optimize", "--format", "json"],
              ["brackets", "--regime", "nu2"], ["brackets", "--regime", "nu3"], ["crossovers"],
              *[["eval", "--log-x", "100", "--quantity", q] for q in ("psi", "theta", "pi")]):
     run(argv)
@@ -163,6 +167,7 @@ PACKAGED = {"pathlib", "importlib.resources"}  # what reading the packaged table
     (("table1", "--format", "json"), ENGINE | PACKAGED | {"json"}),
     (("table1", "--log-x0", "6000", "--regime", "medium"), ENGINE | PACKAGED),
     (("table1", "--log-x0", "2.8e10", "--regime", "vk", "--format", "json"), ENGINE | PACKAGED | {"json"}),
+    (("table1", "--log-x0", "5e10", "--regime", "vk", "--optimize"), ENGINE | PACKAGED),
     (("crossovers",), ENGINE | PACKAGED),
     (("crossovers", "--format", "json"), ENGINE | PACKAGED | {"json"}),
     (("eval", "--log-x", "100", "--quantity", "pi"), ENGINE | PACKAGED | {"derived"}),

@@ -17,6 +17,7 @@ from pntbounds.engine import (
     CertificationError,
     EnvelopeTerm,
     Premise,
+    VK_DEFAULT_PARAMS,
     RowParams,
     certify_monotone,
     check_rvm_precondition,
@@ -33,7 +34,7 @@ from pntbounds.engine import (
     regime_compare,
     vk_terms,
 )
-from pntbounds.extnum import ExtReal
+from pntbounds.extnum import EXT_ZERO, ExtReal
 from pntbounds.regimes import MIN_LOG_X0_NU2, bracket_nu3, vk_decay_arg_prime
 from pntbounds.zdensity import LOG_RIEMANN_HEIGHT, DensityTable
 from pntbounds.zfr import R0
@@ -517,17 +518,23 @@ def test_float_log_sum_is_numpys_logaddexp_reduce(values):
 
 @pytest.mark.parametrize("regime, log_x0, K", [
     *[("medium", x, K) for x in (2488.0, 7000.0) for K in (1, 4, 10, "mixed")],
-    *[(regime, x, K) for regime, x in (("large", 1e5), ("large", 3e8), ("vk", 2.8e10), ("vk", 5e11))
-      for K in (1, "mixed")],
+    *[("large", x, K) for x in (1e5, 3e8) for K in (1, "mixed")],
+    *[("vk", x, 1) for x in (2.8e10, 5e11)],
 ])
 def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, K):
     # optimize ranks every (K, sigma) pair at once; its picks equal a
     # per-candidate search's only if every lane equals the float call exactly.
     # "mixed" interleaves K = 1..10 over the lanes, so a medium lane's s2 is
-    # padded to the largest K
+    # padded to the largest K.  VK has no lanes: each value its search ranks
+    # must equal the float call at that candidate's sigma
+    at = engine.REGIMES[regime].fit(log_x0, density_table)
+    if regime == "vk":
+        assert not hasattr(at, "bind")
+        candidates = engine._vk_search(log_x0, density_table, engine.REGIMES["vk"])
+        assert len(candidates) == 40 and [v for v, _, _ in candidates] == [at(s, K).value for _, s, K in candidates]
+        return
     sigmas = _sigma_probes(density_table)
     Ks = [1 + i % 10 if K == "mixed" else K for i in range(len(sigmas))]
-    at = engine.REGIMES[regime].fit(log_x0, density_table)
     lanes = at.bind(_bound_rows(density_table, sigmas), np.array(Ks))(np.array(sigmas))
     assert isinstance(lanes, np.ndarray) and lanes.shape == (len(sigmas),)
     assert lanes.tolist() == [at(s, k).value for s, k in zip(sigmas, Ks)]
@@ -536,20 +543,18 @@ def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(*[st.floats(min_value=-60.0, max_value=60.0)] * 5), min_size=1, max_size=8))
 def test_vk_lanes_sum_in_the_float_calls_association(density_table, values):
-    # the VK float fit sums ExtReals as (s1a + s1b) + (s2a + s2b), then + s3;
-    # at real anchors s1 is negligible and any order agrees, so comparable
-    # summands stand in for _vk_logs here
-    sigmas = np.linspace(0.985, 0.995, len(values))
-    by_sigma = dict(zip(sigmas.tolist(), values))
-
-    def logs(anchor, sigma, row_logs):
-        return by_sigma[sigma] if isinstance(sigma, float) else tuple(np.array(values).T)
-
+    # the VK search ranks, and the float fit builds its value, by _vk_value: float
+    # log-sum-exps in the association of vk_terms' ExtReal sums, (s1a + s1b) +
+    # (s2a + s2b), then + s3; at real anchors s1 is negligible and any order
+    # agrees, so comparable summands stand in for _vk_logs here
+    sigmas = np.linspace(0.985, 0.995, len(values)).tolist()
+    by_sigma = dict(zip(sigmas, values))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_vk_logs", logs)
+        mp.setattr(engine, "_vk_logs", lambda anchor, sigma, row_logs: by_sigma[sigma])
         at = engine._vk_fit(3e10, density_table)
-        lanes = at.bind(_bound_rows(density_table, sigmas.tolist()), np.ones(sigmas.size, dtype=int))
-        assert lanes(sigmas).tolist() == [at(s, 1).value for s in sigmas.tolist()]
+        want = [sum(vk_terms(3e10, s, bracket_nu3(3e10), density_table).values(), EXT_ZERO).log_value
+                for s in sigmas]
+        assert [at(s, 1).value.hex() for s in sigmas] == [v.hex() for v in want]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -570,23 +575,20 @@ _SIGMA_ANYWHERE = st.one_of(st.integers(0, 20), st.floats(0.98, 1.0))  # a grid 
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.floats(2488.0, 1e6), st.floats(2.8e10, 1e13),
-       st.lists(st.tuples(_SIGMA_ANYWHERE, st.integers(1, 10)), min_size=1, max_size=16))
-def test_medium_lanes_equal_their_float_calls_by_hex(density_table, log_x0, vk_log_x0, lanes):
+@given(st.floats(2488.0, 1e6), st.lists(st.tuples(_SIGMA_ANYWHERE, st.integers(1, 10)), min_size=1, max_size=16))
+def test_medium_lanes_equal_their_float_calls_by_hex(density_table, log_x0, lanes):
     # medium lanes sum one (term, lane) matrix, each padded to the largest K; the
-    # float call sums its own 2K + 3 terms as ExtReals.  VK lanes bound to the rows
-    # ``rows_at`` picks keep (ln 2 C1, s2b) per lane and compute only s1b and s2a per
-    # call; all lanes, and a subset bound in another order, must equal the float calls
+    # float call sums its own 2K + 3 terms as ExtReals; all lanes, and a subset
+    # bound in another order, must equal the float calls
     grid = density_table.sigma_grid
     sigmas = np.array([grid[s] if isinstance(s, int) else s for s, _ in lanes])
     order = np.arange(sigmas.size)[::-2]
     rows = _bound_rows(density_table, sigmas.tolist())
-    for fit, x, Ks in ((engine._medium_fit, log_x0, np.array([K for _, K in lanes])),
-                       (engine._vk_fit, vk_log_x0, np.ones(sigmas.size, dtype=int))):
-        want = [fit(x, density_table)(s, K).value.hex() for s, K in zip(sigmas.tolist(), Ks.tolist())]
-        assert [v.hex() for v in fit(x, density_table).bind(rows, Ks)(sigmas).tolist()] == want
-        subset = fit(x, density_table).bind((rows[0][order], rows[1][order]), Ks[order])
-        assert [v.hex() for v in subset(sigmas[order]).tolist()] == [want[i] for i in order]
+    fit, Ks = engine._medium_fit, np.array([K for _, K in lanes])
+    want = [fit(log_x0, density_table)(s, K).value.hex() for s, K in zip(sigmas.tolist(), Ks.tolist())]
+    assert [v.hex() for v in fit(log_x0, density_table).bind(rows, Ks)(sigmas).tolist()] == want
+    subset = fit(log_x0, density_table).bind((rows[0][order], rows[1][order]), Ks[order])
+    assert [v.hex() for v in subset(sigmas[order]).tolist()] == [want[i] for i in order]
 
 
 def test_a_medium_fit_refuses_k_below_one_in_any_lane(density_table):
@@ -737,10 +739,12 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     assert [table.coeffs(s) for s in sigmas] == [(table.rows[a].C1, table.rows[b].C2) for a, b in want]
     c1_lanes, c2_lanes = engine._bound_log_2c(table, rows)
     assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table) for s in sigmas]
-    for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1), ("vk", 3e10, 1)):
+    for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1)):
         at = engine.REGIMES[regime].fit(log_x0, table)
         lanes = at.bind(rows, np.full(len(sigmas), K))(np.array(sigmas))
         assert lanes.tolist() == [at(s, K).value for s in sigmas]
+    at, ranked = engine._vk_fit(3e10, table), engine._vk_search(3e10, table, engine.REGIMES["vk"])
+    assert [v for v, _, _ in ranked] == [at(s, K).value for _, s, K in ranked]  # math.log of each row too
 
 
 @pytest.mark.parametrize("regime, log_x0", [("medium", 2488.0), ("medium", 7000.0), ("large", 1e5),
@@ -748,10 +752,16 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
 def test_a_binding_gives_a_fresh_bindings_values_on_reuse(density_table, regime, log_x0):
     # optimize binds one fit twice, to other lanes and K, and calls each binding
     # many times, and emission binds again for a float call; whatever one binding
-    # built must not leak into another binding of the fit, or a call into a later one
+    # built must not leak into another binding of the fit, or a call into a later one.
+    # A VK fit has no binding; its float calls and its search must not leak either
     fit = engine.REGIMES[regime].fit
     at = fit(log_x0, density_table)
     grid = [s for s in density_table.sigma_grid if s < 1.0]
+    if regime == "vk":
+        assert not hasattr(at, "bind")
+        first = engine._vk_search(log_x0, density_table, engine.REGIMES["vk"])
+        assert [at(s, 1).value for _, s, _ in first] == [v for v, _, _ in first]
+        assert engine._vk_search(log_x0, density_table, engine.REGIMES["vk"]) == first
     mixed = [1 + i % 10 for i in range(len(grid))] if regime == "medium" else [1] * len(grid)
     one = [4 if regime == "medium" else 1] * len(grid)
     calls = [
@@ -761,7 +771,7 @@ def test_a_binding_gives_a_fresh_bindings_values_on_reuse(density_table, regime,
         (np.array(_sigma_probes(density_table)), np.array([1 + i % 3 if regime == "medium" else 1
                                                           for i in range(len(_sigma_probes(density_table)))])),
         (np.array(grid[:4]), np.full(4, 3 if regime == "medium" else 1)),   # one K, not the largest
-    ]
+    ] if regime != "vk" else []
     bound = []
     for sigmas, Ks in calls:
         rows = _bound_rows(density_table, sigmas.tolist())
@@ -809,15 +819,16 @@ def test_emission_refuses_on_the_float_calls_premises(density_table, monkeypatch
         engine._bound(regime, log_x0, sigma, K, density_table, None, None)
 
 
-def _per_candidate_optimize(log_x0, regime, table):
-    """The search one cell and one candidate at a time, with float fit calls."""
+def _per_candidate_optimize(log_x0, regime, table, width=1e-6):
+    """The search one cell and one candidate at a time, with float fit calls: each cell's ternary search
+    stops at ``width`` (1e-6 is the medium and large lockstep's; 1e-15 makes an oracle for VK's closed form)."""
     fit = engine.REGIMES[regime].fit(log_x0, table)
     candidates = []
     for K in range(1, 11) if regime == "medium" else [1]:
         candidates += [(fit(s, K).value, s, K) for s in table.sigma_grid if s < 1.0]
         for lo, hi in zip(table.sigma_grid[:-1], table.sigma_grid[1:]):
             a, b = lo + 1e-9, min(hi - 1e-9, 1.0 - 1e-9)
-            while b - a > 1e-6:
+            while b - a > width:
                 m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
                 if fit(m1, K).value <= fit(m2, K).value:
                     b = m2
@@ -829,6 +840,16 @@ def _per_candidate_optimize(log_x0, regime, table):
             return engine._bound(regime, log_x0, s, K, table, None, None)
         except CertificationError:
             continue
+
+
+def _assert_vk_pick_is_the_oracles(log_x0, table):
+    """optimize's VK pick lies within 8 ulps of the per-cell oracle's minimum: a closed form is exact up to
+    rounding, where the lockstep it replaced missed by 0.06 to 4 in ln."""
+    at = engine._vk_fit(log_x0, table)
+    want = at(_per_candidate_optimize(log_x0, "vk", table, width=1e-15).sigma, 1).value
+    row = optimize(log_x0, "vk", table)
+    assert abs(at(row.sigma, 1).value - want) <= 8 * math.ulp(want)
+    return row
 
 
 def _seeded_anchors(n=5, seed=13):
@@ -846,6 +867,15 @@ def _seeded_anchors(n=5, seed=13):
                                             *_seeded_anchors()])
 def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeypatch, regime, log_x0,
                                                           quantum):
+    if regime == "vk":  # a closed form, not a search: its pick is the oracle's
+        best = _assert_vk_pick_is_the_oracles(log_x0, density_table)
+        if quantum:  # floored values tie often, and a tie goes to the smaller sigma
+            real = engine._vk_value
+            monkeypatch.setattr(engine, "_vk_value", lambda *args: math.floor(real(*args) / quantum) * quantum)
+            low = engine._vk_fit(log_x0, density_table)(best.sigma, 1).value
+            tied = [s for v, s, _ in engine._vk_search(log_x0, density_table, engine.REGIMES["vk"]) if v == low]
+            assert optimize(log_x0, "vk", density_table).sigma == min(tied)
+        return
     if quantum:  # values floored to a coarse step tie often, so tie-breaking must agree too
         for name, rec in list(engine.REGIMES.items()):
             def coarse(log_x0, table, _real=rec.fit):
@@ -907,9 +937,26 @@ def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density
     # optimize binds each lane's density rows (cell c: C1 from row c + 1, C2 from
     # row c; grid point i: row i), which is exact only if ``rows_at`` picks those
     # rows at every sigma the search evaluates: ternary probes, midpoints and grid
-    # points
+    # points.  The VK search has no lanes; it reads the same rows for each grid
+    # point and each cell's closed-form sigma, which must be the float call's rows
     seen = []
     rec = engine.REGIMES[regime]
+    if regime == "vk":
+        def recording(a, sigma, row_logs, _real=engine._vk_value):
+            assert row_logs == engine._vk_row_logs(a, engine._log_2c(sigma, density_table))
+            seen.append(sigma)
+            return _real(a, sigma, row_logs)
+
+        def search(*args):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_vk_value", recording)
+                return rec.search(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(engine.REGIMES, regime, rec._replace(search=search))
+            row = optimize(log_x0, regime, density_table)
+        assert row == optimize(log_x0, regime, density_table)
+        assert len(seen) == 40 and len(set(seen)) == 40  # 20 grid points below 1 and 20 cells
+        return
 
     def fit(*args):
         at = rec.fit(*args)
@@ -949,7 +996,9 @@ def test_optimize_work_count(density_table, rebuild, monkeypatch, regime, log_x0
     # call.  Every cell is 0.001 - 2e-9 wide and 1.015e-6 after 17 steps, so
     # every search takes 18 steps over all its lanes.  Lanes read their density
     # rows when bound, so a search looks up no ``DensityTable.rows_at`` (lanes
-    # that looked their rows up made one lookup per lane call, about 20)
+    # that looked their rows up made one lookup per lane call, about 20).  The VK
+    # search binds no fit: one bracket and 40 values, its closed-form sigma in
+    # each of the 20 cells and the 20 grid points, read by row position
     calls = _count_calls(monkeypatch)
     lookups = []  # the lane calls made before each lookup
 
@@ -958,6 +1007,16 @@ def test_optimize_work_count(density_table, rebuild, monkeypatch, regime, log_x0
         return _real(self, sigma)
 
     monkeypatch.setattr(DensityTable, "rows_at", rows_at)
+    if regime == "vk":
+        ranked = []
+        monkeypatch.setattr(engine, "_vk_value", lambda *args, _real=engine._vk_value: ranked.append(args) or
+                            _real(*args))
+        row = optimize(log_x0, regime, density_table)
+        attempts = calls["fit"]  # one fit binding per emission attempt, none for the search
+        assert calls["bind"] == 0 and calls["lanes"] == [] and 1 <= attempts == calls["at"] <= max_calls
+        assert calls["bracket"] == 1 + attempts and len(ranked) == 40 + attempts and len(lookups) == attempts
+        assert refusal(rebuild(row)[0].premises) == ""
+        return
     row = optimize(log_x0, regime, density_table)
     n = 40 * len(engine.REGIMES[regime].Ks)  # 20 cells, each taken twice or with its grid point, per K
     assert calls["lanes"] == [(1, n, n)] * 18 + [(2, n, n)] and calls["bind"] == 2
@@ -1084,10 +1143,14 @@ def test_medium_refuses_a_K_outside_1_to_1000(density_table, monkeypatch, K):
 
 
 def test_optimize_failure_names_the_best_ranked_reason(density_table, monkeypatch):
-    with pytest.raises(CertificationError) as refused:
-        optimize(1e300, "vk", density_table)
-    assert str(refused.value) == ("no certifiable parameter set at log x0 = 1e+300 (best-ranked "
-                                  "candidate: A = e^inf at log x0 = 1e+300 is too large to emit)")
+    best = optimize(3e10, "vk", density_table)
+    with monkeypatch.context() as mp:  # no VK candidate can certify once r' is not known to fall
+        mp.setattr(engine, "vk_decay_arg_prime_fall_margin", lambda log_x: -1.0)
+        with pytest.raises(CertificationError) as refused:
+            optimize(3e10, "vk", density_table)
+    assert str(refused.value) == ("no certifiable parameter set at log x0 = 3e+10 (best-ranked candidate: "
+                                  "monotonicity not proved (w' nonincreasing fails) at log x0 = 3e+10, "
+                                  f"sigma={best.sigma})")
     # with every candidate refused for its own reason, the first one tried is named
     tried = []
 
@@ -1100,6 +1163,47 @@ def test_optimize_failure_names_the_best_ranked_reason(density_table, monkeypatc
         optimize(1e6, "large", density_table)
     assert len(tried) > 1
     assert str(refused.value).endswith(f"(best-ranked candidate: refused sigma={tried[0]!r})")
+
+
+def _vk_oracle_anchors(n=8, seed=37):
+    """The benchmark's VK anchors 2.8e10 and 3e10, 1e12, and n seeded anchors log-uniform in [2.8e10, 1e13]."""
+    rng = random.Random(seed)
+    return [2.8e10, 3e10, 1e12] + [float(f"{math.exp(rng.uniform(math.log(2.8e10), math.log(1e13))):.6g}")
+                                   for _ in range(n)]
+
+
+@pytest.mark.parametrize("log_x0", _vk_oracle_anchors())
+def test_vk_optimize_picks_each_cells_minimum(density_table, log_x0):
+    # in each density cell the VK value is a strictly convex log-sum-exp with a closed-form minimizer
+    _assert_vk_pick_is_the_oracles(log_x0, density_table)
+
+
+@pytest.mark.parametrize("log_x0", [2.8e10, 3e10])
+def test_vk_optimize_takes_a_grid_point_where_one_is_least(density_table, log_x0):
+    # with C1 at sigma = 1 raised to 1e250 the last cell is worst, and the least value over the table
+    # sits at the grid point 0.999, which no cell's clamped minimizer reaches (it stops 1e-9 short)
+    table = DensityTable(density_table.rows[:-1] + (density_table.rows[-1]._replace(C1=1e250),))
+    row = _assert_vk_pick_is_the_oracles(log_x0, table)
+    assert row.sigma == table.sigma_grid[-2] == 0.999
+
+
+@pytest.mark.parametrize("log_x0, mantissa, exp10", [(2.8e10, "6.06", -78980), (3e10, "1.58", -82271),
+                                                     (1e12, "1.03", -656552)])
+def test_vk_optimize_pins_the_closed_form_picks_eps0(density_table, log_x0, mantissa, exp10):
+    # the 18-step lockstep stopped at a sigma width of 1e-6, far wider than the optimum's kink
+    # (about 1/log x0), and served 6.46e-78980, 1.84e-82271 and 3.55e-656552
+    from pntbounds.cli import eps0_sci
+    assert eps0_sci(optimize(log_x0, "vk", density_table).eps0) == f"{mantissa}e{exp10}"
+
+
+@pytest.mark.parametrize("log_x0", [1e259, 1e300, 1.7e308])
+def test_vk_rows_past_the_float_square_of_w_certify(density_table, log_x0):
+    # B3^2 w^2 overflows a float from log x ~ 9.5e258 on; taken in logs, the row certifies with a
+    # finite, small A, and every premise margin is finite
+    for row in (engine.vk_bound(log_x0, VK_DEFAULT_PARAMS.sigma, density_table), optimize(log_x0, "vk", density_table)):
+        premises = engine._vk_fit(log_x0, density_table)(row.sigma, 1).premises
+        assert len(premises) == 5 and refusal(premises) == "" and all(math.isfinite(p.margin) for p in premises)
+        assert math.isfinite(row.log_A_unrounded) and 0.0 < row.A <= 0.002
 
 
 # -- regime comparison and coverage --------------------------------------------
