@@ -126,13 +126,17 @@ def cmd_table1(args: argparse.Namespace) -> int:
     rows = []
     for p in params:
         try:
-            if args.optimize:
-                rows.append(engine.optimize(p.anchor, p.regime, table, claim_X=p.X, label=p.label))
-            else:
-                rows.append(engine.compute_row(p, table))
+            row = (engine.optimize(p.anchor, p.regime, table, claim_X=p.X, label=p.label) if args.optimize
+                   else engine.compute_row(p, table))
         except engine.CertificationError as exc:
             print(f"error: row {p.label}: {exc}", file=sys.stderr)
             return 1
+        try:
+            row.eps0.log10_parts()  # an eps0 too extreme to print is named by its row, before any row prints
+        except ValueError as exc:
+            print(f"error: row {p.label}: {exc}", file=sys.stderr)
+            return 1
+        rows.append(row)
     _emit_rows(rows, args.format)
     return 0
 

@@ -308,11 +308,10 @@ class _Envelope(NamedTuple):
 
 
 # A regime's fit binds (log x0, table), doing the per-anchor work once, and returns ``at(sigma, K)``, the
-# ``_Envelope`` at a float sigma and int K (to emit, or rebuild raw terms).  ``at.bind(rows, K)``, for lanes
-# whose density rows (the C1 and C2 indices ``table.rows_at`` picks at each lane's sigma) and K are aligned
-# ndarrays, reads the lanes' (ln 2 C1, ln 2 C2) once and returns ``lanes(sigma)``: the values at an ndarray
-# of the lanes' sigmas, each bit for bit its float call's ``value`` wherever ``rows_at`` picks the bound rows
-# (medium and large only, the fits ``_lockstep`` searches).
+# ``_Envelope`` at a float sigma and int K (to emit, rank, or rebuild raw terms).  The medium fit's
+# ``at.bind(rows, K)`` takes lanes' density rows (``table.rows_at``'s (C1, C2) indices) and K as aligned ndarrays,
+# reads their ln 2 C once and returns ``lanes(sigma)``, at an ndarray of sigmas each lane's float call's ``value``
+# bit for bit wherever ``rows_at`` picks the bound rows.
 _Fit = Callable[[float, int], "_Envelope"]
 
 
@@ -457,38 +456,24 @@ def medium_bound(log_x0: float, sigma: float, K: int, table: DensityTable,
 # ---------------------------------------------------------------------------
 
 
-def _large_fit(log_x0: float, table: DensityTable) -> _Fit:
+def _large_fit(log_x0: float, table: DensityTable, br: Bracket | None = None) -> _Fit:
     """A is the normalized sum at v0 = sqrt(log x0); times v0^p e^{-C v0} it is the envelope."""
-    br = bracket_nu2(log_x0)
+    br = br or bracket_nu2(log_x0)
     v0 = math.sqrt(log_x0)
     log_b2, log_v0 = math.log(br.B2), math.log(v0)
 
-    def terms(sigma, log_2c1, log_2c2):  # p, C and the summands in v = sqrt(log x), divided by v^p e^{-C v}
-        p, c = 5.0 - 2.0 * sigma, br.B2 * (8.0 * sigma - 5.0) / 3.0
-        return p, c, [
+    def at(sigma: float, K: int) -> _Envelope:
+        (log_2c1, log_2c2), p, c = _log_2c(sigma, table), 5.0 - 2.0 * sigma, br.B2 * (8.0 * sigma - 5.0) / 3.0
+        norm = [  # the summands in v = sqrt(log x), divided by v^p e^{-C v}
             EnvelopeTerm(log_2c1 + p * log_b2, 0.0, 0.0),
             EnvelopeTerm(log_2c2 + 2.0 * log_b2, 2.0 - p, br.B2 - c),
             EnvelopeTerm(math.log(RVM_COEF), 1.2 - p, br.B2 - c),
             EnvelopeTerm(math.log(_CH), -p, -c, quad=0.5),
-            EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma,
-                         poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2)),
+            EnvelopeTerm(0.0, -p, -c, quad=1.0 - sigma, poly=(br.B3**2 / (2.0 * math.pi), 0.0, -_CH + _RECIP2)),
         ]
-
-    def at(sigma: float, K: int) -> _Envelope:
-        p, c, norm = terms(sigma, *_log_2c(sigma, table))
         log_a = _log_sum(norm, v0)
         return _Envelope(log_a + p * log_v0 - c * v0, log_a, p / 2.0, c, certify_monotone(norm, v0),
                          tuple(t.shifted(p, c) for t in norm))
-
-    def bind(rows, K):
-        log_2c1, log_2c2 = _bound_log_2c(table, rows)
-
-        def lanes(sigma):
-            p, c, norm = terms(sigma, log_2c1, log_2c2)
-            return _log_sum(norm, v0, (len(norm), sigma.size)) + p * log_v0 - c * v0
-        return lanes
-
-    at.bind = bind
     return at
 
 
@@ -508,7 +493,8 @@ def large_bound(log_x0: float, sigma: float, table: DensityTable,
 
 
 class _VkAnchor(NamedTuple):
-    """The sigma-free pieces of the VK summands at log x, with the VK decay argument w = r(x)."""
+    """The sigma-free pieces of the five summands at log x and decay argument w: the VK sum's at w = r(x), and
+    the large sum's raw terms at w = sqrt(log x)."""
 
     log_x: float
     B2: float
@@ -520,8 +506,7 @@ class _VkAnchor(NamedTuple):
     log_q: float      # ln of the x^(sigma-1) summand's quadratic in w
 
 
-def _vk_anchor(log_x: float, br: Bracket) -> _VkAnchor:
-    w = vk_decay_arg(log_x)
+def _vk_anchor(log_x: float, br: Bracket, w: float) -> _VkAnchor:
     b2w, log_qw = br.B2 * w, 2.0 * math.log(br.B3 * w) - _LOG_2PI  # ln(q2 w^2): w^2 overflows from w ~ 1e154
     return _VkAnchor(log_x, br.B2, w, b2w, math.log(b2w), math.log(_CH) - log_x / 2.0,
                      math.log(RVM_COEF) + RVM_LOG_POW * math.log(log_x) - b2w,
@@ -553,7 +538,7 @@ def vk_terms(log_x: float, sigma: float, br: Bracket, table: DensityTable) -> di
     """The three error groups with the VK decay argument w = r(x), for x at or above the bracket's anchor."""
     if not br.log_x0 <= log_x < math.inf:
         raise ValueError(f"vk_terms requires log x >= the bracket's log x0 = {br.log_x0:g}, got {log_x}")
-    a = _vk_anchor(log_x, br)
+    a = _vk_anchor(log_x, br, vk_decay_arg(log_x))
     s1a, s1b, s2a, s2b, s3 = (ExtReal.exp_of(v) for v in _vk_logs(a, sigma, _vk_row_logs(a, _log_2c(sigma, table))))
     return {"s1": s1a + s1b, "s2": s2a + s2b, "s3": s3}
 
@@ -585,10 +570,9 @@ def _certify_vk_monotone(log_x0: float, sigma: float, br: Bracket) -> list[Premi
 
 
 def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
-    """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in.
-    It has no ``bind``: ``_vk_search`` ranks VK candidates by the same ``_vk_value``."""
+    """The s1 + s2 + s3 total is the envelope at the anchor; A folds the normalization back in."""
     br = bracket_nu3(log_x0)
-    anchor = _vk_anchor(log_x0, br)
+    anchor = _vk_anchor(log_x0, br, vk_decay_arg(log_x0))
 
     def at(sigma: float, K: int) -> _Envelope:
         log_total = _vk_value(anchor, sigma, _vk_row_logs(anchor, _log_2c(sigma, table)))
@@ -601,24 +585,36 @@ def _vk_fit(log_x0: float, table: DensityTable) -> _Fit:
     return at
 
 
-def _vk_search(log_x0: float, table: DensityTable, rec: "Regime") -> list[tuple[float, float, int]]:
-    """The (value, sigma, K) ``optimize`` ranks: each grid sigma below 1, and each cell's minimizer.
-
-    In cell c (C1 from row c + 1, C2 from row c) only s1b and s2a depend on sigma, as alpha + beta sigma with
-    beta1 = log x0 > 0 and beta2 = -(8 B2 w/3 + 2 ln(B2 w)) < 0 (B2 w > 1 from the VK floor on), so the value
-    ln(K + e^s1b + e^s2a) is strictly convex there and least at sigma* = (ln(-beta2/beta1) + alpha2 - alpha1) /
-    (beta1 - beta2), clamped 1e-9 inside the cell and below 1.  Each value is the float call's, bit for bit."""
-    a = _vk_anchor(log_x0, bracket_nu3(log_x0))
-    logs = [_vk_row_logs(a, (math.log(2.0 * r.C1), math.log(2.0 * r.C2))) for r in table.rows]  # as _log_2c
+def _cell_sigmas(a: _VkAnchor, table: DensityTable) -> list[tuple[float, tuple[int, int]]]:
+    """Each grid sigma below 1 with its rows (i, i), then each cell c's minimizer with the rows (c + 1, c) it reads
+    (C1 from row c + 1, C2 from row c).  There only s1b and s2a depend on sigma, as alpha + beta sigma with beta1 =
+    log x > 0 and beta2 = -(8 B2 w/3 + 2 ln(B2 w)) < 0 (B2 w > 1 from the large and VK floors on), so the value
+    ln(K + e^s1b + e^s2a) is strictly convex and least at sigma* = (ln(-beta2/beta1) + alpha2 - alpha1) / (beta1 -
+    beta2), clamped 1e-9 inside the cell, where ``rows_at`` reads (c + 1, c), and below 1."""
     grid = table.sigma_grid
     alpha1, beta1, beta2 = a.log_q - a.log_x, a.log_x, -(8.0 * a.b2w / 3.0 + 2.0 * a.log_b2w)
-    candidates = [(s, logs[i]) for i, s in enumerate(grid) if s < 1.0]
+    candidates = [(s, (i, i)) for i, s in enumerate(grid) if s < 1.0]
     for c, (lo, hi) in enumerate(zip(grid, grid[1:])):
-        row_logs = logs[c + 1][0], logs[c][1]
-        alpha2 = row_logs[0] + 5.0 * a.b2w / 3.0 + 5.0 * a.log_b2w
+        alpha2 = math.log(2.0 * table.rows[c + 1].C1) + 5.0 * a.b2w / 3.0 + 5.0 * a.log_b2w
         s = (math.log(-beta2 / beta1) + alpha2 - alpha1) / (beta1 - beta2)
-        candidates.append((min(max(s, lo + 1e-9), hi - 1e-9, 1.0 - 1e-9), row_logs))
-    return [(_vk_value(a, s, row_logs), s, rec.Ks[0]) for s, row_logs in candidates]
+        candidates.append((min(max(s, lo + 1e-9), hi - 1e-9, 1.0 - 1e-9), (c + 1, c)))
+    return candidates
+
+
+def _vk_search(log_x0: float, table: DensityTable, rec: "Regime") -> list[tuple[float, float, int]]:
+    """The (value, sigma, K) ``optimize`` ranks: ``_cell_sigmas`` at w0 = r(x0), each ranked by ``_vk_value``
+    on the rows it reads, the float call's ``value`` bit for bit."""
+    a = _vk_anchor(log_x0, bracket_nu3(log_x0), vk_decay_arg(log_x0))
+    logs = [_vk_row_logs(a, (math.log(2.0 * r.C1), math.log(2.0 * r.C2))) for r in table.rows]  # as _log_2c
+    return [(_vk_value(a, s, (logs[i][0], logs[j][1])), s, rec.Ks[0]) for s, (i, j) in _cell_sigmas(a, table)]
+
+
+def _large_search(log_x0: float, table: DensityTable, rec: "Regime") -> list[tuple[float, float, int]]:
+    """The (value, sigma, K) ``optimize`` ranks: ``_cell_sigmas`` at v0 = sqrt(log x0), each ranked by its float
+    call's ``value``, so that ranking is emission's arithmetic bit for bit, with one bracket for the search."""
+    br = bracket_nu2(log_x0)
+    at, K = rec.fit(log_x0, table, br), rec.Ks[0]
+    return [(at(s, K).value, s, K) for s, _ in _cell_sigmas(_vk_anchor(log_x0, br, math.sqrt(log_x0)), table)]
 
 
 def vk_bound(log_x0: float, sigma: float, table: DensityTable,
@@ -638,10 +634,10 @@ def vk_bound(log_x0: float, sigma: float, table: DensityTable,
 
 
 def _lockstep(log_x0: float, table: DensityTable, rec: "Regime") -> list[tuple[float, float, int]]:
-    """The (value, sigma, K) ``optimize`` ranks for a fit with ``at.bind``: per K, the grid's sigmas below 1
-    and each cell's ternary search end, one lockstep running all searches.  Probes lie 1e-9 inside cell c, where
-    ``rows_at`` reads rows (c + 1, c), as the lanes bind; each cell is 0.001 - 2e-9 wide, 1.015e-6 after 17
-    steps, so every search stops on the 18th.  Lanes equal the float calls' ``value`` bit for bit."""
+    """The (value, sigma, K) ``optimize`` ranks for the medium fit, through its ``at.bind``: per K, the grid's
+    sigmas below 1 and each cell's ternary search end, one lockstep running all searches.  Probes lie 1e-9 inside
+    cell c, where ``rows_at`` reads rows (c + 1, c), as the lanes bind; each cell is 0.001 - 2e-9 wide, 1.015e-6
+    after 17 steps, so every search stops on the 18th.  Lanes equal the float calls' ``value`` bit for bit."""
     import numpy as np
     cells = np.array(table.sigma_grid)
     grid = cells[cells < 1.0]
@@ -667,7 +663,7 @@ class Regime(NamedTuple):
     """What a pipeline regime means (its fit, not its public entry, which ``_bound`` calls by name)."""
 
     kind: DecayKind                       # the envelope's decay argument u
-    fit: Callable[..., _Fit]              # (log x0, table) -> at(sigma, K), with ``at.bind`` for ``_lockstep``
+    fit: Callable[..., _Fit]              # (log x0, table) -> at(sigma, K); medium's has ``at.bind`` for ``_lockstep``
     min_log_x0: float                     # the anchor floor
     Ks: tuple[int, ...]                   # the K values ``optimize`` searches; one value is the only K
     free_claim: bool                      # may claim a threshold other than the anchor (below it, row log2 only)
@@ -677,7 +673,7 @@ class Regime(NamedTuple):
 
 REGIMES: dict[str, Regime] = {
     "medium": Regime("sqrt_log", _medium_fit, 2488.0, tuple(range(1, 11)), True, 2, _lockstep),
-    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2, _lockstep),
+    "large": Regime("sqrt_log", _large_fit, MIN_LOG_X0_NU2, (1,), False, 2, _large_search),
     "vk": Regime("vk_r", _vk_fit, MIN_LOG_X0_NU3, (1,), False, 3, _vk_search),
 }
 
@@ -769,7 +765,7 @@ def optimize(log_x0: float, regime: Literal["medium", "large", "vk"],
     ``log_rel_envelope(anchor, rounded=False)`` reports: the ``value`` of
     the regime's fit, whose float call builds and certifies the emitted
     envelope.  The regime's record names its one candidate search: the
-    lockstep (medium, large) or each cell's closed form (VK).  Ties break
+    lockstep (medium) or each cell's closed form (large, VK).  Ties break
     toward smaller sigma, then smaller K.  The first candidate that
     certifies is emitted, else the best-ranked candidate's reason is raised.
     """

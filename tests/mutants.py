@@ -1,4 +1,4 @@
-"""A standing mutation check for the certificates, lane binding, VK search, served envelopes and domain checks.
+"""A standing mutation check for the certificates, lane binding, cell search, served envelopes and domain checks.
 
 Each entry of ``MUTANTS`` breaks one piece of the program on purpose: it
 names the file, the exact old text (which must occur there exactly once),
@@ -102,20 +102,16 @@ MUTANTS: tuple[Mutant, ...] = (
            "derived takes regimes' private r'-falls constant instead of its margin function",
            ("tests/test_surface.py::test_private_names_cross_modules_only_where_listed",)),
     Mutant("bound_c1_from_row_c", _ENGINE, "np.tile(cell + 1, 2)", "np.tile(cell, 2)",
-           "optimize binds each probe lane's C1 to row c, the C2 row, instead of row c + 1 above it",
+           "the medium lockstep binds each probe lane's C1 to row c, the C2 row, instead of row c + 1 above it",
            (f"{_T_ENGINE}::test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to",)),
     Mutant("bound_s2b_from_ln_2c1", _ENGINE, "return log_2c1[rows[0]], log_2c2[rows[1]]",
            "return log_2c1[rows[0]], log_2c1[rows[1]]",
-           "every binder takes its lanes' ln 2 C2 from ln 2 C1",
+           "the medium binder takes its lanes' ln 2 C2 from ln 2 C1",
            (f"{_T_ENGINE}::test_medium_lanes_equal_their_float_calls_by_hex",)),
     Mutant("medium_binds_c1_from_c2_rows", _ENGINE, "log_2c, k_max = _bound_log_2c(table, rows),",
            "log_2c, k_max = _bound_log_2c(table, (rows[1], rows[1])),",
            "the medium binder takes each lane's C1 from its C2 row, rows[1]",
            (f"{_T_ENGINE}::test_medium_lanes_equal_their_float_calls_by_hex",)),
-    Mutant("large_binds_c2_from_c1_rows", _ENGINE, "log_2c1, log_2c2 = _bound_log_2c(table, rows)",
-           "log_2c1, log_2c2 = _bound_log_2c(table, (rows[0], rows[0]))",
-           "the large binder takes each lane's C2 from its C1 row, rows[0]",
-           (f"{_T_ENGINE}::test_fit_lanes_equal_float_calls_bit_for_bit",)),
     Mutant("vk_fit_binds_nu2", _ENGINE, "    br = bracket_nu3(log_x0)\n", "    br = bracket_nu2(log_x0)\n",
            "the VK fit builds its envelope on the Ford region's nu2 bracket instead of nu3",
            (f"{_T_ENGINE}::test_vk_bound_constants",)),
@@ -146,21 +142,32 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant("vk_sigma_star_drops_log_term", _ENGINE,
            "s = (math.log(-beta2 / beta1) + alpha2 - alpha1) / (beta1 - beta2)",
            "s = (alpha2 - alpha1) / (beta1 - beta2)",
-           "each VK cell's sigma* drops ln(-beta2/beta1), so it balances e^s1b and e^s2a instead of their slopes",
+           "each cell's sigma* drops ln(-beta2/beta1), so it balances e^s1b and e^s2a instead of their slopes",
            (f"{_T_ENGINE}::test_vk_optimize_picks_each_cells_minimum",)),
-    Mutant("vk_cell_c1_from_row_c", _ENGINE, "row_logs = logs[c + 1][0], logs[c][1]",
-           "row_logs = logs[c][0], logs[c][1]",
-           "the VK search reads each cell's C1 from row c, the C2 row, instead of row c + 1 above it",
-           (f"{_T_ENGINE}::test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to",)),
+    Mutant("vk_cell_c1_from_row_c", _ENGINE, "alpha2 = math.log(2.0 * table.rows[c + 1].C1)",
+           "alpha2 = math.log(2.0 * table.rows[c].C1)",
+           "each cell's sigma* reads C1 from row c, the C2 row, instead of row c + 1 above it (at VK anchors it "
+           "moves the value by a few ulps; at large ones below 1e8 by thousands)",
+           (f"{_T_ENGINE}::test_large_optimize_picks_each_cells_minimum",)),
     Mutant("vk_sigma_star_unclamped", _ENGINE,
-           "candidates.append((min(max(s, lo + 1e-9), hi - 1e-9, 1.0 - 1e-9), row_logs))",
-           "candidates.append((s, row_logs))",
-           "each VK cell's sigma* is ranked with the cell's rows wherever it falls, inside the cell or not",
+           "candidates.append((min(max(s, lo + 1e-9), hi - 1e-9, 1.0 - 1e-9), (c + 1, c)))",
+           "candidates.append((s, (c + 1, c)))",
+           "each cell's sigma* is given with the cell's rows wherever it falls, inside the cell or not",
            (f"{_T_ENGINE}::test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to",)),
-    Mutant("vk_ranks_cells_only", _ENGINE, "candidates = [(s, logs[i]) for i, s in enumerate(grid) if s < 1.0]",
+    Mutant("vk_ranks_cells_only", _ENGINE, "candidates = [(s, (i, i)) for i, s in enumerate(grid) if s < 1.0]",
            "candidates = []",
-           "the VK search ranks only each cell's sigma*, without the grid points",
+           "the cell search gives only each cell's sigma*, without the grid points",
            (f"{_T_ENGINE}::test_vk_optimize_takes_a_grid_point_where_one_is_least",)),
+    Mutant("large_u0_is_r", _ENGINE, "_vk_anchor(log_x0, br, math.sqrt(log_x0))",
+           "_vk_anchor(log_x0, br, vk_decay_arg(log_x0))",
+           "the large search solves each cell at u0 = r(x0), the VK decay argument, for sqrt(log x0)",
+           (f"{_T_ENGINE}::test_large_optimize_picks_each_cells_minimum",)),
+    Mutant("large_ranked_by_vk_value", _ENGINE,
+           "[(at(s, K).value, s, K) for s, _ in _cell_sigmas(_vk_anchor(log_x0, br, math.sqrt(log_x0)), table)]",
+           "[(_vk_value(a, s, _vk_row_logs(a, _log_2c(s, table))), s, K)"
+           " for a in [_vk_anchor(log_x0, br, math.sqrt(log_x0))] for s, _ in _cell_sigmas(a, table)]",
+           "the large search ranks by _vk_value's sum of the same summands, not the float call that emits",
+           (f"{_T_ENGINE}::test_fit_lanes_equal_float_calls_bit_for_bit",)),
     Mutant("cli_imports_engine_eagerly", "src/pntbounds/cli.py", "from . import zfr\n", "from . import engine, zfr\n",
            "cli imports engine at its top, so brackets compiles the bounding pipelines it never calls",
            ("tests/test_dependencies.py::test_each_process_loads_only_the_modules_it_runs",)),

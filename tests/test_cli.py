@@ -121,12 +121,13 @@ def test_table1_refuses_flags_it_would_ignore(capsys, argv, reason):
 
 def test_table1_optimize_failure_says_why(capsys):
     # a VK row far out certifies (its quadratic in w is taken in logs, so nothing overflows), and is
-    # refused only because its eps0 is too extreme to print, at 1e300 as at 1e24 and 1e250
-    for log_x0 in ("1e24", "1e250", "1e300"):
+    # refused only because its eps0 is too extreme to print, at 1e300 as at 1e24 and 1e250; the
+    # refusal names its row, as a certificate's does
+    for log_x0, label in (("1e24", "1e+24"), ("1e250", "1e+250"), ("1e300", "1e+300")):
         rc, out, err = run(capsys, "table1", "--log-x0", log_x0, "--regime", "vk", "--optimize")
         assert (rc, out) == (1, "")
-        assert re.fullmatch(r"error: e\^\(-[0-9.e+]+\) is too extreme to print: its mantissa would carry "
-                            r"fewer than 3 significant digits\n", err), err
+        assert re.fullmatch(rf"error: row {re.escape(label)}: e\^\(-[0-9.e+]+\) is too extreme to print: its "
+                            r"mantissa would carry fewer than 3 significant digits\n", err), err
     # a custom row's certificate refusal names its row, as a table row's does
     rc, out, err = run(capsys, "table1", "--log-x0", "150000", "--regime", "large", "--sigma", "0.999")
     assert (rc, out) == (1, "")

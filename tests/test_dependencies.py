@@ -52,8 +52,8 @@ for demo in sys.argv[1:]:
 """
 
 # Refuses every numpy import and runs each subcommand that serves a table row,
-# bracket, crossover or envelope value, or a VK optimized row (by `--regime auto`
-# too), none of which may load numpy,
+# bracket, crossover or envelope value, or a large or VK optimized row (VK by
+# `--regime auto` too), none of which may load numpy,
 # `dataclasses` or `inspect`; then lifts the block and runs the two commands
 # that need arrays, which must load numpy themselves.
 NUMPY_CHILD = r"""
@@ -92,6 +92,7 @@ for argv in (["table1"], ["table1", "--format", "json"], ["table1", "--format", 
              ["table1", "--log-x0", "6000", "--regime", "medium"],
              ["table1", "--log-x0", "1e6", "--regime", "large", "--format", "json"],
              ["table1", "--log-x0", "2.8e10", "--regime", "vk", "--format", "csv"],
+             ["table1", "--log-x0", "1e6", "--regime", "large", "--optimize"],
              ["table1", "--log-x0", "5e10", "--regime", "vk", "--optimize"],
              ["table1", "--log-x0", "1e12", "--regime", "auto", "--optimize", "--format", "json"],
              ["brackets", "--regime", "nu2"], ["brackets", "--regime", "nu3"], ["crossovers"],
@@ -103,7 +104,7 @@ sys.meta_path.remove(blocker)
 for argv in (["verify-small"], ["table1", "--optimize", "--rows", "6000"]):
     run(argv)
 if "numpy" not in sys.modules:
-    sys.exit("verify-small and table1 --optimize ran without numpy")
+    sys.exit("verify-small and a medium table1 --optimize ran without numpy")
 """
 
 

@@ -518,19 +518,20 @@ def test_float_log_sum_is_numpys_logaddexp_reduce(values):
 
 @pytest.mark.parametrize("regime, log_x0, K", [
     *[("medium", x, K) for x in (2488.0, 7000.0) for K in (1, 4, 10, "mixed")],
-    *[("large", x, K) for x in (1e5, 3e8) for K in (1, "mixed")],
+    *[("large", x, 1) for x in (1e5, 3e8)],
     *[("vk", x, 1) for x in (2.8e10, 5e11)],
 ])
 def test_fit_lanes_equal_float_calls_bit_for_bit(density_table, regime, log_x0, K):
-    # optimize ranks every (K, sigma) pair at once; its picks equal a
+    # optimize ranks every medium (K, sigma) pair at once; its picks equal a
     # per-candidate search's only if every lane equals the float call exactly.
     # "mixed" interleaves K = 1..10 over the lanes, so a medium lane's s2 is
-    # padded to the largest K.  VK has no lanes: each value its search ranks
-    # must equal the float call at that candidate's sigma
-    at = engine.REGIMES[regime].fit(log_x0, density_table)
-    if regime == "vk":
+    # padded to the largest K.  Large and VK have no lanes: each of the 40 values
+    # their search ranks must equal the float call at that candidate's sigma
+    rec = engine.REGIMES[regime]
+    at = rec.fit(log_x0, density_table)
+    if regime != "medium":
         assert not hasattr(at, "bind")
-        candidates = engine._vk_search(log_x0, density_table, engine.REGIMES["vk"])
+        candidates = rec.search(log_x0, density_table, rec)
         assert len(candidates) == 40 and [v for v, _, _ in candidates] == [at(s, K).value for _, s, K in candidates]
         return
     sigmas = _sigma_probes(density_table)
@@ -739,10 +740,8 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
     assert [table.coeffs(s) for s in sigmas] == [(table.rows[a].C1, table.rows[b].C2) for a, b in want]
     c1_lanes, c2_lanes = engine._bound_log_2c(table, rows)
     assert list(zip(c1_lanes.tolist(), c2_lanes.tolist())) == [engine._log_2c(s, table) for s in sigmas]
-    for regime, log_x0, K in (("medium", 5000.0, 4), ("large", 1e6, 1)):
-        at = engine.REGIMES[regime].fit(log_x0, table)
-        lanes = at.bind(rows, np.full(len(sigmas), K))(np.array(sigmas))
-        assert lanes.tolist() == [at(s, K).value for s in sigmas]
+    at = engine._medium_fit(5000.0, table)
+    assert at.bind(rows, np.full(len(sigmas), 4))(np.array(sigmas)).tolist() == [at(s, 4).value for s in sigmas]
     at, ranked = engine._vk_fit(3e10, table), engine._vk_search(3e10, table, engine.REGIMES["vk"])
     assert [v for v, _, _ in ranked] == [at(s, K).value for _, s, K in ranked]  # math.log of each row too
 
@@ -750,28 +749,29 @@ def test_fit_lanes_take_math_log_of_the_coefficients(density_table):
 @pytest.mark.parametrize("regime, log_x0", [("medium", 2488.0), ("medium", 7000.0), ("large", 1e5),
                                             ("large", 3e8), ("vk", 2.8e10), ("vk", 5e11)])
 def test_a_binding_gives_a_fresh_bindings_values_on_reuse(density_table, regime, log_x0):
-    # optimize binds one fit twice, to other lanes and K, and calls each binding
+    # optimize binds one medium fit twice, to other lanes and K, and calls each binding
     # many times, and emission binds again for a float call; whatever one binding
     # built must not leak into another binding of the fit, or a call into a later one.
-    # A VK fit has no binding; its float calls and its search must not leak either
-    fit = engine.REGIMES[regime].fit
+    # Large and VK fits have no binding; their float calls and their searches must not leak either
+    rec = engine.REGIMES[regime]
+    fit = rec.fit
     at = fit(log_x0, density_table)
     grid = [s for s in density_table.sigma_grid if s < 1.0]
-    if regime == "vk":
+    if regime != "medium":
         assert not hasattr(at, "bind")
-        first = engine._vk_search(log_x0, density_table, engine.REGIMES["vk"])
+        first = rec.search(log_x0, density_table, rec)
         assert [at(s, 1).value for _, s, _ in first] == [v for v, _, _ in first]
-        assert engine._vk_search(log_x0, density_table, engine.REGIMES["vk"]) == first
+        assert rec.search(log_x0, density_table, rec) == first
     mixed = [1 + i % 10 for i in range(len(grid))] if regime == "medium" else [1] * len(grid)
     one = [4 if regime == "medium" else 1] * len(grid)
+    probes = _sigma_probes(density_table)
     calls = [
         (np.array(grid), np.array(mixed)),                                  # grid sigmas, mixed K
         (np.array(grid[3:9]) + 1e-12, np.array(one[3:9])),                  # off-grid by 1e-12, one K
         (np.array([grid[5] - 1e-12]), np.array(mixed[7:8])),                # one lane
-        (np.array(_sigma_probes(density_table)), np.array([1 + i % 3 if regime == "medium" else 1
-                                                          for i in range(len(_sigma_probes(density_table)))])),
-        (np.array(grid[:4]), np.full(4, 3 if regime == "medium" else 1)),   # one K, not the largest
-    ] if regime != "vk" else []
+        (np.array(probes), np.array([1 + i % 3 for i in range(len(probes))])),
+        (np.array(grid[:4]), np.full(4, 3)),                                # one K, not the largest
+    ] if regime == "medium" else []
     bound = []
     for sigmas, Ks in calls:
         rows = _bound_rows(density_table, sigmas.tolist())
@@ -821,7 +821,7 @@ def test_emission_refuses_on_the_float_calls_premises(density_table, monkeypatch
 
 def _per_candidate_optimize(log_x0, regime, table, width=1e-6):
     """The search one cell and one candidate at a time, with float fit calls: each cell's ternary search
-    stops at ``width`` (1e-6 is the medium and large lockstep's; 1e-15 makes an oracle for VK's closed form)."""
+    stops at ``width`` (1e-6 is the medium lockstep's; 1e-15 makes an oracle for the large and VK closed form)."""
     fit = engine.REGIMES[regime].fit(log_x0, table)
     candidates = []
     for K in range(1, 11) if regime == "medium" else [1]:
@@ -842,12 +842,13 @@ def _per_candidate_optimize(log_x0, regime, table, width=1e-6):
             continue
 
 
-def _assert_vk_pick_is_the_oracles(log_x0, table):
-    """optimize's VK pick lies within 8 ulps of the per-cell oracle's minimum: a closed form is exact up to
-    rounding, where the lockstep it replaced missed by 0.06 to 4 in ln."""
-    at = engine._vk_fit(log_x0, table)
-    want = at(_per_candidate_optimize(log_x0, "vk", table, width=1e-15).sigma, 1).value
-    row = optimize(log_x0, "vk", table)
+def _assert_pick_is_the_oracles(log_x0, table, regime="vk"):
+    """optimize's large or VK pick lies within 8 ulps of the per-cell oracle's minimum: a closed form is exact up
+    to rounding, where the lockstep it replaced missed by up to 0.095 in ln at the large table anchors and 0.16
+    at VK's."""
+    at = engine.REGIMES[regime].fit(log_x0, table)
+    want = at(_per_candidate_optimize(log_x0, regime, table, width=1e-15).sigma, 1).value
+    row = optimize(log_x0, regime, table)
     assert abs(at(row.sigma, 1).value - want) <= 8 * math.ulp(want)
     return row
 
@@ -862,35 +863,43 @@ def _seeded_anchors(n=5, seed=13):
     return [(regime, float(f"{x:.6g}")) for regime, x in anchors]
 
 
+def _floor_values(monkeypatch, quantum):
+    """Floor every value optimize ranks or a fit returns to a multiple of ``quantum``: the fits' float calls and
+    bound lanes, and ``_vk_value``, which the VK search ranks by."""
+    for name, rec in list(engine.REGIMES.items()):
+        def coarse(*args, _real=rec.fit):
+            at = _real(*args)
+
+            def floored(sigma, K):
+                got = at(sigma, K)
+                return got._replace(value=float(np.floor(got.value / quantum) * quantum))
+
+            def floored_bind(rows, K):  # the medium lockstep ranks through the bound lanes, so they are floored too
+                lanes = at.bind(rows, K)
+                return lambda sigma: np.floor(lanes(sigma) / quantum) * quantum
+            floored.bind = floored_bind
+            return floored
+        monkeypatch.setitem(engine.REGIMES, name, rec._replace(fit=coarse))
+    real = engine._vk_value
+    monkeypatch.setattr(engine, "_vk_value", lambda *args: math.floor(real(*args) / quantum) * quantum)
+
+
 @pytest.mark.parametrize("quantum", [0.0, 0.5])
 @pytest.mark.parametrize("regime, log_x0", [("medium", 3456.7), ("large", 2.5e7), ("vk", 4e10),
                                             *_seeded_anchors()])
 def test_optimize_picks_what_a_per_candidate_search_picks(density_table, monkeypatch, regime, log_x0,
                                                           quantum):
-    if regime == "vk":  # a closed form, not a search: its pick is the oracle's
-        best = _assert_vk_pick_is_the_oracles(log_x0, density_table)
+    if regime != "medium":  # a closed form per cell, not a search: its pick is the oracle's
+        best = _assert_pick_is_the_oracles(log_x0, density_table, regime)
         if quantum:  # floored values tie often, and a tie goes to the smaller sigma
-            real = engine._vk_value
-            monkeypatch.setattr(engine, "_vk_value", lambda *args: math.floor(real(*args) / quantum) * quantum)
-            low = engine._vk_fit(log_x0, density_table)(best.sigma, 1).value
-            tied = [s for v, s, _ in engine._vk_search(log_x0, density_table, engine.REGIMES["vk"]) if v == low]
-            assert optimize(log_x0, "vk", density_table).sigma == min(tied)
+            _floor_values(monkeypatch, quantum)
+            rec = engine.REGIMES[regime]
+            low = rec.fit(log_x0, density_table)(best.sigma, 1).value
+            tied = [s for v, s, _ in rec.search(log_x0, density_table, rec) if v == low]
+            assert optimize(log_x0, regime, density_table).sigma == min(tied)
         return
     if quantum:  # values floored to a coarse step tie often, so tie-breaking must agree too
-        for name, rec in list(engine.REGIMES.items()):
-            def coarse(log_x0, table, _real=rec.fit):
-                at = _real(log_x0, table)
-
-                def floored(sigma, K):
-                    got = at(sigma, K)
-                    return got._replace(value=float(np.floor(got.value / quantum) * quantum))
-
-                def floored_bind(rows, K):  # optimize ranks through the bound lanes, so they are floored too
-                    lanes = at.bind(rows, K)
-                    return lambda sigma: np.floor(lanes(sigma) / quantum) * quantum
-                floored.bind = floored_bind
-                return floored
-            monkeypatch.setitem(engine.REGIMES, name, rec._replace(fit=coarse))
+        _floor_values(monkeypatch, quantum)
     row = optimize(log_x0, regime, density_table)
     ref = _per_candidate_optimize(log_x0, regime, density_table)
     assert (row.sigma, row.K) == (ref.sigma, ref.K)
@@ -934,29 +943,34 @@ def _count_calls(monkeypatch):
 @pytest.mark.parametrize("regime, log_x0", [("medium", 2488.0), ("large", 1e5), ("vk", 2.8e10), ("vk", 1e13),
                                             *_seeded_anchors()])
 def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density_table, regime, log_x0):
-    # optimize binds each lane's density rows (cell c: C1 from row c + 1, C2 from
-    # row c; grid point i: row i), which is exact only if ``rows_at`` picks those
-    # rows at every sigma the search evaluates: ternary probes, midpoints and grid
-    # points.  The VK search has no lanes; it reads the same rows for each grid
-    # point and each cell's closed-form sigma, which must be the float call's rows
-    seen = []
+    # optimize binds each medium lane's density rows (cell c: C1 from row c + 1,
+    # C2 from row c; grid point i: row i), which is exact only if ``rows_at`` picks
+    # those rows at every sigma the search evaluates: ternary probes, midpoints and
+    # grid points.  The large and VK searches have no lanes; ``_cell_sigmas`` gives
+    # each grid point and each cell's closed-form sigma with the rows it reads, which
+    # must be the rows the float call reads there, and the VK search ranks by them
     rec = engine.REGIMES[regime]
-    if regime == "vk":
-        def recording(a, sigma, row_logs, _real=engine._vk_value):
+    if regime != "medium":
+        seen = []
+
+        def cell_sigmas(a, table, _real=engine._cell_sigmas):
+            got = _real(a, table)
+            seen.extend(got)
+            return got
+
+        def vk_value(a, sigma, row_logs, _real=engine._vk_value):
             assert row_logs == engine._vk_row_logs(a, engine._log_2c(sigma, density_table))
-            seen.append(sigma)
             return _real(a, sigma, row_logs)
 
-        def search(*args):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(engine, "_vk_value", recording)
-                return rec.search(*args)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(engine.REGIMES, regime, rec._replace(search=search))
+            mp.setattr(engine, "_cell_sigmas", cell_sigmas)
+            mp.setattr(engine, "_vk_value", vk_value)
             row = optimize(log_x0, regime, density_table)
         assert row == optimize(log_x0, regime, density_table)
-        assert len(seen) == 40 and len(set(seen)) == 40  # 20 grid points below 1 and 20 cells
+        assert len(seen) == 40 and len({s for s, _ in seen}) == 40  # 20 grid points below 1 and 20 cells
+        assert [density_table.rows_at(s) for s, _ in seen] == [rows for _, rows in seen]
         return
+    seen = []
 
     def fit(*args):
         at = rec.fit(*args)
@@ -987,18 +1001,20 @@ def test_every_sigma_a_search_ranks_reads_the_rows_its_lane_was_bound_to(density
     ("medium", 6000.0, 30), ("large", 1e6, 25), ("vk", 3e10, 25),
 ])
 def test_optimize_work_count(density_table, rebuild, monkeypatch, regime, log_x0, max_calls):
-    # a speed guard that holds on any host: one lockstep over every (K, cell)
+    # a speed guard that holds on any host: the medium lockstep over every (K, cell)
     # binds its lanes twice, makes one probe call per ternary step on the first
     # binding and one ranking call on the second, and each emission attempt
     # binds the fit once and makes one float call (the per-candidate search made
-    # 7601 medium and 761 large/VK calls, and a lockstep per K made about 200
-    # medium calls); the bracket is computed once per fit binding, not once per
-    # call.  Every cell is 0.001 - 2e-9 wide and 1.015e-6 after 17 steps, so
-    # every search takes 18 steps over all its lanes.  Lanes read their density
-    # rows when bound, so a search looks up no ``DensityTable.rows_at`` (lanes
-    # that looked their rows up made one lookup per lane call, about 20).  The VK
-    # search binds no fit: one bracket and 40 values, its closed-form sigma in
-    # each of the 20 cells and the 20 grid points, read by row position
+    # 7601 medium calls, and a lockstep per K made about 200); the bracket is
+    # computed once per fit binding, not once per call.  Every cell is 0.001 - 2e-9
+    # wide and 1.015e-6 after 17 steps, so every search takes 18 steps over all its
+    # lanes.  Lanes read their density rows when bound, so a medium search looks up
+    # no ``DensityTable.rows_at`` (lanes that looked their rows up made one lookup
+    # per lane call, about 20).  The large and VK searches take 40 candidates, each
+    # cell's closed-form sigma and the 20 grid points, on one bracket: VK binds no
+    # fit and ranks each by ``_vk_value`` on rows read by position; large binds one
+    # fit on the search's bracket and ranks each by its float call, which looks up
+    # its rows (the large lockstep made 19 lane calls)
     calls = _count_calls(monkeypatch)
     lookups = []  # the lane calls made before each lookup
 
@@ -1007,14 +1023,16 @@ def test_optimize_work_count(density_table, rebuild, monkeypatch, regime, log_x0
         return _real(self, sigma)
 
     monkeypatch.setattr(DensityTable, "rows_at", rows_at)
-    if regime == "vk":
+    if regime != "medium":
         ranked = []
         monkeypatch.setattr(engine, "_vk_value", lambda *args, _real=engine._vk_value: ranked.append(args) or
                             _real(*args))
         row = optimize(log_x0, regime, density_table)
-        attempts = calls["fit"]  # one fit binding per emission attempt, none for the search
-        assert calls["bind"] == 0 and calls["lanes"] == [] and 1 <= attempts == calls["at"] <= max_calls
-        assert calls["bracket"] == 1 + attempts and len(ranked) == 40 + attempts and len(lookups) == attempts
+        searched = regime == "large"  # the one fit binding the large search makes
+        attempts = calls["fit"] - searched  # then one per emission attempt
+        assert calls["bind"] == 0 and calls["lanes"] == [] and 1 <= attempts <= max_calls
+        assert calls["at"] == 40 * searched + attempts and len(lookups) == 40 * searched + attempts
+        assert calls["bracket"] == 1 + attempts and len(ranked) == (0 if searched else 40 + attempts)
         assert refusal(rebuild(row)[0].premises) == ""
         return
     row = optimize(log_x0, regime, density_table)
@@ -1023,7 +1041,7 @@ def test_optimize_work_count(density_table, rebuild, monkeypatch, regime, log_x0
     assert lookups and set(lookups) == {19}  # every lookup is an emission's, after the search
     attempts = calls["fit"] - 1  # the search's one binding, then one per emission attempt
     assert attempts >= 1 and calls["at"] == attempts and len(calls["lanes"]) + calls["at"] <= max_calls
-    assert calls["bracket"] == (0 if regime == "medium" else calls["fit"])
+    assert calls["bracket"] == 0
     assert refusal(rebuild(row)[0].premises) == ""
 
 
@@ -1165,17 +1183,24 @@ def test_optimize_failure_names_the_best_ranked_reason(density_table, monkeypatc
     assert str(refused.value).endswith(f"(best-ranked candidate: refused sigma={tried[0]!r})")
 
 
-def _vk_oracle_anchors(n=8, seed=37):
-    """The benchmark's VK anchors 2.8e10 and 3e10, 1e12, and n seeded anchors log-uniform in [2.8e10, 1e13]."""
+def _oracle_anchors(fixed, lo, hi, n=8, seed=37):
+    """The ``fixed`` anchors, then n seeded anchors log-uniform in [lo, hi]."""
     rng = random.Random(seed)
-    return [2.8e10, 3e10, 1e12] + [float(f"{math.exp(rng.uniform(math.log(2.8e10), math.log(1e13))):.6g}")
-                                   for _ in range(n)]
+    return fixed + [float(f"{math.exp(rng.uniform(math.log(lo), math.log(hi))):.6g}") for _ in range(n)]
 
 
-@pytest.mark.parametrize("log_x0", _vk_oracle_anchors())
+@pytest.mark.parametrize("log_x0", _oracle_anchors([2.8e10, 3e10, 1e12], 2.8e10, 1e13))
 def test_vk_optimize_picks_each_cells_minimum(density_table, log_x0):
-    # in each density cell the VK value is a strictly convex log-sum-exp with a closed-form minimizer
-    _assert_vk_pick_is_the_oracles(log_x0, density_table)
+    # in each density cell the VK value is a strictly convex log-sum-exp with a closed-form minimizer;
+    # the benchmark's VK anchors are 2.8e10 and 3e10
+    _assert_pick_is_the_oracles(log_x0, density_table)
+
+
+@pytest.mark.parametrize("log_x0", _oracle_anchors([2.35e5, 1e300], 1e5, 1e15, seed=38))
+def test_large_optimize_picks_each_cells_minimum(density_table, log_x0):
+    # the large raw sum is the VK summands at w = sqrt(log x0), so VK's closed form is each cell's minimizer;
+    # [1e5, 2.35e5) is where the table's sigma does not certify, and at 1e300 sigma* clamps below 1
+    _assert_pick_is_the_oracles(log_x0, density_table, "large")
 
 
 @pytest.mark.parametrize("log_x0", [2.8e10, 3e10])
@@ -1183,7 +1208,16 @@ def test_vk_optimize_takes_a_grid_point_where_one_is_least(density_table, log_x0
     # with C1 at sigma = 1 raised to 1e250 the last cell is worst, and the least value over the table
     # sits at the grid point 0.999, which no cell's clamped minimizer reaches (it stops 1e-9 short)
     table = DensityTable(density_table.rows[:-1] + (density_table.rows[-1]._replace(C1=1e250),))
-    row = _assert_vk_pick_is_the_oracles(log_x0, table)
+    row = _assert_pick_is_the_oracles(log_x0, table)
+    assert row.sigma == table.sigma_grid[-2] == 0.999
+
+
+@pytest.mark.parametrize("log_x0", [1e7, 1e10])
+def test_large_optimize_takes_a_grid_point_where_one_is_least(density_table, log_x0):
+    # as for VK: from log x0 ~ 1e7 on the large optimum lies in the last cell, which C1 = 1e250 at sigma = 1
+    # makes worst, and the least value is then at the grid point 0.999
+    table = DensityTable(density_table.rows[:-1] + (density_table.rows[-1]._replace(C1=1e250),))
+    row = _assert_pick_is_the_oracles(log_x0, table, "large")
     assert row.sigma == table.sigma_grid[-2] == 0.999
 
 
@@ -1194,6 +1228,14 @@ def test_vk_optimize_pins_the_closed_form_picks_eps0(density_table, log_x0, mant
     # (about 1/log x0), and served 6.46e-78980, 1.84e-82271 and 3.55e-656552
     from pntbounds.cli import eps0_sci
     assert eps0_sci(optimize(log_x0, "vk", density_table).eps0) == f"{mantissa}e{exp10}"
+
+
+@pytest.mark.parametrize("log_x0, mantissa, exp10", [(1e8, "1.43", -4694), (1e9, "7.31", -14937),
+                                                     (1e10, "4.21", -47337)])
+def test_large_optimize_pins_the_closed_form_picks_eps0(density_table, log_x0, mantissa, exp10):
+    # the lockstep's 1e-6 width rule served 1.44e-4694, 7.43e-14937 and 4.63e-47337
+    from pntbounds.cli import eps0_sci
+    assert eps0_sci(optimize(log_x0, "large", density_table).eps0) == f"{mantissa}e{exp10}"
 
 
 @pytest.mark.parametrize("log_x0", [1e259, 1e300, 1.7e308])
